@@ -3,9 +3,9 @@ Fourier-Bessel connection between the two pictures."""
 
 from .grids import Grid, SampledFunction
 from .numerics import (OscillatoryError, QuadratureError, QuadratureResult,
-                       TridiagonalMatrix, bessel_j, integrate_adaptive,
+                       bessel_j, integrate_adaptive,
                        integrate_oscillatory_bessel, lower_incomplete_gamma,
-                       tridiag_eigen)
+                       sinc_interp, sinc_kinetic)
 from .potentials import (MorseParams, PotentialCurve, PTParams,
                          SingularConfigurationError, f_morse, f_pt,
                          morse_generalized, morse_partner, morse_shifted,

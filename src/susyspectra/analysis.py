@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,11 +141,10 @@ def solve_pt(params: PTParams, kind: str = "shifted",
 def gamma_sweep(family: str, strength: float, gammas,
                 grid: Grid | None = None,
                 tolerance: float = DEFAULT_TOLERANCE):
-    """Solve the generalized potential for each gamma (concurrently) and
-    compare every spectrum against the shifted base.
+    """Solve the generalized potential for each gamma, one after another
+    in ascending order, and compare every spectrum against the shifted base.
 
-    Returns (base_spectrum, {gamma: spectrum}, {gamma: SpectralReport});
-    assembly order is by gamma value, independent of completion order.
+    Returns (base_spectrum, {gamma: spectrum}, {gamma: SpectralReport}).
     """
     gammas = sorted(float(g) for g in gammas)
     if family == "morse":
@@ -157,8 +155,7 @@ def gamma_sweep(family: str, strength: float, gammas,
         solve = lambda g: solve_pt(PTParams(strength, g), "generalized", grid)
     else:
         raise ValueError("family must be 'morse' or 'pt'")
-    with ThreadPoolExecutor(max_workers=min(4, len(gammas))) as pool:
-        spectra = dict(zip(gammas, pool.map(solve, gammas)))
+    spectra = {g: solve(g) for g in gammas}
     reports = {g: isospectral_check(base, spectra[g], False, tolerance)
                for g in gammas}
     return base, spectra, reports

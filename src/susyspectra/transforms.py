@@ -20,8 +20,9 @@ import numpy as np
 from .grids import SampledFunction
 from .coordinates import rho_from_morse_t, rho_from_pt_t
 from .eigensolver import Spectrum
-from .numerics import (QuadratureResult, bessel_j, cubic_interp,
-                       integrate_oscillatory_bessel)
+from .numerics import (QuadratureResult, bessel_j,
+                       integrate_oscillatory_bessel, sinc_interp)
+from .numerics import cubic_interp  # noqa: F401  (retired; see numerics)
 from .potentials import (MorseParams, PTParams, q_morse_derivative,
                          q_pt_derivative)
 
@@ -157,11 +158,12 @@ def angular_phase_integral(x: float, m: int, phi_prime: float,
 def morse_state_on_plan(state: SampledFunction, lam: float,
                         plan: HankelPlan) -> SampledFunction:
     """Re-express a level-coordinate eigenfunction as R(t) on plan nodes,
-    t = lam e^-rho.  Outside the solved window the state has decayed; zeros."""
+    t = lam e^-rho, by sinc interpolation in rho (exact for a sinc-DVR
+    state).  Outside the solved window the state has decayed; zeros."""
     rho = rho_from_morse_t(lam, plan.nodes)
     x0 = float(state.nodes[0])
     dx = float(state.nodes[1] - state.nodes[0])
-    vals = cubic_interp(x0, dx, state.values, rho)
+    vals = sinc_interp(x0, dx, state.values, rho)
     return SampledFunction(plan.nodes, vals)
 
 
@@ -171,7 +173,7 @@ def pt_state_on_nodes(state: SampledFunction, t_prime_nodes) -> SampledFunction:
     rho = rho_from_pt_t(tp)
     x0 = float(state.nodes[0])
     dx = float(state.nodes[1] - state.nodes[0])
-    vals = cubic_interp(x0, dx, state.values, rho)
+    vals = sinc_interp(x0, dx, state.values, rho)
     return SampledFunction(tp, vals)
 
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from susyspectra.eigensolver import (GridTooSmallError, Spectrum,
-                                     default_morse_grid, default_pt_grid,
-                                     discretize, solve_bound_states)
+from susyspectra.eigensolver import (DEFAULT_SPACING, GridTooSmallError,
+                                     Spectrum, default_morse_grid,
+                                     default_pt_grid, discretize,
+                                     solve_bound_states)
 from susyspectra.grids import Grid
 from susyspectra.potentials import MorseParams, PTParams, pt_shifted
 
@@ -23,16 +24,21 @@ class TestDiscretize:
     def test_zero_potential_unit_spacing(self):
         grid = Grid(0.0, 17.0, 18)  # h = 1
         m = discretize(lambda x: np.zeros_like(x), grid)
-        assert np.allclose(m.diag, 2.0)
-        assert np.allclose(m.offdiag, -1.0)
-        assert m.n == 16
+        assert m.shape == (16, 16)
+        i, j = np.indices(m.shape)
+        k = np.where(i == j, 1, i - j)
+        exact = np.where(i == j, np.pi ** 2 / 3.0, 2.0 * (-1.0) ** k / k ** 2)
+        assert np.array_equal(m, m.T)
+        assert np.max(np.abs(m - exact)) < 1e-15
 
     def test_constant_shift(self):
         grid = Grid(-3.0, 3.0, 64)
         m0 = discretize(lambda x: np.zeros_like(x), grid)
         mc = discretize(lambda x: np.full_like(x, 2.5), grid)
-        assert np.allclose(mc.diag - m0.diag, 2.5)
-        assert np.allclose(mc.offdiag, m0.offdiag)
+        assert np.allclose(mc - m0, 2.5 * np.eye(62), rtol=0, atol=1e-12)
+        # kinetic entries scale as 1/h^2
+        m2 = discretize(lambda x: np.zeros_like(x), Grid(-6.0, 6.0, 64))
+        assert np.allclose(4.0 * m2, m0, rtol=1e-14, atol=0)
 
     def test_non_finite_potential_named(self):
         grid = Grid(0.5, 2.0, 16)
@@ -40,12 +46,9 @@ class TestDiscretize:
             discretize(lambda x: np.where(x > 1.0, np.inf, 0.0), grid)
 
     def test_harmonic_oscillator(self):
-        grid = Grid(-10.0, 10.0, 2001)  # h = 0.01
-        m = discretize(lambda x: x * x, grid)
-        from susyspectra.numerics import tridiag_eigen
-        pairs = tridiag_eigen(m, 3)
-        got = np.array([p[0] for p in pairs])
-        assert np.max(np.abs(got - np.array([1.0, 3.0, 5.0]))) < 1e-3
+        grid = Grid(-10.0, 10.0, 81)  # h = 0.25
+        spec = solve_bound_states(lambda x: x * x, grid, 6.0)
+        assert np.max(np.abs(spec.eigenvalues - [1.0, 3.0, 5.0])) <= 1e-10
 
 
 class TestSolveBoundStates:
@@ -85,21 +88,30 @@ class TestSolveBoundStates:
             interior_edge = max(abs(f.values[1]), abs(f.values[-2]))
             assert interior_edge < 1e-6 * np.max(np.abs(f.values))
 
-    def test_richardson_second_order(self):
-        # halving h cuts the eigenvalue error ~4x on the harmonic oscillator
+    def test_spectral_convergence(self):
+        # the sinc-DVR error falls exponentially in 1/h: halving the spacing
+        # from ~0.6 (error ~1e-6) reaches round-off, not the factor 4 of a
+        # second-order scheme
         errs = []
-        for n in (501, 1001):
+        for n in (35, 69):  # h ~ 0.59, 0.29 on [-10, 10]
             grid = Grid(-10.0, 10.0, n)
-            spec = solve_bound_states(lambda x: x * x, grid, 30.0)
-            errs.append(abs(spec.eigenvalues[0] - 1.0))
-        ratio = errs[0] / errs[1]
-        assert 3.0 < ratio < 5.0
+            spec = solve_bound_states(lambda x: x * x, grid, 10.0)
+            errs.append(np.max(np.abs(spec.eigenvalues - [1, 3, 5, 7, 9])))
+        assert errs[0] > 1e3 * errs[1]
 
     def test_spectrum_invariants(self):
         with pytest.raises(ValueError):
             Spectrum(np.array([1.0, 1.0]), [], 5.0)
         with pytest.raises(ValueError):
             Spectrum(np.array([1.0, 6.0]), [], 5.0)
+
+    @pytest.mark.parametrize("kind", ["shifted", "partner", "generalized"])
+    def test_default_grid_levels_closed_form(self, kind, request):
+        skip = 1 if kind == "partner" else 0
+        morse = request.getfixturevalue(f"morse_{kind}_spectrum").eigenvalues
+        pt = request.getfixturevalue(f"pt_{kind}_spectrum").eigenvalues
+        assert np.max(np.abs(morse - morse_levels(4.5)[skip:])) <= 1e-8
+        assert np.max(np.abs(pt - pt_levels(4.0)[skip:])) <= 1e-8
 
 
 class TestSUSYStructure:
@@ -129,9 +141,10 @@ class TestSUSYStructure:
 
 def test_default_grids():
     g = default_morse_grid(MorseParams(4.5, 1.0))
-    assert g.min == -2.0 and g.max == 25.0 and g.n == 4001
+    assert g.min == -2.0 and g.max == 32.0 and g.n == 228
     g2 = default_pt_grid(PTParams(4.0, 1.0))
-    assert g2.min == -15.0 and g2.max == 15.0
+    assert g2.min == -20.0 and g2.max == 20.0 and g2.n == 268
+    assert max(g.spacing, g2.spacing) <= DEFAULT_SPACING
     # a gamma below the negative-tail mass pulls the left edge in
     g3 = default_morse_grid(MorseParams(0.6, 0.1))
     assert g3.min > -2.0

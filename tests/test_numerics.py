@@ -2,18 +2,15 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from susyspectra.numerics import (OscillatoryError, QuadratureError,
-                                  QuadratureResult, TridiagonalMatrix,
-                                  bessel_j, bessel_j_zero,
-                                  count_eigenvalues_below, cubic_interp,
+                                  QuadratureResult, bessel_j, bessel_j_zero,
                                   integrate_adaptive,
                                   integrate_oscillatory_bessel,
-                                  lower_incomplete_gamma, tridiag_eigen)
+                                  lower_incomplete_gamma, sinc_interp)
 
 # First positive zero of J0, located by bisection on the plain power series
 # (oracle below) and frozen here.
@@ -183,80 +180,21 @@ class TestOscillatoryBessel:
             integrate_oscillatory_bessel(grow, 0, 1.0, tol=1e-8, max_blocks=30)
 
 
-class TestTridiagEigen:
-    def test_two_by_two(self):
-        m = TridiagonalMatrix(np.array([2.0, 2.0]), np.array([-1.0]))
-        pairs = tridiag_eigen(m, 2)
-        assert abs(pairs[0][0] - 1.0) < 1e-12
-        assert abs(pairs[1][0] - 3.0) < 1e-12
+class TestSincInterp:
+    def test_band_limited_exact(self):
+        # spectrum exp(-(k -+ 2)^2 / 4): below 1e-20 past the Nyquist
+        # wavenumber pi/h, so the samples determine f to round-off
+        h = 0.2
+        xs = np.arange(-12.0, 12.0 + h / 2, h)
+        f = lambda x: np.exp(-(x - 0.3) ** 2) * np.cos(2.0 * x)
+        xq = np.linspace(-5.0, 5.0, 777)
+        err = np.max(np.abs(sinc_interp(xs[0], h, f(xs), xq) - f(xq)))
+        assert err < 1e-13
 
-    def test_degenerate_diagonal(self):
-        m = TridiagonalMatrix(np.array([5.0, 5.0, 5.0]), np.zeros(2))
-        pairs = tridiag_eigen(m, 3)
-        vals = np.array([p[0] for p in pairs])
-        assert np.allclose(vals, 5.0, atol=1e-12)
-        vecs = np.array([p[1] for p in pairs])
-        assert np.allclose(vecs @ vecs.T, np.eye(3), atol=1e-10)
-
-    def test_discrete_laplacian_closed_form(self):
-        n = 50
-        m = TridiagonalMatrix(np.full(n, 2.0), np.full(n - 1, -1.0))
-        pairs = tridiag_eigen(m, 8)
-        exact = 2.0 - 2.0 * np.cos(np.arange(1, 9) * np.pi / (n + 1))
-        got = np.array([p[0] for p in pairs])
-        assert np.max(np.abs(got - exact)) < 1e-11
-
-    def test_residuals_and_scipy_cross_check(self):
-        rng = np.random.default_rng(7)
-        d = rng.standard_normal(200) * 3.0
-        e = rng.standard_normal(199)
-        m = TridiagonalMatrix(d, e)
-        pairs = tridiag_eigen(m, 6)
-        ref = scipy.linalg.eigh_tridiagonal(d, e, select="i",
-                                            select_range=(0, 5))[0]
-        bound = m.norm_bound()
-        for (val, vec), rv in zip(pairs, ref):
-            assert abs(val - rv) < 1e-10 * bound
-            resid = np.linalg.norm(m.matvec(vec) - val * vec)
-            assert resid <= 1e-10 * bound
-            assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
-
-    @given(st.integers(0, 2 ** 31 - 1))
-    @settings(max_examples=15, deadline=None)
-    def test_sign_flip_invariance(self, seed):
-        rng = np.random.default_rng(seed)
-        n = 20
-        d = rng.standard_normal(n)
-        e = rng.standard_normal(n - 1)
-        flips = rng.choice([-1.0, 1.0], size=n - 1)
-        a = tridiag_eigen(TridiagonalMatrix(d, e), 4)
-        b = tridiag_eigen(TridiagonalMatrix(d, e * flips), 4)
-        for (va, _), (vb, _) in zip(a, b):
-            assert abs(va - vb) <= 1e-12 * max(1.0, abs(va))
-
-    def test_k_too_large(self):
-        m = TridiagonalMatrix(np.array([1.0, 2.0]), np.array([0.5]))
-        with pytest.raises(ValueError):
-            tridiag_eigen(m, 3)
-
-    def test_count_below(self):
-        m = TridiagonalMatrix(np.array([2.0, 2.0]), np.array([-1.0]))
-        assert count_eigenvalues_below(m, 0.5) == 0
-        assert count_eigenvalues_below(m, 2.0) == 1
-        assert count_eigenvalues_below(m, 4.0) == 2
-
-
-class TestCubicInterp:
-    def test_fourth_order_on_sine(self):
-        h = 0.05
-        xs = np.arange(0.0, 10.0 + h / 2, h)
-        f = np.sin(xs)
-        xq = np.linspace(0.3, 9.7, 777)
-        err = np.max(np.abs(cubic_interp(xs[0], h, f, xq) - np.sin(xq)))
-        assert err < 1e-5  # ~h^4
-
-    def test_out_of_range_fills(self):
+    def test_nodes_and_out_of_range(self):
         xs = np.arange(0.0, 1.01, 0.1)
-        out = cubic_interp(0.0, 0.1, np.ones_like(xs), np.array([-1.0, 2.0]),
-                           left=-7.0, right=9.0)
-        assert out[0] == -7.0 and out[1] == 9.0
+        vals = np.cos(7.0 * xs)
+        assert np.allclose(sinc_interp(0.0, 0.1, vals, xs), vals, atol=1e-15)
+        out = sinc_interp(0.0, 0.1, vals, np.array([-1e-9, 1.0 + 1e-9, 2.0]))
+        assert np.all(out == 0.0)
+        assert sinc_interp(0.0, 0.1, vals, 0.3) == pytest.approx(vals[3])
