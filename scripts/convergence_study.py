@@ -19,9 +19,8 @@ import time
 
 import numpy as np
 
-from susyspectra.analysis import solve_morse, solve_pt
-from susyspectra.eigensolver import (GridTooSmallError, default_morse_grid,
-                                     default_pt_grid)
+from susyspectra.analysis import solve
+from susyspectra.eigensolver import GridTooSmallError, default_grid
 from susyspectra.grids import Grid
 from susyspectra.potentials import MorseParams, PTParams
 
@@ -41,15 +40,12 @@ def main() -> None:
     args = ap.parse_args()
 
     rows = ["family,n_nodes,h,status,max_abs_error,seconds"]
-    for family, strength in (("morse", args.lam), ("pt", args.mu)):
-        if family == "morse":
-            params = MorseParams(strength, 1.0)
-            domain, solve = default_morse_grid(params), solve_morse
-            exact = exact_levels(strength - 0.5)
-        else:
-            params = PTParams(strength, 1.0)
-            domain, solve = default_pt_grid(params), solve_pt
-            exact = exact_levels(strength)
+    # closed-form levels n(2a - n) with a = lambda - 1/2 and a = mu
+    for params, a in ((MorseParams(args.lam, 1.0), args.lam - 0.5),
+                      (PTParams(args.mu, 1.0), args.mu)):
+        family = params.family
+        domain = default_grid(params)
+        exact = exact_levels(a)
         for h in SPACINGS:
             n = math.ceil((domain.max - domain.min) / h) + 1
             grid = Grid(domain.min, domain.max, n)

@@ -18,20 +18,36 @@ import numpy as np
 from . import __version__
 from .analysis import (energy_shift_check, gamma_sweep, isospectral_check,
                        normalized_l2_discrepancy, solve_morse, solve_pt)
-from .eigensolver import (GridTooSmallError, default_morse_grid,
-                          default_pt_grid)
+from .eigensolver import GridTooSmallError, default_grid
 from .grids import Grid
-from .numerics import OscillatoryError, QuadratureError
-from .potentials import (MorseParams, PTParams, SingularConfigurationError,
-                         f_morse, f_pt, morse_generalized, morse_partner,
-                         morse_rho_min, morse_shifted, morse_w_prime,
-                         morse_w_second, pt_generalized, pt_partner,
-                         pt_rho_min, pt_shifted, pt_w_prime, pt_w_second,
-                         riccati_residual)
+from .numerics import OscillatoryError
+from .potentials import (FAMILIES, MorseParams, PTParams,
+                         SingularConfigurationError, riccati_residual)
 from .transforms import (hankel_oscillatory, make_hankel_plan,
                          morse_state_on_plan, potential_term_map,
                          potential_term_sandwich, pt_state_on_nodes,
                          wavefunction_map)
+
+# perfbench/tracer.py wraps these per-family names (and solve_morse,
+# solve_pt) by attribute, so the generic runners reach them through
+# `_traced`.  They retire with the numerics stubs at the next change to the
+# benchmark.
+morse_shifted = MorseParams.shifted
+morse_partner = MorseParams.partner
+morse_generalized = MorseParams.generalized
+morse_rho_min = MorseParams.rho_min
+pt_shifted = PTParams.shifted
+pt_partner = PTParams.partner
+pt_generalized = PTParams.generalized
+pt_rho_min = PTParams.rho_min
+
+
+def _traced(template: str, params):
+    """This module's binding `template`, with the family of `params` filled
+    in, looked up at call time so that the tracer's wrapper is the one
+    called."""
+    return globals()[template.format(params.family)]
+
 
 EXPERIMENTS = (
     "potential-curve", "spectrum", "isospectral", "gamma-sweep", "riccati",
@@ -49,6 +65,10 @@ EXPERIMENT_COLUMNS = {
     "energy-shift": ["index", "e_morse", "e_morse_shifted", "e_pt", "delta"],
     "potential-term-map": ["index", "t_prime", "lhs", "rhs", "residual"],
 }
+
+
+# experiments that always solve both wells, whatever --family says
+_CROSS_FAMILY = ("wavefunction-map", "energy-shift", "potential-term-map")
 
 
 class UsageError(Exception):
@@ -112,9 +132,8 @@ def _base_meta(cfg: RunConfig) -> dict:
     return meta
 
 
-def _grid_for(cfg: RunConfig, family: str, params):
-    default = (default_morse_grid(params) if family == "morse"
-               else default_pt_grid(params))
+def _grid_for(cfg: RunConfig, params):
+    default = default_grid(params)
     lo = cfg.grid_min if cfg.grid_min is not None else default.min
     hi = cfg.grid_max if cfg.grid_max is not None else default.max
     n = cfg.grid_n if cfg.grid_n is not None else default.n
@@ -122,9 +141,18 @@ def _grid_for(cfg: RunConfig, family: str, params):
 
 
 def _family_params(cfg: RunConfig, family: str):
-    if family == "morse":
-        return MorseParams(cfg.lam, cfg.gamma)
-    return PTParams(cfg.mu, cfg.gamma)
+    cls = FAMILIES[family]
+    strength = getattr(cfg, _KEY_TO_ATTR.get(cls.strength_name,
+                                             cls.strength_name))
+    return cls(strength, cfg.gamma)
+
+
+def _families(cfg: RunConfig) -> list[str]:
+    """The families an experiment solves: the one --family names, every
+    family for --family both, and both wells for the cross-family runs."""
+    cross = cfg.experiment in _CROSS_FAMILY
+    return [family for family in FAMILIES
+            if cross or cfg.family in (family, "both")]
 
 
 def _require_family(cfg: RunConfig, allowed: tuple[str, ...]) -> str:
@@ -140,56 +168,46 @@ def _require_family(cfg: RunConfig, allowed: tuple[str, ...]) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _one_family(cfg: RunConfig):
+    """Params of the single family the experiment runs on (--family)."""
+    return _family_params(cfg, _require_family(cfg, tuple(FAMILIES)))
+
+
 def run_potential_curve(cfg: RunConfig):
-    family = _require_family(cfg, ("morse", "pt"))
-    params = _family_params(cfg, family)
-    grid = _grid_for(cfg, family, params)
+    params = _one_family(cfg)
+    grid = _grid_for(cfg, params)
     x = grid.nodes()
-    if family == "morse":
-        trio = (morse_shifted(params, x), morse_partner(params, x),
-                morse_generalized(params, x))
-        rho_min = morse_rho_min(params)
-    else:
-        trio = (pt_shifted(params, x), pt_partner(params, x),
-                pt_generalized(params, x))
-        rho_min = pt_rho_min(params)
+    trio = [_traced("{}_" + kind, params)(params, x)
+            for kind in ("shifted", "partner", "generalized")]
     meta = _base_meta(cfg)
-    meta.update(family=family, gamma=cfg.gamma, rho_min=rho_min,
+    meta.update(family=params.family, gamma=cfg.gamma,
+                rho_min=_traced("{}_rho_min", params)(params),
                 grid_min=grid.min, grid_max=grid.max, grid_n=grid.n)
-    meta["lambda" if family == "morse" else "mu"] = (
-        cfg.lam if family == "morse" else cfg.mu)
+    meta[params.strength_name] = params.strength
     rows = [(i, x[i], trio[0][i], trio[1][i], trio[2][i])
             for i in range(grid.n)]
     return meta, EXPERIMENT_COLUMNS[cfg.experiment], rows
 
 
 def run_spectrum(cfg: RunConfig, kind: str):
-    family = _require_family(cfg, ("morse", "pt"))
-    params = _family_params(cfg, family)
-    grid = _grid_for(cfg, family, params)
-    if family == "morse":
-        spec = solve_morse(params, kind, grid)
-        rho_min = morse_rho_min(params)
-        strength = ("lambda", cfg.lam)
-    else:
-        spec = solve_pt(params, kind, grid)
-        rho_min = pt_rho_min(params)
-        strength = ("mu", cfg.mu)
+    params = _one_family(cfg)
+    grid = _grid_for(cfg, params)
+    spec = _traced("solve_{}", params)(params, kind, grid)
     meta = _base_meta(cfg)
-    meta.update(family=family, potential=kind, gamma=cfg.gamma,
-                rho_min=rho_min, grid_min=grid.min, grid_max=grid.max,
-                grid_n=grid.n, continuum_threshold=spec.continuum_threshold,
+    meta.update(family=params.family, potential=kind, gamma=cfg.gamma,
+                rho_min=_traced("{}_rho_min", params)(params),
+                grid_min=grid.min, grid_max=grid.max, grid_n=grid.n,
+                continuum_threshold=spec.continuum_threshold,
                 bound_count=spec.bound_count)
-    meta[strength[0]] = strength[1]
+    meta[params.strength_name] = params.strength
     rows = [(i, e) for i, e in enumerate(spec.eigenvalues)]
     return meta, EXPERIMENT_COLUMNS["spectrum"], rows
 
 
 def run_isospectral(cfg: RunConfig):
-    family = _require_family(cfg, ("morse", "pt"))
-    params = _family_params(cfg, family)
-    grid = _grid_for(cfg, family, params)
-    solver = solve_morse if family == "morse" else solve_pt
+    params = _one_family(cfg)
+    grid = _grid_for(cfg, params)
+    solver = _traced("solve_{}", params)
     base = solver(params, "shifted", grid)
     partner = solver(params, "partner", grid)
     generalized = solver(params, "generalized", grid)
@@ -200,26 +218,24 @@ def run_isospectral(cfg: RunConfig):
         for i, (l, r, d) in enumerate(rep.pairs):
             rows.append((name, i, l, r, d))
     meta = _base_meta(cfg)
-    meta.update(family=family, gamma=cfg.gamma,
+    meta.update(family=params.family, gamma=cfg.gamma,
                 partner_max_delta=rep_partner.max_delta,
                 partner_verdict="pass" if rep_partner.passed else "fail",
                 generalized_max_delta=rep_gen.max_delta,
                 generalized_verdict="pass" if rep_gen.passed else "fail")
-    meta["lambda" if family == "morse" else "mu"] = (
-        cfg.lam if family == "morse" else cfg.mu)
+    meta[params.strength_name] = params.strength
     return meta, EXPERIMENT_COLUMNS["isospectral"], rows
 
 
 def run_gamma_sweep(cfg: RunConfig):
-    family = _require_family(cfg, ("morse", "pt"))
-    strength = cfg.lam if family == "morse" else cfg.mu
-    params = _family_params(cfg, family)
-    grid = _grid_for(cfg, family, params)
-    base, spectra, reports = gamma_sweep(family, strength, cfg.gammas, grid)
+    params = _one_family(cfg)
+    grid = _grid_for(cfg, params)
+    base, spectra, reports = gamma_sweep(params.family, params.strength,
+                                         cfg.gammas, grid)
     rows = []
     meta = _base_meta(cfg)
-    meta.update(family=family)
-    meta["lambda" if family == "morse" else "mu"] = strength
+    meta.update(family=params.family)
+    meta[params.strength_name] = params.strength
     for g in sorted(spectra):
         spec = spectra[g]
         rep = reports[g]
@@ -233,32 +249,19 @@ def run_gamma_sweep(cfg: RunConfig):
 
 
 def run_riccati(cfg: RunConfig):
-    family = _require_family(cfg, ("morse", "pt", "both"))
+    _require_family(cfg, (*FAMILIES, "both"))
     rows = []
     meta = _base_meta(cfg)
     meta.update(gamma=cfg.gamma)
-    if family in ("morse", "both"):
-        p = MorseParams(cfg.lam, cfg.gamma)
-        lo = cfg.grid_min if cfg.grid_min is not None else -1.0
-        hi = cfg.grid_max if cfg.grid_max is not None else 6.0
-        n = cfg.grid_n if cfg.grid_n is not None else 7001
-        grid = Grid(lo, hi, n)
-        res = riccati_residual(
-            lambda r: f_morse(p, r), lambda r: morse_w_prime(p, r),
-            lambda r: morse_w_second(p, r), grid)
-        rows.append(("morse", grid.spacing, res))
-        meta["lambda"] = cfg.lam
-    if family in ("pt", "both"):
-        p = PTParams(cfg.mu, cfg.gamma)
-        lo = cfg.grid_min if cfg.grid_min is not None else -5.0
-        hi = cfg.grid_max if cfg.grid_max is not None else 5.0
-        n = cfg.grid_n if cfg.grid_n is not None else 10001
-        grid = Grid(lo, hi, n)
-        res = riccati_residual(
-            lambda r: f_pt(p, r), lambda r: pt_w_prime(p, r),
-            lambda r: pt_w_second(p, r), grid)
-        rows.append(("pt", grid.spacing, res))
-        meta["mu"] = cfg.mu
+    for family in _families(cfg):
+        p = _family_params(cfg, family)
+        lo, hi, n = p.riccati_domain
+        grid = Grid(cfg.grid_min if cfg.grid_min is not None else lo,
+                    cfg.grid_max if cfg.grid_max is not None else hi,
+                    cfg.grid_n if cfg.grid_n is not None else n)
+        res = riccati_residual(p.f, p.w_prime, p.w_second, grid)
+        rows.append((family, grid.spacing, res))
+        meta[p.strength_name] = p.strength
     return meta, EXPERIMENT_COLUMNS["riccati"], rows
 
 
@@ -366,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", type=str, default=None,
                         help="key=value file; explicit flags win")
-        sp.add_argument("--family", choices=("morse", "pt", "both"),
+        sp.add_argument("--family", choices=(*FAMILIES, "both"),
                         default=None)
         sp.add_argument("--lambda", dest="lam", type=float, default=None)
         sp.add_argument("--mu", type=float, default=None)
@@ -495,13 +498,9 @@ def main(argv=None) -> int:
     try:
         cfg, potential_kind = _merge(args)
         # parameter constraints surface as usage errors before any solve
-        if cfg.experiment not in ("hankel-verify",):
-            if cfg.family in ("morse", "both") or cfg.experiment in (
-                    "wavefunction-map", "energy-shift", "potential-term-map"):
-                MorseParams(cfg.lam, cfg.gamma)
-            if cfg.family in ("pt", "both") or cfg.experiment in (
-                    "wavefunction-map", "energy-shift", "potential-term-map"):
-                PTParams(cfg.mu, cfg.gamma)
+        if cfg.experiment != "hankel-verify":
+            for family in _families(cfg):
+                _family_params(cfg, family)
     except (UsageError, ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -510,8 +509,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (SingularConfigurationError, GridTooSmallError, QuadratureError,
-            OscillatoryError, ValueError) as exc:
+    except (SingularConfigurationError, GridTooSmallError, OscillatoryError,
+            ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 3
     out = Path(cfg.output)

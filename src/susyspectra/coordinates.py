@@ -6,13 +6,9 @@ t_m = r^2/2 = lambda e^-rho and the sech-well-side t_pt = e^-rho.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 __all__ = [
-    "CoordinateMap",
     "rho_from_r",
     "r_from_rho",
     "morse_t_from_rho",
@@ -22,22 +18,7 @@ __all__ = [
     "chain_30",
     "theta_from_rho",
     "t_phi_from_r_phi",
-    "morse_radius_map",
-    "morse_t_map",
-    "pt_t_map",
-    "pt_angle_map",
 ]
-
-
-@dataclass(frozen=True)
-class CoordinateMap:
-    """Strictly monotone change of variable with its exact inverse."""
-
-    name: str
-    forward: Callable
-    inverse: Callable
-    domain: tuple[float, float]
-    codomain: tuple[float, float]
 
 
 def rho_from_r(lam: float, r):
@@ -122,43 +103,3 @@ def t_phi_from_r_phi(r, phi):
     if t.ndim == 0 and Phi.ndim == 0:
         return float(t), float(Phi)
     return t, Phi
-
-
-def morse_radius_map(lam: float) -> CoordinateMap:
-    return CoordinateMap(
-        name="rho<->r",
-        forward=lambda r: rho_from_r(lam, r),
-        inverse=lambda rho: r_from_rho(lam, rho),
-        domain=(1e-12, 1e6),
-        codomain=(-np.inf, np.inf),
-    )
-
-
-def morse_t_map(lam: float) -> CoordinateMap:
-    return CoordinateMap(
-        name="rho->t_m",
-        forward=lambda rho: morse_t_from_rho(lam, rho),
-        inverse=lambda t: rho_from_morse_t(lam, t),
-        domain=(-np.inf, np.inf),
-        codomain=(0.0, np.inf),
-    )
-
-
-def pt_t_map() -> CoordinateMap:
-    return CoordinateMap(
-        name="rho->t_pt",
-        forward=pt_t_from_rho,
-        inverse=rho_from_pt_t,
-        domain=(-np.inf, np.inf),
-        codomain=(0.0, np.inf),
-    )
-
-
-def pt_angle_map() -> CoordinateMap:
-    return CoordinateMap(
-        name="rho->theta",
-        forward=theta_from_rho,
-        inverse=lambda th: np.arctanh(np.cos(th)),
-        domain=(-np.inf, np.inf),
-        codomain=(0.0, np.pi),
-    )

@@ -1,10 +1,10 @@
 """Special functions and numerical kernels used throughout the package.
 
 Everything here is self-contained (numpy only): cylindrical Bessel functions
-of integer order, the lower incomplete gamma function, adaptive Gauss-Kronrod
-quadrature, semi-infinite oscillatory integrals against Bessel weights, and
-the sinc basis on a uniform grid (the DVR kinetic matrix and band-limited
-interpolation between the nodes).
+of integer order, the 15-point Gauss-Kronrod rule (also used by the
+potentials' weight tables), semi-infinite oscillatory integrals against
+Bessel weights, and the sinc basis on a uniform grid (the DVR kinetic matrix
+and band-limited interpolation between the nodes).
 
 All functions are pure and hold no module-level mutable state, so they are
 safe to call concurrently.
@@ -12,7 +12,6 @@ safe to call concurrently.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -20,24 +19,13 @@ import numpy as np
 
 __all__ = [
     "QuadratureResult",
-    "QuadratureError",
     "OscillatoryError",
     "bessel_j",
     "bessel_j_zero",
-    "lower_incomplete_gamma",
-    "integrate_adaptive",
     "integrate_oscillatory_bessel",
     "sinc_kinetic",
     "sinc_interp",
 ]
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge; carries the best estimate."""
-
-    def __init__(self, message: str, best: "QuadratureResult"):
-        super().__init__(message)
-        self.best = best
 
 
 class OscillatoryError(RuntimeError):
@@ -200,61 +188,7 @@ def bessel_j_zero(m: int, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Lower incomplete gamma
-# ---------------------------------------------------------------------------
-
-
-def lower_incomplete_gamma(s: float, x: float) -> float:
-    """gamma(s, x) = integral_0^x u^(s-1) e^-u du for s > 0, x >= 0.
-
-    Ascending series for x < s + 1, Lentz continued fraction for the upper
-    tail otherwise.  Monotone nondecreasing in x with limit Gamma(s).
-    """
-    if s <= 0:
-        raise ValueError("lower_incomplete_gamma requires s > 0")
-    if x < 0:
-        raise ValueError("lower_incomplete_gamma requires x >= 0")
-    if x == 0.0:
-        return 0.0
-    lg = math.lgamma(s)
-    if x < s + 1.0:
-        # gamma(s,x) = x^s e^-x sum_k x^k Gamma(s)/Gamma(s+1+k)
-        ap = s
-        term = 1.0 / s
-        total = term
-        for _ in range(500):
-            ap += 1.0
-            term *= x / ap
-            total += term
-            if abs(term) < abs(total) * 1e-17:
-                break
-        return math.exp(-x + s * math.log(x)) * total
-    # upper tail Gamma(s,x) by continued fraction, then subtract
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 500):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    upper = math.exp(-x + s * math.log(x) - lg) * h
-    return math.exp(lg) * (1.0 - upper)
-
-
-# ---------------------------------------------------------------------------
-# Gauss-Kronrod 15-point adaptive quadrature
+# Gauss-Kronrod 15-point rule
 # ---------------------------------------------------------------------------
 
 # QUADPACK dqk15 abscissae/weights (symmetric half shown).
@@ -278,73 +212,20 @@ _WGK = np.array([
     0.204432940075298892414161999234649,
     0.209482141084727828012999174891714,
 ])
-_WG = np.array([
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-])
 
 _GK_NODES = np.concatenate((-_XGK[:-1], _XGK[::-1]))          # 15 ascending
 _GK_WEIGHTS = np.concatenate((_WGK[:-1], _WGK[::-1]))
-_G_WEIGHTS = np.zeros(15)
-_G_WEIGHTS[1:-1:2] = np.concatenate((_WG[:-1], _WG[::-1]))    # Gauss-7 subset
 
 
-def _gk15_panel(f, a: float, b: float):
+def _gk15_panel(f, a: float, b: float) -> float:
+    """Kronrod 15-point value of the integral of f over [a, b]."""
     c = 0.5 * (a + b)
     hw = 0.5 * (b - a)
     x = c + hw * _GK_NODES
     fx = np.asarray(f(x), dtype=float)
     if fx.shape != x.shape:
         fx = np.array([f(xi) for xi in x], dtype=float)
-    kron = hw * float(np.dot(_GK_WEIGHTS, fx))
-    gauss = hw * float(np.dot(_G_WEIGHTS, fx))
-    diff = abs(kron - gauss)
-    err = min(diff, (200.0 * diff) ** 1.5) if diff > 0 else 0.0
-    return kron, err
-
-
-def integrate_adaptive(f, a: float, b: float, tol: float,
-                       max_evals: int = 200_000) -> QuadratureResult:
-    """Adaptive quadrature of f on [a, b] to absolute tolerance tol.
-
-    Gauss-Kronrod 15-point panels, bisecting the panel with the largest
-    error estimate first.  Raises QuadratureError (carrying the best
-    estimate) if the evaluation budget is exhausted.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("integration limits must be finite")
-    if a == b:
-        return QuadratureResult(0.0, 0.0, 1)
-    val, err = _gk15_panel(f, a, b)
-    evals = 15
-    heap = [(-err, a, b, val, err)]
-    total_val, total_err = val, err
-    counter = 0
-    while total_err > tol and heap:
-        if evals >= max_evals:
-            best = QuadratureResult(total_val, total_err, evals)
-            raise QuadratureError(
-                f"quadrature did not reach tol={tol:g} within {max_evals} "
-                f"evaluations (error estimate {total_err:g})", best)
-        neg_err, pa, pb, pval, perr = heapq.heappop(heap)
-        mid = 0.5 * (pa + pb)
-        lv, le = _gk15_panel(f, pa, mid)
-        rv, re = _gk15_panel(f, mid, pb)
-        evals += 30
-        total_val += lv + rv - pval
-        total_err += le + re - perr
-        counter += 1
-        heapq.heappush(heap, (-le, pa, mid, lv, le))
-        heapq.heappush(heap, (-re, mid, pb, rv, re))
-        if counter % 64 == 0:
-            # resum to clear accumulated float drift in the running totals
-            total_val = sum(item[3] for item in heap)
-            total_err = sum(item[4] for item in heap)
-    return QuadratureResult(total_val, max(total_err, 0.0), evals)
+    return hw * float(np.dot(_GK_WEIGHTS, fx))
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +284,7 @@ def integrate_oscillatory_bessel(g, m: int, p: float, tol: float = 1e-9,
         for j in range(npanels):
             lo = a + width * j / npanels
             hi = a + width * (j + 1) / npanels
-            v, _ = _gk15_panel(f, lo, hi)
-            block += v
+            block += _gk15_panel(f, lo, hi)
             evals += 15
         if not math.isfinite(block):
             raise OscillatoryError("block integral is not finite")

@@ -1,14 +1,18 @@
 """Morse and Poschl-Teller potential families.
 
-Each family comes in four flavors on the level coordinate rho:
+A family is a frozen parameter record (`MorseParams`, `PTParams`) that
+carries its closed forms: the log ground-state weight ln psi0^2 and its
+decay rate, the superpotential derivatives W' and W'', the shifted base
+well (ground state displaced to zero energy) and its factorization partner
+(same spectrum minus the zero mode), the continuum threshold, the strength,
+the range of the weight table and the default domains.  The `Well` base
+class builds the rest once for every family:
 
-* shifted base potential (ground state displaced to zero energy),
-* its factorization partner (same spectrum minus the zero mode),
-* the one-parameter generalized potential, obtained by deforming the
-  superpotential derivative with a logarithmic-derivative term q built from
-  the squared ground state and a positive constant gamma,
-* the deformed superpotential derivative f itself, which solves the Riccati
-  equation f' + f^2 = W'^2 + W''.
+* the deformation term q = psi0^2 / (gamma + int_0^rho psi0^2) and q',
+* the one-parameter generalized well V - 2 q', isospectral to the shifted
+  one for every gamma > 0,
+* the deformed superpotential derivative f = W' + q, which solves the
+  Riccati equation f' + f^2 = W'^2 + W''.
 
 The cumulative integral in the denominator of q is precomputed once per
 parameter strength on a fine grid and evaluated between nodes by cubic
@@ -18,9 +22,10 @@ and slopes are exact at the nodes).
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -28,28 +33,11 @@ from .grids import Grid
 from .numerics import _GK_NODES, _GK_WEIGHTS
 
 __all__ = [
+    "Well",
     "MorseParams",
     "PTParams",
-    "PotentialCurve",
+    "FAMILIES",
     "SingularConfigurationError",
-    "morse_shifted",
-    "morse_partner",
-    "q_morse",
-    "q_morse_derivative",
-    "morse_generalized",
-    "f_morse",
-    "morse_w_prime",
-    "morse_w_second",
-    "morse_rho_min",
-    "pt_shifted",
-    "pt_partner",
-    "q_pt",
-    "q_pt_derivative",
-    "pt_generalized",
-    "f_pt",
-    "pt_w_prime",
-    "pt_w_second",
-    "pt_rho_min",
     "riccati_residual",
 ]
 
@@ -62,64 +50,6 @@ class SingularConfigurationError(ValueError):
             f"{family} q-term denominator is not positive at rho={rho:.6g} "
             f"(gamma={gamma:g} is below the negative-tail mass)")
         self.rho = rho
-
-
-@dataclass(frozen=True)
-class MorseParams:
-    """Morse family: depth lam > 1/2 (so the deformation integral converges
-    at large rho) and deformation constant gamma > 0."""
-
-    lam: float
-    gamma: float
-
-    def __post_init__(self):
-        if not self.lam > 0.5:
-            raise ValueError("Morse requires lam > 1/2")
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-
-    @property
-    def a(self) -> float:
-        """Shifted-well strength a = lam - 1/2 (continuum sits at a^2)."""
-        return self.lam - 0.5
-
-
-@dataclass(frozen=True)
-class PTParams:
-    """Sech-squared well: strength mu > 0, deformation constant gamma > 0."""
-
-    mu: float
-    gamma: float
-
-    def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError("PT requires mu > 0")
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-
-
-@dataclass(frozen=True)
-class PotentialCurve:
-    """Potential sampled on a grid, in dimensionless energy units."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if v.size != self.grid.n:
-            raise ValueError("values length must match grid")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("potential samples must be finite")
-
-    @classmethod
-    def sample(cls, func, grid: Grid) -> "PotentialCurve":
-        return cls(grid, np.asarray(func(grid.nodes()), dtype=float))
-
-
-def _as_out(arr: np.ndarray, scalar: bool):
-    return float(arr[0]) if scalar else arr
 
 
 # ---------------------------------------------------------------------------
@@ -185,42 +115,93 @@ class _CumulativeTable:
         return 0.5 * (lo + hi)
 
 
-def _morse_log_weight(lam: float, rho: np.ndarray) -> np.ndarray:
-    return -(2.0 * lam - 1.0) * rho - 2.0 * lam * np.exp(-rho)
+@functools.lru_cache(maxsize=128)
+def _weight_table(well: "Well") -> _CumulativeTable:
+    """Table of int_0^rho psi0^2; keyed by a well whose gamma is fixed at 1,
+    because the weight depends on the strength alone."""
+    lo, hi = well.table_range
+    h = max(0.005, (hi - lo) / 400_000)
+    return _CumulativeTable(lambda r: np.exp(well.log_weight(r)), lo, hi, h)
 
 
-@lru_cache(maxsize=64)
-def _morse_table(lam: float) -> _CumulativeTable:
-    # upper range: e^-(2 lam - 1) rho tail below 1e-20
-    hi = max(12.0, 46.0 / (2.0 * lam - 1.0) + 2.0)
-    h = max(0.005, (hi + 8.0) / 400_000)
-    weight = lambda r: np.exp(_morse_log_weight(lam, r))
-    return _CumulativeTable(weight, -8.0, hi, h)
+# ---------------------------------------------------------------------------
+# Generic family
+# ---------------------------------------------------------------------------
 
 
-def _pt_log_weight(mu: float, rho: np.ndarray) -> np.ndarray:
-    # -2 mu * ln cosh, computed overflow-free
-    abs_r = np.abs(rho)
-    lncosh = abs_r + np.log1p(np.exp(-2.0 * abs_r)) - math.log(2.0)
-    return -2.0 * mu * lncosh
+def _elementwise(method):
+    """Let a method written for 1-D arrays of rho take a scalar as well and
+    return a float for it."""
+
+    @functools.wraps(method)
+    def wrapper(self, rho):
+        out = method(self, np.atleast_1d(np.asarray(rho, dtype=float)))
+        return float(out[0]) if np.ndim(rho) == 0 else out
+
+    return wrapper
 
 
-@lru_cache(maxsize=64)
-def _pt_table(mu: float) -> _CumulativeTable:
-    hi = max(12.0, 46.0 / (2.0 * mu) + math.log(2.0) + 2.0)
-    h = max(0.005, 2.0 * hi / 400_000)
-    weight = lambda r: np.exp(_pt_log_weight(mu, r))
-    return _CumulativeTable(weight, -hi, hi, h)
+class Well:
+    """What every family provides, and what is built from it.
 
+    A family is a frozen dataclass with fields (strength, gamma) that sets
+    the class attributes `family` (CLI name), `label` (for messages) and
+    `strength_name` (its flag), the attributes `strength`, `threshold`
+    (continuum edge of the shifted well), `table_range` (where the weight
+    is tabulated), `default_domain`, `rho_min_margin` (how far right of
+    `rho_min` the default domain starts, or None to keep it fixed) and
+    `riccati_domain` (lo, hi, nodes), and the closed forms `log_weight`
+    (ln psi0^2), `decay_rate` (-d ln psi0^2 / drho), `w_prime`, `w_second`,
+    `shifted` and `partner`.
+    """
 
-def morse_rho_min(p: MorseParams) -> float:
-    """Left edge of the domain where the generalized Morse family is defined
-    (-inf when gamma exceeds the weight's negative-tail mass)."""
-    return _morse_table(p.lam).rho_min(p.gamma)
+    family: ClassVar[str]
+    label: ClassVar[str]
+    strength_name: ClassVar[str]
 
+    def __post_init__(self):
+        if not self.gamma > 0:
+            raise ValueError("gamma must be positive")
 
-def pt_rho_min(p: PTParams) -> float:
-    return _pt_table(p.mu).rho_min(p.gamma)
+    def _table(self) -> _CumulativeTable:
+        return _weight_table(replace(self, gamma=1.0))
+
+    def rho_min(self) -> float:
+        """Left edge of the domain where the generalized well is defined
+        (-inf when gamma exceeds the weight's negative-tail mass)."""
+        return self._table().rho_min(self.gamma)
+
+    @_elementwise
+    def q(self, r):
+        """Deformation term: squared ground state over (gamma + its running
+        integral from 0).  Strictly positive wherever defined."""
+        with np.errstate(over="ignore", under="ignore"):
+            num = np.exp(self.log_weight(r))
+        den = self.gamma + self._table().eval(r)
+        bad = den <= 0.0
+        if np.any(bad):
+            raise SingularConfigurationError(
+                self.label, float(r[np.argmax(bad)]), self.gamma)
+        return num / den
+
+    @_elementwise
+    def q_derivative(self, r):
+        """dq/drho through the logarithmic-derivative identity
+        q' = -g' q - q^2, with g' = `decay_rate`."""
+        q = self.q(r)
+        out = -self.decay_rate(r) * q - q * q
+        # where q has underflowed to 0, g' may have overflowed (0 * inf)
+        return np.where(q == 0.0, 0.0, out)
+
+    @_elementwise
+    def generalized(self, r):
+        """Isospectral deformation of the shifted well: V - 2 dq/drho."""
+        return self.shifted(r) - 2.0 * self.q_derivative(r)
+
+    @_elementwise
+    def f(self, r):
+        """Deformed superpotential derivative W' + q."""
+        return self.w_prime(r) + self.q(r)
 
 
 # ---------------------------------------------------------------------------
@@ -228,80 +209,74 @@ def pt_rho_min(p: PTParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def morse_shifted(p: MorseParams, rho):
-    """lam^2 (1 - e^-rho)^2 - lam + 1/4; zero-energy ground state."""
-    r = np.atleast_1d(np.asarray(rho, dtype=float))
-    with np.errstate(over="ignore"):
-        out = p.lam**2 * (1.0 - np.exp(-r))**2 - p.lam + 0.25
-    return _as_out(out, np.ndim(rho) == 0)
+@dataclass(frozen=True)
+class MorseParams(Well):
+    """Morse family: depth lam > 1/2 (so the deformation integral converges
+    at large rho) and deformation constant gamma > 0."""
 
+    lam: float
+    gamma: float
 
-def morse_partner(p: MorseParams, rho):
-    """Factorization partner: shifted potential plus 2 lam e^-rho."""
-    r = np.atleast_1d(np.asarray(rho, dtype=float))
-    with np.errstate(over="ignore"):
-        out = (p.lam**2 * (1.0 - np.exp(-r))**2 - p.lam + 0.25
-               + 2.0 * p.lam * np.exp(-r))
-    return _as_out(out, np.ndim(rho) == 0)
+    family: ClassVar[str] = "morse"
+    label: ClassVar[str] = "Morse"
+    strength_name: ClassVar[str] = "lambda"
+    default_domain: ClassVar[tuple] = (-2.0, 32.0)
+    rho_min_margin: ClassVar[float | None] = 0.5
+    riccati_domain: ClassVar[tuple] = (-1.0, 6.0, 7001)
 
+    def __post_init__(self):
+        if not self.lam > 0.5:
+            raise ValueError("Morse requires lam > 1/2")
+        super().__post_init__()
 
-def _q_morse_arr(p: MorseParams, r: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore", under="ignore"):
-        num = np.exp(_morse_log_weight(p.lam, r))
-    den = p.gamma + _morse_table(p.lam).eval(r)
-    bad = den <= 0.0
-    if np.any(bad):
-        raise SingularConfigurationError("Morse", float(r[np.argmax(bad)]),
-                                         p.gamma)
-    return num / den
+    @property
+    def strength(self) -> float:
+        return self.lam
 
+    @property
+    def a(self) -> float:
+        """Shifted-well strength a = lam - 1/2 (continuum sits at a^2)."""
+        return self.lam - 0.5
 
-def q_morse(p: MorseParams, rho):
-    """Deformation term: squared ground state over (gamma + its running
-    integral from 0).  Strictly positive wherever defined."""
-    r = np.atleast_1d(np.asarray(rho, dtype=float))
-    return _as_out(_q_morse_arr(p, r), np.ndim(rho) == 0)
+    @property
+    def threshold(self) -> float:
+        return self.a ** 2
 
+    @property
+    def table_range(self) -> tuple[float, float]:
+        # upper range: e^-(2 lam - 1) rho tail below 1e-20
+        return -8.0, max(12.0, 46.0 / (2.0 * self.lam - 1.0) + 2.0)
 
-def q_morse_derivative(p: MorseParams, rho):
-    """d q/d rho through the logarithmic-derivative identity
-    q' = -g' q - q^2 with g(rho) = (2 lam - 1) rho + 2 lam e^-rho."""
-    r = np.atleast_1d(np.asarray(rho, dtype=float))
-    q = _q_morse_arr(p, r)
-    with np.errstate(over="ignore"):
-        gp = (2.0 * p.lam - 1.0) - 2.0 * p.lam * np.exp(-r)
-    out = -gp * q - q * q
-    # q underflows to 0 long before gp overflows, so 0 * inf cannot arise
-    return _as_out(np.where(q == 0.0, 0.0, out), np.ndim(rho) == 0)
+    def log_weight(self, r):
+        return -(2.0 * self.lam - 1.0) * r - 2.0 * self.lam * np.exp(-r)
 
+    def decay_rate(self, r):
+        with np.errstate(over="ignore"):
+            return (2.0 * self.lam - 1.0) - 2.0 * self.lam * np.exp(-r)
 
-def morse_generalized(p: MorseParams, rho):
-    """Isospectral deformation of the shifted well: V - 2 dq/drho."""
-    r = np.atleast_1d(np.asarray(rho, dtype=float))
-    out = morse_shifted(p, r) - 2.0 * q_morse_derivative(p, r)
-    return _as_out(np.atleast_1d(out), np.ndim(rho) == 0)
+    @_elementwise
+    def shifted(self, r):
+        """lam^2 (1 - e^-rho)^2 - lam + 1/4; zero-energy ground state."""
+        with np.errstate(over="ignore"):
+            return self.lam**2 * (1.0 - np.exp(-r))**2 - self.lam + 0.25
 
+    @_elementwise
+    def partner(self, r):
+        """Factorization partner: shifted potential plus 2 lam e^-rho."""
+        with np.errstate(over="ignore"):
+            return (self.lam**2 * (1.0 - np.exp(-r))**2 - self.lam + 0.25
+                    + 2.0 * self.lam * np.exp(-r))
 
-def f_morse(p: MorseParams, rho):
-    """Deformed superpotential derivative lam(1 - e^-rho) - 1/2 + q."""
-    r = np.atleast_1d(np.asarray(rho, dtype=float))
-    out = morse_w_prime(p, r) + _q_morse_arr(p, r)
-    return _as_out(np.atleast_1d(out), np.ndim(rho) == 0)
+    @_elementwise
+    def w_prime(self, r):
+        """Base superpotential derivative W' = lam(1 - e^-rho) - 1/2."""
+        with np.errstate(over="ignore"):
+            return self.lam * (1.0 - np.exp(-r)) - 0.5
 
-
-def morse_w_prime(p: MorseParams, rho):
-    """Base superpotential derivative W' = lam(1 - e^-rho) - 1/2."""
-    r = np.atleast_1d(np.asarray(rho, dtype=float))
-    with np.errstate(over="ignore"):
-        out = p.lam * (1.0 - np.exp(-r)) - 0.5
-    return _as_out(out, np.ndim(rho) == 0)
-
-
-def morse_w_second(p: MorseParams, rho):
-    r = np.atleast_1d(np.asarray(rho, dtype=float))
-    with np.errstate(over="ignore"):
-        out = p.lam * np.exp(-r)
-    return _as_out(out, np.ndim(rho) == 0)
+    @_elementwise
+    def w_second(self, r):
+        with np.errstate(over="ignore"):
+            return self.lam * np.exp(-r)
 
 
 # ---------------------------------------------------------------------------
@@ -309,66 +284,68 @@ def morse_w_second(p: MorseParams, rho):
 # ---------------------------------------------------------------------------
 
 
-def pt_shifted(p: PTParams, rho):
-    """-mu(mu+1)/cosh^2 rho + mu^2; zero-energy ground state."""
-    r = np.atleast_1d(np.asarray(rho, dtype=float))
-    out = -p.mu * (p.mu + 1.0) / np.cosh(r)**2 + p.mu**2
-    return _as_out(out, np.ndim(rho) == 0)
+@dataclass(frozen=True)
+class PTParams(Well):
+    """Sech-squared well: strength mu > 0, deformation constant gamma > 0."""
+
+    mu: float
+    gamma: float
+
+    family: ClassVar[str] = "pt"
+    label: ClassVar[str] = "PT"
+    strength_name: ClassVar[str] = "mu"
+    default_domain: ClassVar[tuple] = (-20.0, 20.0)
+    rho_min_margin: ClassVar[float | None] = None
+    riccati_domain: ClassVar[tuple] = (-5.0, 5.0, 10001)
+
+    def __post_init__(self):
+        if not self.mu > 0:
+            raise ValueError("PT requires mu > 0")
+        super().__post_init__()
+
+    @property
+    def strength(self) -> float:
+        return self.mu
+
+    @property
+    def threshold(self) -> float:
+        return self.mu ** 2
+
+    @property
+    def table_range(self) -> tuple[float, float]:
+        hi = max(12.0, 46.0 / (2.0 * self.mu) + math.log(2.0) + 2.0)
+        return -hi, hi
+
+    def log_weight(self, r):
+        # -2 mu * ln cosh, computed overflow-free
+        abs_r = np.abs(r)
+        lncosh = abs_r + np.log1p(np.exp(-2.0 * abs_r)) - math.log(2.0)
+        return -2.0 * self.mu * lncosh
+
+    def decay_rate(self, r):
+        return 2.0 * self.mu * np.tanh(r)
+
+    @_elementwise
+    def shifted(self, r):
+        """-mu(mu+1)/cosh^2 rho + mu^2; zero-energy ground state."""
+        return -self.mu * (self.mu + 1.0) / np.cosh(r)**2 + self.mu**2
+
+    @_elementwise
+    def partner(self, r):
+        """Partner well: strength drops from mu(mu+1) to mu(mu-1)."""
+        return ((-self.mu * (self.mu + 1.0) + 2.0 * self.mu) / np.cosh(r)**2
+                + self.mu**2)
+
+    @_elementwise
+    def w_prime(self, r):
+        return self.mu * np.tanh(r)
+
+    @_elementwise
+    def w_second(self, r):
+        return self.mu / np.cosh(r)**2
 
 
-def pt_partner(p: PTParams, rho):
-    """Partner well: strength drops from mu(mu+1) to mu(mu-1)."""
-    r = np.atleast_1d(np.asarray(rho, dtype=float))
-    out = (-p.mu * (p.mu + 1.0) + 2.0 * p.mu) / np.cosh(r)**2 + p.mu**2
-    return _as_out(out, np.ndim(rho) == 0)
-
-
-def _q_pt_arr(p: PTParams, r: np.ndarray) -> np.ndarray:
-    with np.errstate(under="ignore"):
-        num = np.exp(_pt_log_weight(p.mu, r))
-    den = p.gamma + _pt_table(p.mu).eval(r)
-    bad = den <= 0.0
-    if np.any(bad):
-        raise SingularConfigurationError("PT", float(r[np.argmax(bad)]),
-                                         p.gamma)
-    return num / den
-
-
-def q_pt(p: PTParams, rho):
-    """Deformation term cosh^-2mu rho / (gamma + running integral)."""
-    r = np.atleast_1d(np.asarray(rho, dtype=float))
-    return _as_out(_q_pt_arr(p, r), np.ndim(rho) == 0)
-
-
-def q_pt_derivative(p: PTParams, rho):
-    """dq/drho = -2 mu tanh(rho) q - q^2 (logarithmic-derivative identity)."""
-    r = np.atleast_1d(np.asarray(rho, dtype=float))
-    q = _q_pt_arr(p, r)
-    out = -2.0 * p.mu * np.tanh(r) * q - q * q
-    return _as_out(out, np.ndim(rho) == 0)
-
-
-def pt_generalized(p: PTParams, rho):
-    r = np.atleast_1d(np.asarray(rho, dtype=float))
-    out = pt_shifted(p, r) - 2.0 * q_pt_derivative(p, r)
-    return _as_out(np.atleast_1d(out), np.ndim(rho) == 0)
-
-
-def f_pt(p: PTParams, rho):
-    """mu tanh rho + q; solves the Riccati equation of the base well."""
-    r = np.atleast_1d(np.asarray(rho, dtype=float))
-    out = p.mu * np.tanh(r) + _q_pt_arr(p, r)
-    return _as_out(np.atleast_1d(out), np.ndim(rho) == 0)
-
-
-def pt_w_prime(p: PTParams, rho):
-    r = np.atleast_1d(np.asarray(rho, dtype=float))
-    return _as_out(p.mu * np.tanh(r), np.ndim(rho) == 0)
-
-
-def pt_w_second(p: PTParams, rho):
-    r = np.atleast_1d(np.asarray(rho, dtype=float))
-    return _as_out(p.mu / np.cosh(r)**2, np.ndim(rho) == 0)
+FAMILIES = {cls.family: cls for cls in (MorseParams, PTParams)}
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,7 @@ from .eigensolver import Spectrum
 from .numerics import (QuadratureResult, bessel_j,
                        integrate_oscillatory_bessel, sinc_interp)
 from .numerics import cubic_interp  # noqa: F401  (retired; see numerics)
-from .potentials import (MorseParams, PTParams, q_morse_derivative,
-                         q_pt_derivative)
+from .potentials import MorseParams, PTParams
 
 __all__ = [
     "TruncationWarning",
@@ -99,13 +98,10 @@ def _g_values(g, plan: HankelPlan):
     return np.asarray(g, dtype=float), {}
 
 
-def hankel(g, plan: HankelPlan, t_prime):
-    """Truncated Hankel transform of g at t_prime (scalar or array).
-
-    g is a SampledFunction on the plan's nodes or a plain value array.
-    Emits TruncationWarning when the integrand is still alive at t_max,
-    unless the function carries meta['analytic_tail'].
-    """
+def _weighted(g, plan: HankelPlan) -> np.ndarray:
+    """Quadrature weight times measure times g on the plan nodes.  Warns
+    (TruncationWarning, at the caller of the public function) when g is
+    still alive at t_max, unless it carries meta['analytic_tail']."""
     gv, meta = _g_values(g, plan)
     if gv.shape != plan.nodes.shape:
         raise ValueError("g must provide one value per plan node")
@@ -115,17 +111,35 @@ def hankel(g, plan: HankelPlan, t_prime):
         warnings.warn(
             f"integrand tail {tail:.2e} at t_max={plan.t_max:g}; "
             "increase t_max or flag an analytic tail", TruncationWarning,
-            stacklevel=2)
-    tp = np.asarray(t_prime, dtype=float)
-    scalar = tp.ndim == 0
-    tp = np.atleast_1d(tp)
-    core = plan.weights * plan.nodes * gv
-    out = np.empty(tp.size)
+            stacklevel=3)
+    return plan.weights * plan.nodes * gv
+
+
+def _contract(cores, plan: HankelPlan, tp: np.ndarray) -> list[np.ndarray]:
+    """sum_i core_i J_order(t_i t') at the t' of the 1-D array tp, for each
+    core.  Each chunk of the Bessel kernel is built once and contracted with
+    every core by its own vector-matrix product."""
+    outs = [np.empty(tp.size) for _ in cores]
     for start in range(0, tp.size, _CHUNK):
         chunk = tp[start:start + _CHUNK]
-        args = plan.nodes[:, None] * chunk[None, :]
-        out[start:start + _CHUNK] = core @ bessel_j(plan.order, args)
-    return float(out[0]) if scalar else out
+        kernel = bessel_j(plan.order, plan.nodes[:, None] * chunk[None, :])
+        for out, core in zip(outs, cores):
+            out[start:start + _CHUNK] = core @ kernel
+        del kernel  # free it before the next chunk's kernel is built
+    return outs
+
+
+def hankel(g, plan: HankelPlan, t_prime):
+    """Truncated Hankel transform of g at t_prime (scalar or array).
+
+    g is a SampledFunction on the plan's nodes or a plain value array.
+    Emits TruncationWarning when the integrand is still alive at t_max,
+    unless the function carries meta['analytic_tail'].
+    """
+    core = _weighted(g, plan)
+    tp = np.asarray(t_prime, dtype=float)
+    out = _contract([core], plan, np.atleast_1d(tp))[0]
+    return float(out[0]) if tp.ndim == 0 else out
 
 
 def hankel_oscillatory(g, m: int, t_prime: float,
@@ -217,14 +231,14 @@ def morse_term_values(params: MorseParams, t) -> np.ndarray:
     d/dt = -(1/t) d/drho."""
     t = np.asarray(t, dtype=float)
     rho = rho_from_morse_t(params.lam, t)
-    return -q_morse_derivative(params, rho) / (t * t)
+    return -params.q_derivative(rho) / (t * t)
 
 
 def pt_term_values(params: PTParams, t_prime) -> np.ndarray:
     """(1/t') d/dt' of the sech-well deformation term in t' = e^-rho."""
     tp = np.asarray(t_prime, dtype=float)
     rho = rho_from_pt_t(tp)
-    return -q_pt_derivative(params, rho) / (tp * tp)
+    return -params.q_derivative(rho) / (tp * tp)
 
 
 @dataclass
@@ -319,9 +333,10 @@ def potential_term_sandwich(params_m: MorseParams, params_pt: PTParams,
             m = int(round(math.sqrt(max(a * a - energy, 0.0))))
         pl = replace(plan, order=m)
         R = morse_state_on_plan(state, params_m.lam, pl)
-        psi_t = hankel(R, pl, tp)
         g = morse_term_values(params_m, pl.nodes)
-        lhs_fun = hankel(g, pl, tp)
+        # R and g share the order and the t' nodes, hence the Bessel kernel
+        psi_t, lhs_fun = _contract([_weighted(R, pl), _weighted(g, pl)],
+                                   pl, tp)
         hankel_route = float(np.trapezoid(tp * lhs_fun * psi_t, tp))
         direct_pt = float(np.trapezoid(tp * pt_term_values(params_pt, tp) * psi_t, tp))
         morse_direct = float(np.sum(pl.weights * pl.nodes * g * R.values))

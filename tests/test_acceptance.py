@@ -21,10 +21,7 @@ from susyspectra.cli import main as cli_main
 from susyspectra.coordinates import chain_30
 from susyspectra.grids import Grid
 from susyspectra.numerics import bessel_j, integrate_oscillatory_bessel
-from susyspectra.potentials import (MorseParams, PTParams, f_morse, f_pt,
-                                    morse_w_prime, morse_w_second,
-                                    pt_w_prime, pt_w_second,
-                                    riccati_residual)
+from susyspectra.potentials import MorseParams, PTParams, riccati_residual
 from susyspectra.transforms import (angular_phase_integral, make_hankel_plan,
                                     morse_state_on_plan, potential_term_map,
                                     potential_term_sandwich,
@@ -103,14 +100,10 @@ def test_04_gamma_family_isospectrality():
 
 def test_05_riccati_verification():
     pm = MorseParams(2.5, 1.0)
-    res_m = riccati_residual(lambda r: f_morse(pm, r),
-                             lambda r: morse_w_prime(pm, r),
-                             lambda r: morse_w_second(pm, r),
+    res_m = riccati_residual(pm.f, pm.w_prime, pm.w_second,
                              Grid(-1.0, 6.0, 7001))
     pp = PTParams(3.0, 1.0)
-    res_p = riccati_residual(lambda r: f_pt(pp, r),
-                             lambda r: pt_w_prime(pp, r),
-                             lambda r: pt_w_second(pp, r),
+    res_p = riccati_residual(pp.f, pp.w_prime, pp.w_second,
                              Grid(-5.0, 5.0, 10001))
     ok = res_m < 1e-6 and res_p < 1e-6
     assert _verdict(5, "riccati-residuals", ok,

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from susyspectra.coordinates import (chain_30, morse_radius_map, morse_t_map,
-                                     pt_angle_map, pt_t_map, r_from_rho,
+from susyspectra.coordinates import (chain_30, morse_t_from_rho,
+                                     pt_t_from_rho, r_from_rho,
+                                     rho_from_morse_t, rho_from_pt_t,
                                      rho_from_r, t_phi_from_r_phi,
                                      theta_from_rho)
 
@@ -70,17 +71,28 @@ def test_t_composition_with_radius(lam, rho):
     assert t == pytest.approx(lam * math.exp(-rho), rel=1e-12)
 
 
+def pt_t_map():
+    return pt_t_from_rho, rho_from_pt_t
+
+
+def pt_angle_map():
+    return theta_from_rho, lambda theta: np.arctanh(np.cos(theta))
+
+
+# each factory returns a (forward, inverse) pair of functions
 @pytest.mark.parametrize("factory,samples", [
-    (lambda: morse_radius_map(3.0), np.linspace(0.05, 50.0, 100)),
-    (lambda: morse_t_map(3.0), np.linspace(-5.0, 10.0, 100)),
+    (lambda: (lambda r: rho_from_r(3.0, r), lambda rho: r_from_rho(3.0, rho)),
+     np.linspace(0.05, 50.0, 100)),
+    (lambda: (lambda rho: morse_t_from_rho(3.0, rho),
+              lambda t: rho_from_morse_t(3.0, t)),
+     np.linspace(-5.0, 10.0, 100)),
     (pt_t_map, np.linspace(-8.0, 8.0, 100)),
     (pt_angle_map, np.linspace(-6.0, 6.0, 100)),
 ])
 def test_map_round_trip_and_monotone(factory, samples):
-    cmap = factory()
-    fwd = cmap.forward(samples)
-    back = cmap.inverse(fwd)
+    forward, inverse = factory()
+    back = inverse(forward(samples))
     assert np.allclose(back, samples, rtol=1e-12, atol=1e-12)
-    sweep = cmap.forward(np.linspace(samples[0], samples[-1], 1000))
+    sweep = forward(np.linspace(samples[0], samples[-1], 1000))
     diffs = np.diff(sweep)
     assert np.all(diffs > 0) or np.all(diffs < 0)

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from susyspectra.eigensolver import (DEFAULT_SPACING, GridTooSmallError,
-                                     Spectrum, default_morse_grid,
-                                     default_pt_grid, discretize,
+                                     Spectrum, default_grid, discretize,
                                      solve_bound_states)
 from susyspectra.grids import Grid
-from susyspectra.potentials import MorseParams, PTParams, pt_shifted
+from susyspectra.potentials import MorseParams, PTParams
 
 
 def morse_levels(lam: float) -> np.ndarray:
@@ -74,7 +73,7 @@ class TestSolveBoundStates:
         p = PTParams(4.0, 1.0)
         grid = Grid(-4.0, 4.0, 801)
         with pytest.raises(GridTooSmallError, match="widen"):
-            solve_bound_states(lambda r: pt_shifted(p, r), grid, 16.0)
+            solve_bound_states(p.shifted, grid, 16.0)
 
     def test_eigenfunctions_orthonormal(self, morse_shifted_spectrum):
         spec = morse_shifted_spectrum
@@ -140,11 +139,11 @@ class TestSUSYStructure:
 
 
 def test_default_grids():
-    g = default_morse_grid(MorseParams(4.5, 1.0))
+    g = default_grid(MorseParams(4.5, 1.0))
     assert g.min == -2.0 and g.max == 32.0 and g.n == 228
-    g2 = default_pt_grid(PTParams(4.0, 1.0))
+    g2 = default_grid(PTParams(4.0, 1.0))
     assert g2.min == -20.0 and g2.max == 20.0 and g2.n == 268
     assert max(g.spacing, g2.spacing) <= DEFAULT_SPACING
     # a gamma below the negative-tail mass pulls the left edge in
-    g3 = default_morse_grid(MorseParams(0.6, 0.1))
+    g3 = default_grid(MorseParams(0.6, 0.1))
     assert g3.min > -2.0

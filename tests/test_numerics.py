@@ -1,16 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from susyspectra.numerics import (OscillatoryError, QuadratureError,
-                                  QuadratureResult, bessel_j, bessel_j_zero,
-                                  integrate_adaptive,
-                                  integrate_oscillatory_bessel,
-                                  lower_incomplete_gamma, sinc_interp)
+from susyspectra.numerics import (OscillatoryError, bessel_j, bessel_j_zero,
+                                  integrate_oscillatory_bessel, sinc_interp)
 
 # First positive zero of J0, located by bisection on the plain power series
 # (oracle below) and frozen here.
@@ -93,72 +86,6 @@ class TestBesselJ:
             got = np.array([bessel_j_zero(m, k) for k in range(1, 13)])
             assert np.all(got > np.concatenate(([0.0], ref[:-2] + 1e-9)))
             assert np.all(got < ref[1:])
-
-
-class TestLowerIncompleteGamma:
-    def test_closed_forms(self):
-        assert abs(lower_incomplete_gamma(1.0, 1.0) - (1 - math.exp(-1))) < 1e-14
-        assert lower_incomplete_gamma(2.5, 0.0) == 0.0
-        assert abs(lower_incomplete_gamma(2.0, 50.0) - 1.0) < 1e-12
-
-    def test_against_scipy(self):
-        for s in (0.3, 1.0, 2.5, 8.0, 20.0):
-            for x in (0.01, 0.5, 1.0, 5.0, 30.0, 80.0):
-                ref = scipy.special.gammainc(s, x) * scipy.special.gamma(s)
-                assert abs(lower_incomplete_gamma(s, x) - ref) <= 1e-12 * max(ref, 1.0)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            lower_incomplete_gamma(0.0, 1.0)
-        with pytest.raises(ValueError):
-            lower_incomplete_gamma(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            lower_incomplete_gamma(1.0, -0.5)
-
-    @given(s=st.floats(0.2, 20.0), x1=st.floats(0.0, 50.0),
-           x2=st.floats(0.0, 50.0))
-    @settings(max_examples=60, deadline=None)
-    def test_monotone_and_normalized(self, s, x1, x2):
-        lo, hi = sorted((x1, x2))
-        glo = lower_incomplete_gamma(s, lo)
-        ghi = lower_incomplete_gamma(s, hi)
-        assert glo <= ghi + 1e-12
-        ratio = ghi / math.gamma(s)
-        assert -1e-12 <= ratio <= 1.0 + 1e-12
-
-
-class TestIntegrateAdaptive:
-    def test_constant(self):
-        res = integrate_adaptive(lambda x: np.ones_like(x), 0.0, 1.0, 1e-12)
-        assert isinstance(res, QuadratureResult)
-        assert abs(res.value - 1.0) < 1e-14
-        assert res.error_estimate >= 0
-        assert res.evaluations >= 1
-
-    def test_exponential_tail(self):
-        res = integrate_adaptive(lambda x: np.exp(-x), 0.0, 40.0, 1e-12)
-        assert abs(res.value - 1.0) < 1e-10
-
-    def test_against_incomplete_gamma(self):
-        # same weight appearing in the Morse deformation denominator, lam = 1
-        lam = 1.0
-        f = lambda r: np.exp(-(2 * lam - 1) * r - 2 * lam * np.exp(-r))
-        res = integrate_adaptive(f, 0.0, 1.0, 1e-12)
-        s = 2 * lam - 1
-        exact = (2 * lam) ** (1 - 2 * lam) * (
-            lower_incomplete_gamma(s, 2 * lam)
-            - lower_incomplete_gamma(s, 2 * lam * math.exp(-1.0)))
-        assert abs(res.value - exact) < 1e-12
-
-    def test_budget_exhaustion_carries_best(self):
-        f = lambda x: np.cos(1000.0 * x)
-        with pytest.raises(QuadratureError) as exc:
-            integrate_adaptive(f, 0.0, 10.0, 1e-14, max_evals=300)
-        assert isinstance(exc.value.best, QuadratureResult)
-
-    def test_bad_tol(self):
-        with pytest.raises(ValueError):
-            integrate_adaptive(lambda x: x, 0.0, 1.0, 0.0)
 
 
 class TestOscillatoryBessel:

@@ -2,20 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from susyspectra.grids import Grid
-from susyspectra.numerics import integrate_adaptive, lower_incomplete_gamma
-from susyspectra.potentials import (MorseParams, PotentialCurve, PTParams,
-                                    SingularConfigurationError, f_morse, f_pt,
-                                    morse_generalized, morse_partner,
-                                    morse_rho_min, morse_shifted,
-                                    morse_w_prime, morse_w_second,
-                                    pt_generalized, pt_partner, pt_rho_min,
-                                    pt_shifted, pt_w_prime, pt_w_second,
-                                    q_morse, q_morse_derivative, q_pt,
-                                    q_pt_derivative, riccati_residual)
+from susyspectra.potentials import (MorseParams, PTParams,
+                                    SingularConfigurationError,
+                                    riccati_residual)
 
 BIG_GAMMA = 1e12
 
@@ -34,35 +29,26 @@ class TestParams:
     def test_derived_a(self):
         assert MorseParams(4.5, 1.0).a == 4.0
 
-    def test_curve_validation(self):
-        grid = Grid(0.0, 1.0, 16)
-        with pytest.raises(ValueError):
-            PotentialCurve(grid, np.zeros(5))
-        with pytest.raises(ValueError):
-            PotentialCurve(grid, np.full(16, np.nan))
-        curve = PotentialCurve.sample(lambda x: x ** 2, grid)
-        assert curve.values[-1] == 1.0
-
 
 class TestMorse:
     def test_shifted_values(self):
         p = MorseParams(4.5, 1.0)
-        assert morse_shifted(p, 0.0) == pytest.approx(-4.25, abs=1e-14)
-        assert morse_shifted(p, 40.0) == pytest.approx(p.a ** 2, abs=1e-12)
+        assert p.shifted(0.0) == pytest.approx(-4.25, abs=1e-14)
+        assert p.shifted(40.0) == pytest.approx(p.a ** 2, abs=1e-12)
         p1 = MorseParams(1.0, 1.0)
-        assert morse_shifted(p1, math.log(2.0)) == pytest.approx(-0.5, abs=1e-14)
+        assert p1.shifted(math.log(2.0)) == pytest.approx(-0.5, abs=1e-14)
 
     def test_partner_values(self):
         p = MorseParams(4.5, 1.0)
-        assert morse_partner(p, 0.0) == pytest.approx(4.75, abs=1e-14)
-        assert morse_partner(p, 40.0) == pytest.approx(16.0, abs=1e-12)
+        assert p.partner(0.0) == pytest.approx(4.75, abs=1e-14)
+        assert p.partner(40.0) == pytest.approx(16.0, abs=1e-12)
         p1 = MorseParams(1.0, 1.0)
-        assert morse_partner(p1, math.log(2.0)) == pytest.approx(0.5, abs=1e-14)
+        assert p1.partner(math.log(2.0)) == pytest.approx(0.5, abs=1e-14)
 
     def test_q_at_zero(self):
         for lam, gamma in ((1.0, 1.0), (4.5, 2.0), (2.5, 0.7)):
             p = MorseParams(lam, gamma)
-            assert q_morse(p, 0.0) == pytest.approx(
+            assert p.q(0.0) == pytest.approx(
                 math.exp(-2 * lam) / gamma, rel=1e-13)
 
     def test_q_denominator_two_routes(self):
@@ -70,25 +56,26 @@ class TestMorse:
         lam, gamma, rho = 1.0, 1.0, 1.0
         p = MorseParams(lam, gamma)
         s = 2 * lam - 1
+        lower_gamma = lambda x: scipy.special.gammainc(s, x) * math.gamma(s)
         integral = (2 * lam) ** (1 - 2 * lam) * (
-            lower_incomplete_gamma(s, 2 * lam)
-            - lower_incomplete_gamma(s, 2 * lam * math.exp(-rho)))
+            lower_gamma(2 * lam) - lower_gamma(2 * lam * math.exp(-rho)))
         num = math.exp(-(2 * lam - 1) * rho - 2 * lam * math.exp(-rho))
         expected = num / (gamma + integral)
-        assert q_morse(p, rho) == pytest.approx(expected, rel=1e-10)
+        assert p.q(rho) == pytest.approx(expected, rel=1e-10)
         # and the pure-quadrature route agrees as well
         f = lambda r: np.exp(-(2 * lam - 1) * r - 2 * lam * np.exp(-r))
-        quad = integrate_adaptive(f, 0.0, rho, 1e-13).value
+        quad, _ = scipy.integrate.quad(f, 0.0, rho, epsabs=1e-13,
+                                       epsrel=1e-13)
         assert quad == pytest.approx(integral, rel=1e-10)
 
     def test_q_vanishes_for_large_gamma(self):
         p = MorseParams(2.0, BIG_GAMMA)
-        assert q_morse(p, 1.3) < 1e-11
+        assert p.q(1.3) < 1e-11
 
     def test_q_derivative_closed_case(self):
         p = MorseParams(1.0, 1.0)
         q0 = math.exp(-2.0)
-        assert q_morse_derivative(p, 0.0) == pytest.approx(q0 - q0 * q0,
+        assert p.q_derivative(0.0) == pytest.approx(q0 - q0 * q0,
                                                            rel=1e-12)
 
     def test_q_derivative_matches_finite_difference(self):
@@ -96,118 +83,118 @@ class TestMorse:
         rng = np.random.default_rng(42)
         h = 1e-5
         for rho in rng.uniform(-1.0, 5.0, size=20):
-            fd = (q_morse(p, rho + h) - q_morse(p, rho - h)) / (2 * h)
-            assert q_morse_derivative(p, rho) == pytest.approx(fd, abs=1e-6)
+            fd = (p.q(rho + h) - p.q(rho - h)) / (2 * h)
+            assert p.q_derivative(rho) == pytest.approx(fd, abs=1e-6)
 
     def test_generalized_limits(self):
         p_inf = MorseParams(3.0, BIG_GAMMA)
         x = np.linspace(-1.0, 8.0, 50)
-        assert np.max(np.abs(morse_generalized(p_inf, x)
-                             - morse_shifted(p_inf, x))) < 1e-10
+        assert np.max(np.abs(p_inf.generalized(x)
+                             - p_inf.shifted(x))) < 1e-10
         p1 = MorseParams(1.0, 1.0)
         q0 = math.exp(-2.0)
-        assert morse_generalized(p1, 0.0) == pytest.approx(
+        assert p1.generalized(0.0) == pytest.approx(
             -0.75 - 2 * (q0 - q0 * q0), rel=1e-12)
         p = MorseParams(4.5, 1.0)
         # approach to the continuum value is 2 lam^2 e^-rho ~ 5.6e-10 here
-        assert morse_generalized(p, 25.0) == pytest.approx(16.0, abs=1e-8)
+        assert p.generalized(25.0) == pytest.approx(16.0, abs=1e-8)
 
     def test_deformation_vanishes_at_boundary(self):
         for gamma in (0.5, 1.0, 10.0):
             p = MorseParams(4.5, gamma)
-            assert abs(morse_generalized(p, 25.0)
-                       - morse_shifted(p, 25.0)) < 1e-8
+            assert abs(p.generalized(25.0)
+                       - p.shifted(25.0)) < 1e-8
 
     def test_f_values(self):
         p_inf = MorseParams(2.0, BIG_GAMMA)
         x = np.linspace(-1.0, 6.0, 30)
-        assert np.allclose(f_morse(p_inf, x), morse_w_prime(p_inf, x),
+        assert np.allclose(p_inf.f(x), p_inf.w_prime(x),
                            atol=1e-11)
         p1 = MorseParams(1.0, 1.0)
-        assert f_morse(p1, 0.0) == pytest.approx(-0.5 + math.exp(-2.0),
+        assert p1.f(0.0) == pytest.approx(-0.5 + math.exp(-2.0),
                                                  rel=1e-13)
 
     def test_singular_configuration(self):
         p = MorseParams(0.6, 0.1)
-        rmin = morse_rho_min(p)
+        rmin = p.rho_min()
         assert math.isfinite(rmin)
         with pytest.raises(SingularConfigurationError) as exc:
-            q_morse(p, rmin - 1.0)
+            p.q(rmin - 1.0)
         assert f"{rmin - 1.0:.6g}"[:4] in str(exc.value)
         # safely above the singular point
-        assert q_morse(p, rmin + 0.2) > 0
+        assert p.q(rmin + 0.2) > 0
 
     def test_rho_min_unrestricted_for_large_gamma(self):
-        assert morse_rho_min(MorseParams(4.5, 1.0)) == -math.inf
-        assert morse_rho_min(MorseParams(4.5, 0.5)) == -math.inf
+        assert MorseParams(4.5, 1.0).rho_min() == -math.inf
+        assert MorseParams(4.5, 0.5).rho_min() == -math.inf
 
 
 class TestPT:
     def test_shifted_values(self):
         p = PTParams(4.0, 1.0)
-        assert pt_shifted(p, 0.0) == pytest.approx(-4.0, abs=1e-14)
-        assert pt_shifted(p, 30.0) == pytest.approx(16.0, abs=1e-12)
-        assert pt_shifted(p, -30.0) == pytest.approx(16.0, abs=1e-12)
+        assert p.shifted(0.0) == pytest.approx(-4.0, abs=1e-14)
+        assert p.shifted(30.0) == pytest.approx(16.0, abs=1e-12)
+        assert p.shifted(-30.0) == pytest.approx(16.0, abs=1e-12)
         p1 = PTParams(1.0, 1.0)
-        assert pt_shifted(p1, math.log(1 + math.sqrt(2))) == pytest.approx(
+        assert p1.shifted(math.log(1 + math.sqrt(2))) == pytest.approx(
             0.0, abs=1e-14)
 
     def test_partner_values(self):
         p = PTParams(4.0, 1.0)
-        assert pt_partner(p, 0.0) == pytest.approx(4.0, abs=1e-14)
-        assert pt_partner(p, 25.0) == pytest.approx(16.0, abs=1e-12)
+        assert p.partner(0.0) == pytest.approx(4.0, abs=1e-14)
+        assert p.partner(25.0) == pytest.approx(16.0, abs=1e-12)
         # mu = 1 partner is the free constant mu^2
         p1 = PTParams(1.0, 1.0)
         x = np.linspace(-5, 5, 41)
-        assert np.allclose(pt_partner(p1, x), 1.0, atol=1e-14)
+        assert np.allclose(p1.partner(x), 1.0, atol=1e-14)
 
     def test_q_values(self):
         for mu, gamma in ((1.0, 1.0), (4.0, 0.5), (2.0, 3.0)):
-            assert q_pt(PTParams(mu, gamma), 0.0) == pytest.approx(
+            assert PTParams(mu, gamma).q(0.0) == pytest.approx(
                 1.0 / gamma, rel=1e-13)
         p1 = PTParams(1.0, 1.0)
         expected = (1.0 / math.cosh(1.0) ** 2) / (1.0 + math.tanh(1.0))
-        assert q_pt(p1, 1.0) == pytest.approx(expected, rel=1e-10)
-        assert q_pt(PTParams(2.0, BIG_GAMMA), 0.7) < 1e-11
+        assert p1.q(1.0) == pytest.approx(expected, rel=1e-10)
+        assert PTParams(2.0, BIG_GAMMA).q(0.7) < 1e-11
 
     def test_q_derivative_matches_finite_difference(self):
         p = PTParams(3.0, 1.0)
         rng = np.random.default_rng(11)
         h = 1e-5
         for rho in rng.uniform(-4.0, 4.0, size=20):
-            fd = (q_pt(p, rho + h) - q_pt(p, rho - h)) / (2 * h)
-            assert q_pt_derivative(p, rho) == pytest.approx(fd, abs=1e-6)
+            fd = (p.q(rho + h) - p.q(rho - h)) / (2 * h)
+            assert p.q_derivative(rho) == pytest.approx(fd, abs=1e-6)
 
     def test_generalized_values(self):
         p1 = PTParams(1.0, 1.0)
         # q(0)=1, q'(0) = -1, so V = -1 + 2 = 1
-        assert pt_generalized(p1, 0.0) == pytest.approx(1.0, rel=1e-12)
+        assert p1.generalized(0.0) == pytest.approx(1.0, rel=1e-12)
         p_inf = PTParams(2.5, BIG_GAMMA)
         x = np.linspace(-6, 6, 60)
-        assert np.max(np.abs(pt_generalized(p_inf, x)
-                             - pt_shifted(p_inf, x))) < 1e-10
+        assert np.max(np.abs(p_inf.generalized(x)
+                             - p_inf.shifted(x))) < 1e-10
 
     def test_deformation_vanishes_at_boundary(self):
         for gamma in (0.5, 1.0, 10.0):
             p = PTParams(4.0, gamma)
             for edge in (-15.0, 15.0):
-                assert abs(pt_generalized(p, edge)
-                           - pt_shifted(p, edge)) < 1e-8
+                assert abs(p.generalized(edge)
+                           - p.shifted(edge)) < 1e-8
 
     def test_f_values(self):
         p1 = PTParams(1.0, 1.0)
-        assert f_pt(p1, 0.0) == pytest.approx(1.0, rel=1e-13)
+        assert p1.f(0.0) == pytest.approx(1.0, rel=1e-13)
         p_inf = PTParams(3.0, BIG_GAMMA)
         x = np.linspace(-5, 5, 30)
-        assert np.allclose(f_pt(p_inf, x), pt_w_prime(p_inf, x), atol=1e-11)
+        assert np.allclose(p_inf.f(x), p_inf.w_prime(x), atol=1e-11)
 
     def test_singular_configuration(self):
         # negative-tail mass of sech^1.2 exceeds gamma = 0.5
         p = PTParams(0.6, 0.5)
-        rmin = pt_rho_min(p)
+        rmin = p.rho_min()
         assert math.isfinite(rmin)
         with pytest.raises(SingularConfigurationError):
-            q_pt(p, rmin - 1.0)
+            p.q(rmin - 1.0)
 
 
 class TestProperties:
@@ -218,15 +205,14 @@ class TestProperties:
         lo, hi = sorted((g1, g2))
         if hi - lo < 1e-9:
             return
-        assert q_morse(MorseParams(2.5, lo), rho) > q_morse(
-            MorseParams(2.5, hi), rho)
-        assert q_pt(PTParams(3.0, lo), rho) > q_pt(PTParams(3.0, hi), rho)
+        assert MorseParams(2.5, lo).q(rho) > MorseParams(2.5, hi).q(rho)
+        assert PTParams(3.0, lo).q(rho) > PTParams(3.0, hi).q(rho)
 
     @given(rho=st.floats(-2.0, 10.0))
     @settings(max_examples=60, deadline=None)
     def test_positivity(self, rho):
-        assert q_morse(MorseParams(4.5, 1.0), rho) > 0
-        assert q_pt(PTParams(4.0, 1.0), rho) > 0
+        assert MorseParams(4.5, 1.0).q(rho) > 0
+        assert PTParams(4.0, 1.0).q(rho) > 0
 
 
 class TestRiccati:
@@ -234,31 +220,24 @@ class TestRiccati:
         # f = W' solves the equation identically; only stencil error remains
         p = MorseParams(2.0, BIG_GAMMA)
         grid = Grid(-1.0, 6.0, 1001)
-        res = riccati_residual(lambda r: morse_w_prime(p, r),
-                               lambda r: morse_w_prime(p, r),
-                               lambda r: morse_w_second(p, r), grid)
+        res = riccati_residual(p.w_prime, p.w_prime, p.w_second, grid)
         assert res < 1e-8
 
     def test_f_morse_solves_riccati(self):
         p = MorseParams(2.5, 1.0)
         grid = Grid(-1.0, 6.0, 7001)
-        res = riccati_residual(lambda r: f_morse(p, r),
-                               lambda r: morse_w_prime(p, r),
-                               lambda r: morse_w_second(p, r), grid)
+        res = riccati_residual(p.f, p.w_prime, p.w_second, grid)
         assert res < 1e-6
 
     def test_f_pt_solves_riccati(self):
         p = PTParams(3.0, 1.0)
         grid = Grid(-5.0, 5.0, 10001)
-        res = riccati_residual(lambda r: f_pt(p, r),
-                               lambda r: pt_w_prime(p, r),
-                               lambda r: pt_w_second(p, r), grid)
+        res = riccati_residual(p.f, p.w_prime, p.w_second, grid)
         assert res < 1e-6
 
     def test_wrong_f_has_large_residual(self):
         p = MorseParams(2.5, 1.0)
         grid = Grid(-1.0, 6.0, 2001)
-        res = riccati_residual(lambda r: morse_w_prime(p, r) + 0.1,
-                               lambda r: morse_w_prime(p, r),
-                               lambda r: morse_w_second(p, r), grid)
+        res = riccati_residual(lambda r: p.w_prime(r) + 0.1, p.w_prime,
+                               p.w_second, grid)
         assert res > 1e-2

@@ -181,13 +181,11 @@ def test_term_values_coordinate_pullback():
     t = np.array([0.5, 1.0, 2.0, 5.0])
     h = 1e-6
     from susyspectra.coordinates import rho_from_morse_t
-    from susyspectra.potentials import q_morse
-    fd = (q_morse(params, rho_from_morse_t(3.0, t + h))
-          - q_morse(params, rho_from_morse_t(3.0, t - h))) / (2 * h)
+    fd = (params.q(rho_from_morse_t(3.0, t + h))
+          - params.q(rho_from_morse_t(3.0, t - h))) / (2 * h)
     assert np.allclose(morse_term_values(params, t), fd / t, rtol=1e-5)
     params_pt = PTParams(2.0, 1.0)
     from susyspectra.coordinates import rho_from_pt_t
-    from susyspectra.potentials import q_pt
-    fd2 = (q_pt(params_pt, rho_from_pt_t(t + h))
-           - q_pt(params_pt, rho_from_pt_t(t - h))) / (2 * h)
+    fd2 = (params_pt.q(rho_from_pt_t(t + h))
+           - params_pt.q(rho_from_pt_t(t - h))) / (2 * h)
     assert np.allclose(pt_term_values(params_pt, t), fd2 / t, rtol=1e-5)
