@@ -31,7 +31,7 @@ RUNS = [
     ("wavefunction_map_n1", ["wavefunction-map", "--state", "1"]),
     ("energy_shift", ["energy-shift"]),
     ("energy_shift_offpoint", ["energy-shift", "--mu", "3.0"]),
-    ("potential_term_map", ["potential-term-map", "--plan-n", "8192"]),
+    ("potential_term_map", ["potential-term-map"]),
 ]
 
 HEADLINES = ("verdict", "bound_count", "max_residual", "l2_discrepancy",

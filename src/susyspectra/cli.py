@@ -23,10 +23,10 @@ from .grids import Grid
 from .numerics import OscillatoryError
 from .potentials import (FAMILIES, MorseParams, PTParams,
                          SingularConfigurationError, riccati_residual)
-from .transforms import (hankel_oscillatory, make_hankel_plan,
-                         morse_state_on_plan, potential_term_map,
-                         potential_term_sandwich, pt_state_on_nodes,
-                         wavefunction_map)
+from .transforms import (DEFAULT_PLAN_N, hankel_oscillatory,
+                         make_hankel_plan, morse_state_on_plan,
+                         potential_term_map, potential_term_sandwich,
+                         pt_state_on_nodes, wavefunction_map)
 
 # perfbench/tracer.py wraps these per-family names (and solve_morse,
 # solve_pt) by attribute, so the generic runners reach them through
@@ -67,7 +67,8 @@ EXPERIMENT_COLUMNS = {
 }
 
 
-# experiments that always solve both wells, whatever --family says
+# experiments that always solve both wells, whatever --family says, each on
+# its default grid (so --grid-* is refused for them)
 _CROSS_FAMILY = ("wavefunction-map", "energy-shift", "potential-term-map")
 
 
@@ -88,7 +89,7 @@ class RunConfig:
     grid_n: int | None = None
     order_m: int | None = None
     state: int = 0
-    plan_n: int = 8192
+    plan_n: int = DEFAULT_PLAN_N
     t_max: float = 40.0
     output: str = "out"
     fmt: str = "csv"
@@ -467,7 +468,7 @@ def _merge(args: argparse.Namespace) -> tuple[RunConfig, str]:
         grid_n=pick("grid-n", None),
         order_m=pick("order-m", None),
         state=int(pick("state", 0)),
-        plan_n=int(pick("plan-n", 8192)),
+        plan_n=int(pick("plan-n", DEFAULT_PLAN_N)),
         t_max=float(pick("t-max", 40.0)),
         output=str(pick("output", "out")),
         fmt=fmt,
@@ -498,6 +499,13 @@ def main(argv=None) -> int:
     try:
         cfg, potential_kind = _merge(args)
         # parameter constraints surface as usage errors before any solve
+        if cfg.experiment in _CROSS_FAMILY and any(
+                v is not None for v in (cfg.grid_min, cfg.grid_max,
+                                        cfg.grid_n)):
+            raise UsageError(
+                f"experiment {cfg.experiment!r} solves both wells on their "
+                "default grids; --grid-min, --grid-max and --grid-n do not "
+                "apply")
         if cfg.experiment != "hankel-verify":
             for family in _families(cfg):
                 _family_params(cfg, family)

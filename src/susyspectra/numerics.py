@@ -2,9 +2,10 @@
 
 Everything here is self-contained (numpy only): cylindrical Bessel functions
 of integer order, the 15-point Gauss-Kronrod rule (also used by the
-potentials' weight tables), semi-infinite oscillatory integrals against
-Bessel weights, and the sinc basis on a uniform grid (the DVR kinetic matrix
-and band-limited interpolation between the nodes).
+potentials' weight tables), Gauss-Legendre rules of any size (the Hankel
+plans), semi-infinite oscillatory integrals against Bessel weights, and the
+sinc basis on a uniform grid (the DVR kinetic matrix and band-limited
+interpolation between the nodes).
 
 All functions are pure and hold no module-level mutable state, so they are
 safe to call concurrently.
@@ -22,6 +23,7 @@ __all__ = [
     "OscillatoryError",
     "bessel_j",
     "bessel_j_zero",
+    "gauss_legendre",
     "integrate_oscillatory_bessel",
     "sinc_kinetic",
     "sinc_interp",
@@ -57,6 +59,10 @@ class QuadratureResult:
 # error is below double precision.
 _SERIES_X = 10.0
 _ASYM_X = 18.0
+# The asymptotic expansion is summed separately on each band of x split at
+# these points, so that large arguments stop after the few terms they need
+# instead of as many as the smallest argument of the batch.
+_ASYM_BANDS = (30.0, 60.0)
 
 
 def _bessel_series(m: int, x: np.ndarray) -> np.ndarray:
@@ -134,8 +140,9 @@ def bessel_j(m: int, x):
     """Cylindrical Bessel function J_m for integer order.
 
     Negative orders are reduced with J_{-m}(x) = (-1)^m J_m(x).  Accurate to
-    roughly 1e-13 absolute over 0 <= x <= 50 (and beyond, where the
-    asymptotic expansion only improves).  Accepts scalars or arrays.
+    roughly 1e-13 absolute over 0 <= x <= 400 for orders up to 10 (and
+    beyond, where the asymptotic expansion only improves).  Accepts scalars
+    or arrays.
     """
     if m != int(m):
         raise ValueError("order must be an integer")
@@ -162,7 +169,11 @@ def bessel_j(m: int, x):
     if np.any(mid):
         out[mid] = _bessel_miller(m, xa[mid])
     if np.any(hi):
-        out[hi] = _bessel_asymptotic(m, xa[hi])
+        band = np.searchsorted(_ASYM_BANDS, xa, side="right")
+        for b in range(len(_ASYM_BANDS) + 1):
+            sel = hi & (band == b)
+            if np.any(sel):
+                out[sel] = _bessel_asymptotic(m, xa[sel])
     if np.any(neg) and m % 2:
         out = np.where(neg, -out, out)
     out = sign * out
@@ -185,6 +196,53 @@ def bessel_j_zero(m: int, k: int) -> float:
         - 4 * (mu - 1) * (7 * mu - 31) / (3 * (8 * b) ** 3)
         - 32 * (mu - 1) * (83 * mu * mu - 982 * mu + 3779) / (15 * (8 * b) ** 5)
     )
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Legendre rules
+# ---------------------------------------------------------------------------
+
+
+def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_{n-1}(x) by the three-term recurrence."""
+    p0 = np.ones_like(x)
+    p1 = x.copy()
+    for k in range(1, n):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+    return p1, p0
+
+
+def _legendre_newton(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton step P_n(x) / P_n'(x) and the derivative P_n'(x), |x| < 1."""
+    p, pm = _legendre_pair(n, x)
+    dp = n * (x * p - pm) / (x * x - 1.0)
+    return p / dp, dp
+
+
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
+    [-1, 1].
+
+    Newton's method on P_n, vectorized over the nodes of [0, 1) from the
+    guesses cos(pi (k - 1/4) / (n + 1/2)); the other half is the mirror
+    image.  The weights 2 / ((1 - x^2) P_n'(x)^2) take P_n' afresh at the
+    converged nodes.  O(n^2) work in n recurrence steps, where the
+    eigenvalue route (Golub-Welsch, numpy's leggauss) is O(n^3).
+    """
+    if n < 1:
+        raise ValueError("rule needs at least one node")
+    k = np.arange(1, (n + 1) // 2 + 1)
+    x = np.cos(np.pi * (k - 0.25) / (n + 0.5))
+    for _ in range(20):
+        step, _ = _legendre_newton(n, x)
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    _, dp = _legendre_newton(n, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    lo = n // 2  # an odd rule's middle node, x = 0, is not mirrored
+    return (np.concatenate((-x[:lo], x[::-1])),
+            np.concatenate((w[:lo], w[::-1])))
 
 
 # ---------------------------------------------------------------------------

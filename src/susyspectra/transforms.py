@@ -20,12 +20,13 @@ import numpy as np
 from .grids import SampledFunction
 from .coordinates import rho_from_morse_t, rho_from_pt_t
 from .eigensolver import Spectrum
-from .numerics import (QuadratureResult, bessel_j,
+from .numerics import (QuadratureResult, bessel_j, gauss_legendre,
                        integrate_oscillatory_bessel, sinc_interp)
 from .numerics import cubic_interp  # noqa: F401  (retired; see numerics)
 from .potentials import MorseParams, PTParams
 
 __all__ = [
+    "DEFAULT_PLAN_N",
     "TruncationWarning",
     "HankelPlan",
     "make_hankel_plan",
@@ -43,6 +44,7 @@ __all__ = [
     "potential_term_sandwich",
 ]
 
+DEFAULT_PLAN_N = 256
 _DECAY_TOL = 1e-8
 _CHUNK = 512
 
@@ -75,19 +77,22 @@ class HankelPlan:
             raise ValueError("weights must be positive")
 
 
-def make_hankel_plan(order: int, t_max: float = 40.0, n: int = 16384) -> HankelPlan:
-    """Uniform nodes h, 2h, ..., t_max with trapezoid weights; the implicit
-    node at t = 0 contributes nothing because of the measure factor t.
+def make_hankel_plan(order: int, t_max: float = 40.0,
+                     n: int = DEFAULT_PLAN_N) -> HankelPlan:
+    """n-point Gauss-Legendre rule on [0, t_max].
 
-    The leading trapezoid error is (h^2/12) f'(0); n = 16384 over t_max = 40
-    puts it near 5e-7 for order-0 transforms of O(1) integrands."""
+    The rule is exact for polynomials of degree 2n - 1 and converges
+    exponentially for integrands analytic on [0, t_max], once the nodes
+    resolve the oscillation of J_order(t t') there.  At lambda = 4.5,
+    mu = 4 the wavefunction map over t' <= 6 is converged at 96 nodes on
+    [0, 40] (L2 discrepancy 2e-9 to 6e-9 for states 0-3, the level of the
+    eigenstates themselves) and fails at 64; the default of 256 leaves a
+    margin of more than two."""
     if n < 16:
         raise ValueError("plan needs at least 16 nodes")
-    h = t_max / n
-    nodes = h * np.arange(1, n + 1)
-    weights = np.full(n, h)
-    weights[-1] = 0.5 * h
-    return HankelPlan(order, t_max, nodes, weights)
+    x, w = gauss_legendre(n)
+    half = 0.5 * t_max
+    return HankelPlan(order, t_max, half * (1.0 + x), half * w)
 
 
 def _g_values(g, plan: HankelPlan):
@@ -192,22 +197,13 @@ def pt_state_on_nodes(state: SampledFunction, t_prime_nodes) -> SampledFunction:
 
 
 def wavefunction_map(R: SampledFunction, m: int, t_prime_nodes,
-                     plan: HankelPlan | None = None) -> SampledFunction:
-    """Map a radial Morse-picture state to the sech-well picture:
-    U(t') = 2 pi (1 + t'^2)^(3/2) * Hankel_m[R](t'), with the constant
-    (-i)^m phase factored out into meta['quarter_turns']."""
+                     plan: HankelPlan) -> SampledFunction:
+    """Map a radial Morse-picture state, sampled on the plan's nodes, to the
+    sech-well picture: U(t') = 2 pi (1 + t'^2)^(3/2) * Hankel_m[R](t'), with
+    the constant (-i)^m phase factored out into meta['quarter_turns']."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    if plan is None:
-        nodes = R.nodes
-        h = nodes[1] - nodes[0]
-        if not np.allclose(np.diff(nodes), h):
-            raise ValueError("R must be sampled uniformly (or pass a plan)")
-        weights = np.full(nodes.size, h)
-        weights[-1] = 0.5 * h
-        plan = HankelPlan(m, float(nodes[-1]), nodes, weights)
-    else:
-        plan = replace(plan, order=m)
+    plan = replace(plan, order=m)
     tp = np.asarray(t_prime_nodes, dtype=float)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TruncationWarning)

@@ -47,6 +47,23 @@ class TestUsageErrors:
         cfg.write_text("volume=11\n")
         assert main(["spectrum", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("experiment", ["wavefunction-map",
+                                            "energy-shift",
+                                            "potential-term-map"])
+    def test_grid_flags_refused_for_cross_family(self, experiment, tmp_path,
+                                                 capsys):
+        # these solve both wells on their default grids; a grid flag on the
+        # command line or in a config file would be ignored, so it is an error
+        out = tmp_path / "x.csv"
+        assert main([experiment, "--grid-n", "50",
+                     "--output", str(out)]) == 2
+        assert "--grid-n" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("grid-min=-1\ngrid-max=3\n")
+        assert main([experiment, "--config", str(cfg),
+                     "--output", str(out)]) == 2
+        assert not out.exists()
+
     def test_wrong_family_for_experiment(self, tmp_path):
         rc = main(["potential-curve", "--family", "both",
                    "--output", str(tmp_path / "x.csv")])

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -95,6 +96,57 @@ class TestHankel:
             HankelPlan(-1, 1.0, np.array([0.5, 0.75]), np.array([0.1, 0.1]))
         with pytest.raises(ValueError):
             make_hankel_plan(0, 10.0, 4)
+
+
+class TestGaussLegendrePlan:
+    @pytest.mark.parametrize("n", [16, 17, 256, 2048])
+    def test_matches_leggauss(self, n):
+        # on [0, 2] the plan is the [-1, 1] rule shifted by one
+        plan = make_hankel_plan(0, 2.0, n)
+        x, w = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(plan.nodes - (1.0 + x))) < 1e-14
+        # leggauss's own weights at the ends of a large rule are off by up
+        # to 6e-8 of their size (n = 2048, against 40-digit values), 7e-11
+        # of the largest weight; test_exact_for_polynomials checks the
+        # weights of every size without it
+        tol = 1e-12 if n <= 256 else 1e-10
+        assert np.max(np.abs(plan.weights - w)) < tol * np.max(w)
+
+    @pytest.mark.parametrize("n", [16, 17, 256, 2048])
+    def test_exact_for_polynomials(self, n):
+        t_max = 40.0
+        plan = make_hankel_plan(0, t_max, n)
+        assert np.sum(plan.weights) == pytest.approx(t_max, rel=1e-14)
+        # integral_0^t_max (t / t_max)^k dt = t_max / (k + 1), k <= 2n - 1
+        s = plan.nodes / t_max
+        power = np.ones(n)
+        for k in range(2 * n):
+            got = np.dot(plan.weights, power)
+            assert abs(got * (k + 1) / t_max - 1.0) < 1e-12, k
+            power *= s
+
+    def test_large_plan_is_cheap(self):
+        # the Newton iteration is O(n^2); an O(n^3) eigensolve is not
+        seconds = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            make_hankel_plan(4, 40.0, 2048)
+            seconds.append(time.perf_counter() - t0)
+        assert min(seconds) < 0.25
+
+    def test_default_plan_maps_every_state(self, morse_shifted_spectrum,
+                                           pt_shifted_spectrum):
+        tp = np.linspace(0.02, 6.0, 1200)
+        for n in range(4):
+            m = 4 - n
+            plan = make_hankel_plan(m)
+            R = morse_state_on_plan(morse_shifted_spectrum.eigenfunctions[n],
+                                    4.5, plan)
+            mapped = wavefunction_map(R, m, tp, plan)
+            direct = pt_state_on_nodes(pt_shifted_spectrum.eigenfunctions[n],
+                                       tp)
+            assert normalized_l2_discrepancy(mapped.values, direct.values,
+                                             tp) < 1e-8, n
 
 
 class TestWavefunctionMap:
