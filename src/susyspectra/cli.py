@@ -23,7 +23,7 @@ from .grids import Grid
 from .numerics import OscillatoryError
 from .potentials import (FAMILIES, MorseParams, PTParams,
                          SingularConfigurationError, riccati_residual)
-from .transforms import (DEFAULT_PLAN_N, hankel_oscillatory,
+from .transforms import (DEFAULT_PLAN_N, MIN_PLAN_N, hankel_oscillatory,
                          make_hankel_plan, morse_state_on_plan,
                          potential_term_map, potential_term_sandwich,
                          pt_state_on_nodes, wavefunction_map)
@@ -154,6 +154,26 @@ def _families(cfg: RunConfig) -> list[str]:
     cross = cfg.experiment in _CROSS_FAMILY
     return [family for family in FAMILIES
             if cross or cfg.family in (family, "both")]
+
+
+def _check_transform_flags(cfg: RunConfig) -> None:
+    """Bounds of the flags the Hankel-transform experiments read, checked
+    before any solve."""
+    if cfg.experiment not in ("wavefunction-map", "potential-term-map"):
+        return
+    min_plan = MIN_PLAN_N
+    if cfg.experiment == "potential-term-map":
+        min_plan *= 2  # its refinement trace runs on a plan of half the nodes
+    if cfg.plan_n < min_plan:
+        raise UsageError(f"--plan-n must be at least {min_plan}, "
+                         f"got {cfg.plan_n}")
+    if not (0.0 < cfg.t_max < math.inf):
+        raise UsageError(f"--t-max must be positive and finite, "
+                         f"got {cfg.t_max}")
+    if cfg.order_m is not None and cfg.order_m < 0:
+        raise UsageError(f"--order-m must be >= 0, got {cfg.order_m}")
+    if cfg.experiment == "wavefunction-map" and cfg.state < 0:
+        raise UsageError(f"--state must be >= 0, got {cfg.state}")
 
 
 def _require_family(cfg: RunConfig, allowed: tuple[str, ...]) -> str:
@@ -506,6 +526,7 @@ def main(argv=None) -> int:
                 f"experiment {cfg.experiment!r} solves both wells on their "
                 "default grids; --grid-min, --grid-max and --grid-n do not "
                 "apply")
+        _check_transform_flags(cfg)
         if cfg.experiment != "hankel-verify":
             for family in _families(cfg):
                 _family_params(cfg, family)

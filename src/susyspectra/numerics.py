@@ -59,9 +59,11 @@ class QuadratureResult:
 # error is below double precision.
 _SERIES_X = 10.0
 _ASYM_X = 18.0
-# The asymptotic expansion is summed separately on each band of x split at
-# these points, so that large arguments stop after the few terms they need
-# instead of as many as the smallest argument of the batch.
+# Both expansions are summed separately on each band of x split at these
+# points, so that an argument stops after the few terms its own band needs
+# instead of as many as the worst argument of the batch: small x for the
+# ascending series, large x for the asymptotic expansion.
+_SERIES_BANDS = (1.0, 3.0, 6.0)
 _ASYM_BANDS = (30.0, 60.0)
 
 
@@ -113,34 +115,62 @@ def _bessel_miller(m: int, x: np.ndarray) -> np.ndarray:
     return target / total
 
 
-def _bessel_asymptotic(m: int, x: np.ndarray) -> np.ndarray:
-    """Hankel's expansion J_m ~ sqrt(2/pi x) [P cos chi - Q sin chi],
-    truncated at the smallest term."""
+def _asymptotic_coefficients(m: int, x_min: float) -> tuple[list, list]:
+    """Signed coefficients of P and Q in Hankel's expansion as polynomials
+    in y = 1/(8x)^2: P = sum_k p_k y^k, Q = (1/8x) sum_k q_k y^k.
+
+    The length is fixed at x_min, the smallest argument the band holds: the
+    terms stop after the first of magnitude below 1e-17 or the first that
+    grows (optimal truncation).  Every term shrinks as x grows, so the same
+    length serves the whole band."""
     mu = 4.0 * m * m
-    p = np.ones_like(x)
-    q = np.zeros_like(x)
-    term = np.ones_like(x)
-    eightx = 8.0 * x
+    p = [1.0]
+    q = []
+    coef = 1.0  # a_n = prod_{j<=n} (mu - (2j-1)^2) / n!, signs applied below
+    eightx = 8.0 * x_min
     prev = math.inf
     for k in range(40):
-        t1 = term * (mu - (4 * k + 1) ** 2) / ((2 * k + 1) * eightx)
-        q += (-1) ** k * t1
-        t2 = t1 * (mu - (4 * k + 3) ** 2) / ((2 * k + 2) * eightx)
-        p += (-1) ** (k + 1) * t2
-        term = t2
-        mx = float(np.max(np.abs(t2)))
+        coef = coef * (mu - (4 * k + 1) ** 2) / (2 * k + 1)
+        q.append((-1) ** k * coef)
+        coef = coef * (mu - (4 * k + 3) ** 2) / (2 * k + 2)
+        p.append((-1) ** (k + 1) * coef)
+        mx = abs(coef) / eightx ** (2 * k + 2)
         if mx < 1e-17 or mx > prev:
             break
         prev = mx
+    return p, q
+
+
+def _horner(coefs: list, y: np.ndarray) -> np.ndarray:
+    out = np.full_like(y, coefs[-1])
+    for c in coefs[-2::-1]:
+        out *= y
+        out += c
+    return out
+
+
+def _bessel_asymptotic(m: int, x: np.ndarray, x_min: float) -> np.ndarray:
+    """Hankel's expansion J_m ~ sqrt(2/pi x) [P cos chi - Q sin chi],
+    truncated at the smallest term for x >= x_min and summed by Horner's
+    rule."""
+    p, q = _asymptotic_coefficients(m, x_min)
+    inv8x = 0.125 / x
+    y = inv8x * inv8x
     chi = x - (0.5 * m + 0.25) * math.pi
-    return np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
+    return np.sqrt(2.0 / (math.pi * x)) * (
+        _horner(p, y) * np.cos(chi) - inv8x * _horner(q, y) * np.sin(chi))
 
 
 def bessel_j(m: int, x):
     """Cylindrical Bessel function J_m for integer order.
 
-    Negative orders are reduced with J_{-m}(x) = (-1)^m J_m(x).  Accurate to
-    roughly 1e-13 absolute over 0 <= x <= 400 for orders up to 10 (and
+    Negative orders are reduced with J_{-m}(x) = (-1)^m J_m(x).  Small x
+    takes the ascending series, summed separately on the bands split at
+    _SERIES_BANDS; the transition band takes the normalized downward
+    recurrence; large x takes Hankel's asymptotic expansion, whose length
+    is fixed per band of _ASYM_BANDS by the band's smallest x and whose
+    scalar coefficients are summed by Horner's rule in 1/(8x)^2.  Accurate
+    to roughly 1e-13 absolute over 0 <= x <= 400 for orders up to 10 (and
     beyond, where the asymptotic expansion only improves).  Accepts scalars
     or arrays.
     """
@@ -161,19 +191,21 @@ def bessel_j(m: int, x):
         # J_m(-x) = (-1)^m J_m(x)
         xa = np.abs(xa)
     out = np.empty_like(xa)
-    lo = xa <= min(m + 8.0, _SERIES_X)
-    hi = xa >= max(_ASYM_X, m + 10.0)
-    mid = ~(lo | hi)
-    if np.any(lo):
-        out[lo] = _bessel_series(m, xa[lo])
-    if np.any(mid):
-        out[mid] = _bessel_miller(m, xa[mid])
-    if np.any(hi):
-        band = np.searchsorted(_ASYM_BANDS, xa, side="right")
-        for b in range(len(_ASYM_BANDS) + 1):
-            sel = hi & (band == b)
-            if np.any(sel):
-                out[sel] = _bessel_asymptotic(m, xa[sel])
+    series_x = min(m + 8.0, _SERIES_X)
+    asym_x = max(_ASYM_X, m + 10.0)
+    lowers = ([0.0] + [e for e in _SERIES_BANDS if e < series_x]
+              + [series_x, asym_x] + [e for e in _ASYM_BANDS if e > asym_x])
+    band = np.searchsorted(lowers[1:], xa, side="right")
+    for b, lower in enumerate(lowers):
+        sel = band == b
+        if not np.any(sel):
+            continue
+        if lower < series_x:
+            out[sel] = _bessel_series(m, xa[sel])
+        elif lower < asym_x:
+            out[sel] = _bessel_miller(m, xa[sel])
+        else:
+            out[sel] = _bessel_asymptotic(m, xa[sel], lower)
     if np.any(neg) and m % 2:
         out = np.where(neg, -out, out)
     out = sign * out

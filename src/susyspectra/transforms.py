@@ -27,6 +27,7 @@ from .potentials import MorseParams, PTParams
 
 __all__ = [
     "DEFAULT_PLAN_N",
+    "MIN_PLAN_N",
     "TruncationWarning",
     "HankelPlan",
     "make_hankel_plan",
@@ -45,6 +46,7 @@ __all__ = [
 ]
 
 DEFAULT_PLAN_N = 256
+MIN_PLAN_N = 16
 _DECAY_TOL = 1e-8
 _CHUNK = 512
 
@@ -88,8 +90,8 @@ def make_hankel_plan(order: int, t_max: float = 40.0,
     [0, 40] (L2 discrepancy 2e-9 to 6e-9 for states 0-3, the level of the
     eigenstates themselves) and fails at 64; the default of 256 leaves a
     margin of more than two."""
-    if n < 16:
-        raise ValueError("plan needs at least 16 nodes")
+    if n < MIN_PLAN_N:
+        raise ValueError(f"plan needs at least {MIN_PLAN_N} nodes")
     x, w = gauss_legendre(n)
     half = 0.5 * t_max
     return HankelPlan(order, t_max, half * (1.0 + x), half * w)
@@ -120,17 +122,56 @@ def _weighted(g, plan: HankelPlan) -> np.ndarray:
     return plan.weights * plan.nodes * gv
 
 
-def _contract(cores, plan: HankelPlan, tp: np.ndarray) -> list[np.ndarray]:
+def _kernels_down(top: int, bottom: int, x: np.ndarray):
+    """(k, J_k(x)) for k = top, top - 1, ..., bottom.
+
+    bessel_j builds only J_top and J_{top-1}; every lower order follows from
+    the downward recurrence J_{k-1}(x) = (2k/x) J_k(x) - J_{k+1}(x)
+    (Abramowitz & Stegun 9.1.27), stable in that direction, written over
+    the buffer of J_{k+1}, which is dropped by then.  Where x = 0 the
+    recurrence takes 2/x as 0, which gives J_k(0) = -J_{k+2}(0) = 0 for
+    k > 0, and J_0(0) = 1 is set.  Once J_{top-1} is built, x itself is
+    overwritten by 2/x."""
+    upper = bessel_j(top, x)
+    yield top, upper
+    if top == bottom:
+        return
+    lower = bessel_j(top - 1, x)
+    yield top - 1, lower
+    zero = x == 0.0
+    two_over_x = np.divide(2.0, x, out=x, where=~zero)
+    scratch = np.empty_like(x)
+    for k in range(top - 1, bottom, -1):
+        np.multiply(two_over_x, lower, out=scratch)
+        scratch *= k
+        upper, lower = lower, np.subtract(scratch, upper, out=upper)
+        if k == 1:
+            lower[zero] = 1.0
+        yield k - 1, lower
+
+
+def _contract(jobs, plan: HankelPlan, tp: np.ndarray) -> list[np.ndarray]:
     """sum_i core_i J_order(t_i t') at the t' of the 1-D array tp, for each
-    core.  Each chunk of the Bessel kernel is built once and contracted with
-    every core by its own vector-matrix product."""
-    outs = [np.empty(tp.size) for _ in cores]
+    (order, core) job.
+
+    Per chunk of t', one pass of _kernels_down serves every job: the kernel
+    is built by bessel_j at the highest order of the jobs and the one below
+    it, and by recurrence at every lower order down to the lowest, gaps
+    included.  Each job is contracted with the kernel at its own order by
+    its own vector-matrix product, and each chunk's kernels are dropped
+    before the next chunk's are built."""
+    outs = [np.empty(tp.size) for _ in jobs]
+    if not jobs:
+        return outs
+    orders = [order for order, _ in jobs]
     for start in range(0, tp.size, _CHUNK):
         chunk = tp[start:start + _CHUNK]
-        kernel = bessel_j(plan.order, plan.nodes[:, None] * chunk[None, :])
-        for out, core in zip(outs, cores):
-            out[start:start + _CHUNK] = core @ kernel
-        del kernel  # free it before the next chunk's kernel is built
+        x = plan.nodes[:, None] * chunk[None, :]
+        for order, kernel in _kernels_down(max(orders), min(orders), x):
+            for out, (k, core) in zip(outs, jobs):
+                if k == order:
+                    out[start:start + _CHUNK] = core @ kernel
+        del x, kernel  # free them before the next chunk's kernels are built
     return outs
 
 
@@ -143,7 +184,7 @@ def hankel(g, plan: HankelPlan, t_prime):
     """
     core = _weighted(g, plan)
     tp = np.asarray(t_prime, dtype=float)
-    out = _contract([core], plan, np.atleast_1d(tp))[0]
+    out = _contract([(plan.order, core)], plan, np.atleast_1d(tp))[0]
     return float(out[0]) if tp.ndim == 0 else out
 
 
@@ -310,8 +351,7 @@ class SandwichCheck:
 
 def potential_term_sandwich(params_m: MorseParams, params_pt: PTParams,
                             spectrum: Spectrum, plan: HankelPlan,
-                            t_prime_nodes,
-                            orders: list[int] | None = None) -> list[SandwichCheck]:
+                            t_prime_nodes) -> list[SandwichCheck]:
     """For each bound state R_n: compare
     integral dt' t' Hankel_m[morse term](t') Psi_n(t')   (Hankel route)
     with
@@ -320,22 +360,25 @@ def potential_term_sandwich(params_m: MorseParams, params_pt: PTParams,
     """
     tp = np.asarray(t_prime_nodes, dtype=float)
     a = params_m.a
-    checks = []
+    g = morse_term_values(params_m, plan.nodes)
+    g_core = _weighted(g, plan)
+    states = []
+    jobs = []
     for n, state in enumerate(spectrum.eigenfunctions):
         energy = float(spectrum.eigenvalues[n])
-        if orders is not None:
-            m = orders[n]
-        else:
-            m = int(round(math.sqrt(max(a * a - energy, 0.0))))
-        pl = replace(plan, order=m)
-        R = morse_state_on_plan(state, params_m.lam, pl)
-        g = morse_term_values(params_m, pl.nodes)
-        # R and g share the order and the t' nodes, hence the Bessel kernel
-        psi_t, lhs_fun = _contract([_weighted(R, pl), _weighted(g, pl)],
-                                   pl, tp)
+        m = int(round(math.sqrt(max(a * a - energy, 0.0))))
+        R = morse_state_on_plan(state, params_m.lam, plan)
+        states.append((m, R))
+        jobs += [(m, _weighted(R, plan)), (m, g_core)]
+    # one kernel pass serves every state: its order's R and g share it
+    contracted = _contract(jobs, plan, tp)
+    direct_pt_term = tp * pt_term_values(params_pt, tp)
+    checks = []
+    for n, (m, R) in enumerate(states):
+        psi_t, lhs_fun = contracted[2 * n], contracted[2 * n + 1]
         hankel_route = float(np.trapezoid(tp * lhs_fun * psi_t, tp))
-        direct_pt = float(np.trapezoid(tp * pt_term_values(params_pt, tp) * psi_t, tp))
-        morse_direct = float(np.sum(pl.weights * pl.nodes * g * R.values))
+        direct_pt = float(np.trapezoid(direct_pt_term * psi_t, tp))
+        morse_direct = float(np.sum(plan.weights * plan.nodes * g * R.values))
         denom = max(abs(hankel_route), abs(direct_pt), 1e-300)
         checks.append(SandwichCheck(
             n=n, order=m,

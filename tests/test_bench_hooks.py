@@ -4,6 +4,7 @@ traced benchmark run stops at start-up, and every wrapped name must stay on
 the call path, or its per-layer counters silently read 0."""
 
 import importlib
+import math
 from pathlib import Path
 
 import pytest
@@ -46,3 +47,24 @@ def test_traced_runs_record_every_layer(tracing, tmp_path):
     for name in ("potentials.sample", "potentials.rho_min", "analysis.solve",
                  "eigensolver.solve", "analysis.gamma_sweep"):
         assert name in recorded, name
+
+
+def test_traced_term_map_records_its_layers(tracing, tmp_path):
+    # the tracer wraps potential_term_map and potential_term_sandwich on cli
+    # separately and reads max_residual off the term map's report; merging
+    # the two calls would leave the benchmark's transform layers unrecorded
+    tracer = tracing.Tracer()
+    patched = tracing.install(tracer)
+    try:
+        out = tmp_path / "term_map.json"
+        assert cli.main(["potential-term-map", "--plan-n", "64",
+                         "--output", str(out), "--format", "json",
+                         "--reproducible"]) == 0
+    finally:
+        tracing.uninstall(patched)
+    recorded = {span.name for span in tracer.spans}
+    for name in ("transforms.term_map", "transforms.sandwich",
+                 "numerics.bessel_j"):
+        assert name in recorded, name
+    (term_map,) = [s for s in tracer.spans if s.name == "transforms.term_map"]
+    assert math.isfinite(term_map.counts["max_residual"])

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from susyspectra import cli
 from susyspectra.cli import EXPERIMENT_COLUMNS, main
 
 
@@ -63,6 +64,37 @@ class TestUsageErrors:
         assert main([experiment, "--config", str(cfg),
                      "--output", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["wavefunction-map", "--state", "-1"],
+        ["wavefunction-map", "--plan-n", "15"],
+        ["potential-term-map", "--plan-n", "31"],
+        ["wavefunction-map", "--t-max", "0"],
+        ["potential-term-map", "--t-max", "-3"],
+        ["wavefunction-map", "--order-m", "-1"],
+        ["potential-term-map", "--order-m", "-1"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_transform_flag_bounds(self, argv, tmp_path, capsys,
+                                   monkeypatch):
+        # out-of-bound transform flags are usage errors, found before any
+        # solve (the stand-in solvers fail the test if one is reached)
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the flag bounds were checked")
+
+        monkeypatch.setattr(cli, "solve_morse", no_solve)
+        monkeypatch.setattr(cli, "solve_pt", no_solve)
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--output", str(out)]) == 2
+        assert argv[1] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_term_map_smallest_plan(self, tmp_path):
+        # 32 nodes: the refinement trace's half plan has the minimum of 16
+        out = tmp_path / "x.csv"
+        assert main(["potential-term-map", "--plan-n", "32",
+                     "--output", str(out)]) == 0
+        meta, _, _ = read_csv(out)
+        assert "refinement_n16" in meta and "refinement_n32" in meta
 
     def test_wrong_family_for_experiment(self, tmp_path):
         rc = main(["potential-curve", "--family", "both",

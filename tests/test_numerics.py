@@ -45,6 +45,20 @@ class TestBesselJ:
             err = np.max(np.abs(bessel_j(m, x) - scipy.special.jv(m, x)))
             assert err < 1e-12, f"m={m}: {err}"
 
+    @pytest.mark.parametrize("m", range(0, 11))
+    def test_band_edges_against_scipy(self, m):
+        # each side of every edge where the method or the length of the
+        # expansion changes: the series bands, the series/recurrence and
+        # recurrence/asymptotic switches (at 10 and 18, or at m + 8 and
+        # m + 10), and the asymptotic bands
+        edges = np.array([1.0, 3.0, 6.0, 10.0, 18.0, 30.0, 60.0,
+                          m + 8.0, m + 10.0])
+        x = np.concatenate([np.nextafter(edges, 0.0), edges,
+                            np.nextafter(edges, np.inf),
+                            edges * (1.0 - 1e-6), edges * (1.0 + 1e-6)])
+        err = np.max(np.abs(bessel_j(m, x) - scipy.special.jv(m, x)))
+        assert err < 1e-12, err
+
     def test_three_term_recurrence(self):
         x = np.linspace(0.5, 30.0, 901)
         for m in range(1, 10):

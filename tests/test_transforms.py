@@ -4,7 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 
+from susyspectra import transforms
 from susyspectra.analysis import normalized_l2_discrepancy
 from susyspectra.grids import SampledFunction
 from susyspectra.numerics import bessel_j
@@ -78,6 +80,15 @@ class TestHankel:
         rhs = np.trapezoid(tp * gh ** 2, tp)
         assert abs(lhs - rhs) < 1e-5 * max(lhs, 1e-30)
 
+    def test_at_zero_argument(self):
+        # J_k(0) = delta_k0: the order-0 transform at t' = 0 is the plain
+        # weighted sum, every other order vanishes there
+        g = np.exp(-make_hankel_plan(0).nodes)
+        plan0, plan3 = make_hankel_plan(0), make_hankel_plan(3)
+        assert hankel(g, plan0, 0.0) == pytest.approx(
+            np.sum(plan0.weights * plan0.nodes * g), rel=1e-15)
+        assert hankel(g, plan3, 0.0) == 0.0
+
     def test_truncation_warning(self):
         plan = make_hankel_plan(0, 10.0, 512)
         alive = np.ones(512)
@@ -96,6 +107,50 @@ class TestHankel:
             HankelPlan(-1, 1.0, np.array([0.5, 0.75]), np.array([0.1, 0.1]))
         with pytest.raises(ValueError):
             make_hankel_plan(0, 10.0, 4)
+
+
+class TestOrderRecurrence:
+    @pytest.mark.parametrize("orders", [[4, 3, 2, 1], [5, 2], [2, 0]],
+                             ids=str)
+    def test_matches_per_order_contraction(self, orders):
+        # the kernels below the top two orders come from the downward
+        # recurrence (through the gap at 4 and 3 for [5, 2]); t' = 0 checks
+        # the x = 0 columns, where J_k(0) = delta_k0
+        plan = make_hankel_plan(0, 40.0, 2048)
+        tp = np.concatenate(([0.0], np.linspace(0.01, 8.0, 799)))
+        rng = np.random.default_rng(7)
+        jobs = [(k, plan.weights * rng.standard_normal(plan.nodes.size))
+                for k in orders]
+        got = transforms._contract(jobs, plan, tp)
+        x = plan.nodes[:, None] * tp[None, :]
+        for (k, core), out in zip(jobs, got):
+            ref = core @ scipy.special.jv(k, x)
+            err = np.max(np.abs(out - ref))
+            assert err < 1e-13 * np.max(np.abs(ref)), (k, err)
+            if k == 0:
+                assert out[0] == pytest.approx(np.sum(core), rel=1e-14)
+            else:
+                assert out[0] == 0.0
+
+    def test_two_kernel_builds_per_chunk(self, monkeypatch,
+                                         morse_generalized_spectrum):
+        # four states at orders 4, 3, 2, 1 share one kernel pass: bessel_j
+        # runs at orders 4 and 3 only, once per chunk of t'
+        calls = []
+
+        def counting(m, x):
+            calls.append(m)
+            return bessel_j(m, x)
+
+        monkeypatch.setattr(transforms, "bessel_j", counting)
+        tp = np.linspace(0.01, 8.0, 800)
+        checks = potential_term_sandwich(
+            MorseParams(4.5, 1.0), PTParams(4.0, 1.0),
+            morse_generalized_spectrum, make_hankel_plan(4), tp)
+        assert [chk.order for chk in checks] == [4, 3, 2, 1]
+        chunks = -(-tp.size // transforms._CHUNK)
+        assert chunks == 2
+        assert calls == [4, 3] * chunks
 
 
 class TestGaussLegendrePlan:
