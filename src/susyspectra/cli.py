@@ -1,5 +1,11 @@
 """Batch front-end: named experiments, CSV/JSON tables, verification verdicts.
 
+`EXPERIMENTS` holds one entry per experiment: its runner, its columns, the
+--family values it allows and the flags it reads, each with its type,
+default and bound.  The subparsers, the --config keys and the checks made
+before any solve are all built from it, so a flag that an experiment does
+not read is a usage error.
+
 Exit codes: 0 success, 2 usage/config error, 3 numerical failure.
 """
 
@@ -9,15 +15,17 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .analysis import (energy_shift_check, gamma_sweep, isospectral_check,
-                       normalized_l2_discrepancy, solve_morse, solve_pt)
+from .analysis import (KINDS, energy_shift_check, gamma_sweep,
+                       isospectral_check, normalized_l2_discrepancy,
+                       solve_morse, solve_pt)
 from .eigensolver import GridTooSmallError, default_grid
 from .grids import Grid
 from .numerics import OscillatoryError
@@ -49,51 +57,8 @@ def _traced(template: str, params):
     return globals()[template.format(params.family)]
 
 
-EXPERIMENTS = (
-    "potential-curve", "spectrum", "isospectral", "gamma-sweep", "riccati",
-    "hankel-verify", "wavefunction-map", "energy-shift", "potential-term-map",
-)
-
-EXPERIMENT_COLUMNS = {
-    "potential-curve": ["index", "rho", "shifted", "partner", "generalized"],
-    "spectrum": ["index", "energy"],
-    "isospectral": ["comparison", "index", "e_left", "e_right", "delta"],
-    "gamma-sweep": ["gamma", "index", "energy", "delta_vs_base"],
-    "riccati": ["family", "h", "max_residual"],
-    "hankel-verify": ["p", "order", "value", "scaled_error"],
-    "wavefunction-map": ["index", "t_prime", "u_mapped", "u_direct"],
-    "energy-shift": ["index", "e_morse", "e_morse_shifted", "e_pt", "delta"],
-    "potential-term-map": ["index", "t_prime", "lhs", "rhs", "residual"],
-}
-
-
-# experiments that always solve both wells, whatever --family says, each on
-# its default grid (so --grid-* is refused for them)
-_CROSS_FAMILY = ("wavefunction-map", "energy-shift", "potential-term-map")
-
-
 class UsageError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    experiment: str
-    family: str = "morse"
-    lam: float = 4.5
-    mu: float = 4.0
-    gamma: float = 1.0
-    gammas: tuple = (0.5, 1.0, 10.0)
-    grid_min: float | None = None
-    grid_max: float | None = None
-    grid_n: int | None = None
-    order_m: int | None = None
-    state: int = 0
-    plan_n: int = DEFAULT_PLAN_N
-    t_max: float = 40.0
-    output: str = "out"
-    fmt: str = "csv"
-    reproducible: bool = False
 
 
 def _fmt_value(v):
@@ -125,7 +90,7 @@ def write_table(path: Path, meta: dict, columns: list[str], rows: list,
         raise UsageError(f"unknown format {fmt!r}")
 
 
-def _base_meta(cfg: RunConfig) -> dict:
+def _base_meta(cfg: argparse.Namespace) -> dict:
     meta = {"tool": "susyspectra", "version": __version__,
             "experiment": cfg.experiment}
     if not cfg.reproducible:
@@ -133,70 +98,15 @@ def _base_meta(cfg: RunConfig) -> dict:
     return meta
 
 
-def _grid_for(cfg: RunConfig, params):
-    default = default_grid(params)
-    lo = cfg.grid_min if cfg.grid_min is not None else default.min
-    hi = cfg.grid_max if cfg.grid_max is not None else default.max
-    n = cfg.grid_n if cfg.grid_n is not None else default.n
-    return Grid(lo, hi, n)
-
-
-def _family_params(cfg: RunConfig, family: str):
-    cls = FAMILIES[family]
-    strength = getattr(cfg, _KEY_TO_ATTR.get(cls.strength_name,
-                                             cls.strength_name))
-    return cls(strength, cfg.gamma)
-
-
-def _families(cfg: RunConfig) -> list[str]:
-    """The families an experiment solves: the one --family names, every
-    family for --family both, and both wells for the cross-family runs."""
-    cross = cfg.experiment in _CROSS_FAMILY
-    return [family for family in FAMILIES
-            if cross or cfg.family in (family, "both")]
-
-
-def _check_transform_flags(cfg: RunConfig) -> None:
-    """Bounds of the flags the Hankel-transform experiments read, checked
-    before any solve."""
-    if cfg.experiment not in ("wavefunction-map", "potential-term-map"):
-        return
-    min_plan = MIN_PLAN_N
-    if cfg.experiment == "potential-term-map":
-        min_plan *= 2  # its refinement trace runs on a plan of half the nodes
-    if cfg.plan_n < min_plan:
-        raise UsageError(f"--plan-n must be at least {min_plan}, "
-                         f"got {cfg.plan_n}")
-    if not (0.0 < cfg.t_max < math.inf):
-        raise UsageError(f"--t-max must be positive and finite, "
-                         f"got {cfg.t_max}")
-    if cfg.order_m is not None and cfg.order_m < 0:
-        raise UsageError(f"--order-m must be >= 0, got {cfg.order_m}")
-    if cfg.experiment == "wavefunction-map" and cfg.state < 0:
-        raise UsageError(f"--state must be >= 0, got {cfg.state}")
-
-
-def _require_family(cfg: RunConfig, allowed: tuple[str, ...]) -> str:
-    if cfg.family not in allowed:
-        raise UsageError(
-            f"experiment {cfg.experiment!r} needs --family in {allowed}, "
-            f"got {cfg.family!r}")
-    return cfg.family
-
-
 # ---------------------------------------------------------------------------
-# Experiments
+# Experiments.  Each runner takes the parsed flags, with `cfg.wells` holding
+# (params, grid) for every family it solves (grid None: the family's
+# default), and returns the table's metadata and rows.
 # ---------------------------------------------------------------------------
 
 
-def _one_family(cfg: RunConfig):
-    """Params of the single family the experiment runs on (--family)."""
-    return _family_params(cfg, _require_family(cfg, tuple(FAMILIES)))
-
-
-def run_potential_curve(cfg: RunConfig):
-    params = _one_family(cfg)
-    grid = _grid_for(cfg, params)
+def run_potential_curve(cfg: argparse.Namespace):
+    [(params, grid)] = cfg.wells
     x = grid.nodes()
     trio = [_traced("{}_" + kind, params)(params, x)
             for kind in ("shifted", "partner", "generalized")]
@@ -207,27 +117,26 @@ def run_potential_curve(cfg: RunConfig):
     meta[params.strength_name] = params.strength
     rows = [(i, x[i], trio[0][i], trio[1][i], trio[2][i])
             for i in range(grid.n)]
-    return meta, EXPERIMENT_COLUMNS[cfg.experiment], rows
+    return meta, rows
 
 
-def run_spectrum(cfg: RunConfig, kind: str):
-    params = _one_family(cfg)
-    grid = _grid_for(cfg, params)
-    spec = _traced("solve_{}", params)(params, kind, grid)
+def run_spectrum(cfg: argparse.Namespace):
+    [(params, grid)] = cfg.wells
+    spec = _traced("solve_{}", params)(params, cfg.potential, grid)
     meta = _base_meta(cfg)
-    meta.update(family=params.family, potential=kind, gamma=cfg.gamma,
+    meta.update(family=params.family, potential=cfg.potential,
+                gamma=cfg.gamma,
                 rho_min=_traced("{}_rho_min", params)(params),
                 grid_min=grid.min, grid_max=grid.max, grid_n=grid.n,
                 continuum_threshold=spec.continuum_threshold,
                 bound_count=spec.bound_count)
     meta[params.strength_name] = params.strength
     rows = [(i, e) for i, e in enumerate(spec.eigenvalues)]
-    return meta, EXPERIMENT_COLUMNS["spectrum"], rows
+    return meta, rows
 
 
-def run_isospectral(cfg: RunConfig):
-    params = _one_family(cfg)
-    grid = _grid_for(cfg, params)
+def run_isospectral(cfg: argparse.Namespace):
+    [(params, grid)] = cfg.wells
     solver = _traced("solve_{}", params)
     base = solver(params, "shifted", grid)
     partner = solver(params, "partner", grid)
@@ -245,12 +154,11 @@ def run_isospectral(cfg: RunConfig):
                 generalized_max_delta=rep_gen.max_delta,
                 generalized_verdict="pass" if rep_gen.passed else "fail")
     meta[params.strength_name] = params.strength
-    return meta, EXPERIMENT_COLUMNS["isospectral"], rows
+    return meta, rows
 
 
-def run_gamma_sweep(cfg: RunConfig):
-    params = _one_family(cfg)
-    grid = _grid_for(cfg, params)
+def run_gamma_sweep(cfg: argparse.Namespace):
+    [(params, grid)] = cfg.wells
     base, spectra, reports = gamma_sweep(params.family, params.strength,
                                          cfg.gammas, grid)
     rows = []
@@ -266,27 +174,21 @@ def run_gamma_sweep(cfg: RunConfig):
             delta = (e - base.eigenvalues[i]
                      if i < base.eigenvalues.size else math.nan)
             rows.append((g, i, e, delta))
-    return meta, EXPERIMENT_COLUMNS["gamma-sweep"], rows
+    return meta, rows
 
 
-def run_riccati(cfg: RunConfig):
-    _require_family(cfg, (*FAMILIES, "both"))
+def run_riccati(cfg: argparse.Namespace):
     rows = []
     meta = _base_meta(cfg)
     meta.update(gamma=cfg.gamma)
-    for family in _families(cfg):
-        p = _family_params(cfg, family)
-        lo, hi, n = p.riccati_domain
-        grid = Grid(cfg.grid_min if cfg.grid_min is not None else lo,
-                    cfg.grid_max if cfg.grid_max is not None else hi,
-                    cfg.grid_n if cfg.grid_n is not None else n)
+    for p, grid in cfg.wells:
         res = riccati_residual(p.f, p.w_prime, p.w_second, grid)
-        rows.append((family, grid.spacing, res))
+        rows.append((p.family, grid.spacing, res))
         meta[p.strength_name] = p.strength
-    return meta, EXPERIMENT_COLUMNS["riccati"], rows
+    return meta, rows
 
 
-def run_hankel_verify(cfg: RunConfig):
+def run_hankel_verify(cfg: argparse.Namespace):
     rows = []
     worst = 0.0
     for p in (0.5, 1.0, 2.0, 5.0):
@@ -300,12 +202,11 @@ def run_hankel_verify(cfg: RunConfig):
     meta.update(identity="p * integral_0^inf J_order(p t) dt = 1",
                 max_scaled_error=worst,
                 verdict="pass" if worst < 1e-6 else "fail")
-    return meta, EXPERIMENT_COLUMNS["hankel-verify"], rows
+    return meta, rows
 
 
-def run_wavefunction_map(cfg: RunConfig):
-    params_m = MorseParams(cfg.lam, cfg.gamma)
-    params_pt = PTParams(cfg.mu, cfg.gamma)
+def run_wavefunction_map(cfg: argparse.Namespace):
+    (params_m, _), (params_pt, _) = cfg.wells
     n_state = cfg.state
     spec_m = solve_morse(params_m, "shifted")
     spec_pt = solve_pt(params_pt, "shifted")
@@ -315,7 +216,8 @@ def run_wavefunction_map(cfg: RunConfig):
          else int(round(params_m.a)) - n_state)
     plan = make_hankel_plan(m, cfg.t_max, cfg.plan_n)
     tp = np.linspace(0.02, 6.0, 1200)
-    R = morse_state_on_plan(spec_m.eigenfunctions[n_state], cfg.lam, plan)
+    R = morse_state_on_plan(spec_m.eigenfunctions[n_state], params_m.lam,
+                            plan)
     mapped = wavefunction_map(R, m, tp, plan)
     direct = pt_state_on_nodes(spec_pt.eigenfunctions[n_state], tp)
     disc = normalized_l2_discrepancy(mapped.values, direct.values, tp)
@@ -323,20 +225,20 @@ def run_wavefunction_map(cfg: RunConfig):
     meta.update(state=n_state, order_m=m, l2_discrepancy=disc,
                 quarter_turns=mapped.meta["quarter_turns"],
                 plan_n=cfg.plan_n, t_max=cfg.t_max)
-    meta["lambda"] = cfg.lam
-    meta["mu"] = cfg.mu
+    meta["lambda"] = params_m.lam
+    meta["mu"] = params_pt.mu
     rows = [(i, tp[i], mapped.values[i], direct.values[i])
             for i in range(tp.size)]
-    return meta, EXPERIMENT_COLUMNS["wavefunction-map"], rows
+    return meta, rows
 
 
-def run_energy_shift(cfg: RunConfig):
-    params_m = MorseParams(cfg.lam, cfg.gamma)
-    params_pt = PTParams(cfg.mu, cfg.gamma)
+def run_energy_shift(cfg: argparse.Namespace):
+    (params_m, _), (params_pt, _) = cfg.wells
+    lam, mu = params_m.lam, params_pt.mu
     spec_m = solve_morse(params_m, "generalized")
     spec_pt = solve_pt(params_pt, "generalized")
-    report = energy_shift_check(spec_m, spec_pt, cfg.lam, cfg.mu)
-    shift = cfg.lam - cfg.mu - 0.5
+    report = energy_shift_check(spec_m, spec_pt, lam, mu)
+    shift = lam - mu - 0.5
     rows = []
     for i, (left, right, delta) in enumerate(report.pairs):
         rows.append((i, left - shift, left, right, delta))
@@ -345,14 +247,13 @@ def run_energy_shift(cfg: RunConfig):
                 verdict="pass" if report.passed else "fail",
                 asserted="yes" if abs(shift) < 1e-12 else
                 "no (off the mu = lambda - 1/2 point; data only)")
-    meta["lambda"] = cfg.lam
-    meta["mu"] = cfg.mu
-    return meta, EXPERIMENT_COLUMNS["energy-shift"], rows
+    meta["lambda"] = lam
+    meta["mu"] = mu
+    return meta, rows
 
 
-def run_potential_term_map(cfg: RunConfig):
-    params_m = MorseParams(cfg.lam, cfg.gamma)
-    params_pt = PTParams(cfg.mu, cfg.gamma)
+def run_potential_term_map(cfg: argparse.Namespace):
+    (params_m, _), (params_pt, _) = cfg.wells
     m = cfg.order_m if cfg.order_m is not None else int(round(params_m.a))
     plan = make_hankel_plan(m, cfg.t_max, cfg.plan_n)
     tp = np.linspace(0.01, 8.0, 800)
@@ -363,8 +264,8 @@ def run_potential_term_map(cfg: RunConfig):
     meta.update(gamma=cfg.gamma, order_m=m, plan_n=cfg.plan_n,
                 t_max=cfg.t_max, max_residual=report.max_residual,
                 truncation_warned=report.truncation_warned)
-    meta["lambda"] = cfg.lam
-    meta["mu"] = cfg.mu
+    meta["lambda"] = params_m.lam
+    meta["mu"] = params_pt.mu
     for size, res in report.refinement:
         meta[f"refinement_n{size}"] = res
     for chk in sandwiches:
@@ -373,7 +274,123 @@ def run_potential_term_map(cfg: RunConfig):
         meta[f"sandwich_n{chk.n}_m{chk.order}_rel_diff"] = chk.rel_diff
     rows = [(i, tp[i], report.lhs[i], report.rhs[i], report.residual[i])
             for i in range(tp.size)]
-    return meta, EXPERIMENT_COLUMNS["potential-term-map"], rows
+    return meta, rows
+
+
+# ---------------------------------------------------------------------------
+# The experiment table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Flag:
+    """A flag, and the --config key of the same name.  `type` reads its
+    text and refuses a value out of bounds; `default` stands in when it is
+    not given; `bool` makes it a switch."""
+
+    type: Callable = str
+    default: object = None
+    choices: tuple | None = None
+
+
+def _bounded(convert, ok, need: str):
+    def read(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
+        return value
+
+    read.__name__ = convert.__name__  # argparse names it in its errors
+    return read
+
+
+def _at_least(low: int):
+    return _bounded(int, lambda v: v >= low, f"at least {low}")
+
+
+def _gamma_list(text: str) -> tuple[float, ...]:
+    try:
+        gammas = tuple(float(s) for s in text.split(",") if s.strip())
+    except ValueError:
+        gammas = ()
+    if not gammas or not all(0.0 < g < math.inf for g in gammas):
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated positive finite numbers, got {text!r}")
+    return gammas
+
+
+_WELL = {"lambda": Flag(float, 4.5), "mu": Flag(float, 4.0),
+         "gamma": Flag(float, 1.0)}
+_GRID = {"grid-min": Flag(float), "grid-max": Flag(float),
+         "grid-n": Flag(int)}
+_PLAN = {"order-m": Flag(_at_least(0)),
+         "plan-n": Flag(_at_least(MIN_PLAN_N), DEFAULT_PLAN_N),
+         "t-max": Flag(_bounded(float, lambda v: 0.0 < v < math.inf,
+                                "positive and finite"), 40.0)}
+_OUTPUT = {"output": Flag(str, "out"),
+           "format": Flag(str, "csv", ("csv", "json")),
+           "reproducible": Flag(bool, False)}
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One CLI experiment.  `families` are its --family values, the first
+    the default (none: it solves no well); `flags` are the others it reads
+    beside --config and the output flags; `grid` maps a solved family's
+    params to its default grid when it reads --grid-*."""
+
+    run: Callable
+    columns: list[str]
+    families: tuple[str, ...] = ()
+    flags: dict[str, Flag] = field(default_factory=dict)
+    grid: Callable | None = None
+
+    def options(self) -> dict[str, Flag]:
+        """Every flag but --config, which are also its config keys."""
+        family = ({"family": Flag(str, self.families[0], self.families)}
+                  if self.families else {})
+        return {**family, **self.flags, **_OUTPUT}
+
+
+_ONE = tuple(FAMILIES)
+_BOTH = ("both",)  # the cross-family experiments always solve both wells
+
+EXPERIMENTS = {
+    "potential-curve": Experiment(
+        run_potential_curve,
+        ["index", "rho", "shifted", "partner", "generalized"],
+        _ONE, {**_WELL, **_GRID}, default_grid),
+    "spectrum": Experiment(
+        run_spectrum, ["index", "energy"], _ONE,
+        {**_WELL, **_GRID, "potential": Flag(str, "shifted", KINDS)},
+        default_grid),
+    "isospectral": Experiment(
+        run_isospectral, ["comparison", "index", "e_left", "e_right", "delta"],
+        _ONE, {**_WELL, **_GRID}, default_grid),
+    # no --gamma: the sweep solves its base, on its grid, at the least gamma
+    "gamma-sweep": Experiment(
+        run_gamma_sweep, ["gamma", "index", "energy", "delta_vs_base"], _ONE,
+        {"lambda": _WELL["lambda"], "mu": _WELL["mu"],
+         "gammas": Flag(_gamma_list, (0.5, 1.0, 10.0)), **_GRID},
+        default_grid),
+    "riccati": Experiment(
+        run_riccati, ["family", "h", "max_residual"], (*FAMILIES, "both"),
+        {**_WELL, **_GRID}, lambda p: Grid(*p.riccati_domain)),
+    "hankel-verify": Experiment(
+        run_hankel_verify, ["p", "order", "value", "scaled_error"]),
+    "wavefunction-map": Experiment(
+        run_wavefunction_map, ["index", "t_prime", "u_mapped", "u_direct"],
+        _BOTH, {**_WELL, "state": Flag(_at_least(0), 0), **_PLAN}),
+    "energy-shift": Experiment(
+        run_energy_shift,
+        ["index", "e_morse", "e_morse_shifted", "e_pt", "delta"],
+        _BOTH, _WELL),
+    # its refinement trace runs on a plan of half the nodes
+    "potential-term-map": Experiment(
+        run_potential_term_map, ["index", "t_prime", "lhs", "rhs", "residual"],
+        _BOTH, {**_WELL, **_PLAN,
+                "plan-n": Flag(_at_least(2 * MIN_PLAN_N), DEFAULT_PLAN_N)}),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -386,155 +403,102 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="susyspectra",
         description="Isospectral Morse / Poschl-Teller experiments")
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", type=str, default=None,
-                        help="key=value file; explicit flags win")
-        sp.add_argument("--family", choices=(*FAMILIES, "both"),
-                        default=None)
-        sp.add_argument("--lambda", dest="lam", type=float, default=None)
-        sp.add_argument("--mu", type=float, default=None)
-        sp.add_argument("--gamma", type=float, default=None)
-        sp.add_argument("--gammas", type=str, default=None,
-                        help="comma-separated, e.g. 0.5,1,10")
-        sp.add_argument("--grid-min", type=float, default=None)
-        sp.add_argument("--grid-max", type=float, default=None)
-        sp.add_argument("--grid-n", type=int, default=None)
-        sp.add_argument("--order-m", type=int, default=None)
-        sp.add_argument("--state", type=int, default=None)
-        sp.add_argument("--plan-n", type=int, default=None)
-        sp.add_argument("--t-max", type=float, default=None)
-        sp.add_argument("--potential", default=None,
-                        choices=("shifted", "partner", "generalized"))
-        sp.add_argument("--output", type=str, default=None)
-        sp.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                        default=None)
-        sp.add_argument("--reproducible", action="store_true", default=None)
+    for name, exp in EXPERIMENTS.items():
+        # no abbreviations: gamma-sweep must not read --gamma as --gammas
+        sp = sub.add_parser(name, allow_abbrev=False)
+        sp.add_argument("--config", help="key=value file of the flags "
+                        "below, without their dashes; explicit flags win")
+        for key, flag in exp.options().items():
+            if flag.type is bool:
+                sp.add_argument(f"--{key}", action="store_true", default=None)
+            else:
+                sp.add_argument(f"--{key}", type=flag.type,
+                                choices=flag.choices)
     return parser
 
 
-_CONFIG_KEYS = {
-    "family": str, "lambda": float, "mu": float, "gamma": float,
-    "gammas": str, "grid-min": float, "grid-max": float, "grid-n": int,
-    "order-m": int, "state": int, "plan-n": int, "t-max": float,
-    "potential": str, "output": str, "format": str, "reproducible": str,
-}
-_KEY_TO_ATTR = {
-    "lambda": "lam", "grid-min": "grid_min", "grid-max": "grid_max",
-    "grid-n": "grid_n", "order-m": "order_m", "plan-n": "plan_n",
-    "t-max": "t_max", "format": "fmt",
-}
+_SWITCH_VALUES = {"true": True, "yes": True, "1": True,
+                  "false": False, "no": False, "0": False}
 
 
-def _load_config(path: str) -> dict:
-    text = Path(path).read_text()
-    out = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+def _config_tokens(path: str, experiment: str,
+                   options: dict[str, Flag]) -> list[str]:
+    """The key=value lines of a config file as flag tokens of the
+    experiment."""
+    tokens = []
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().replace("_", "-")
-        value = value.strip()
-        if key not in _CONFIG_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        caster = _CONFIG_KEYS[key]
-        try:
-            out[key] = caster(value)
-        except ValueError as exc:
-            raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}")
-    return out
+        key, eq, value = line.partition("=")
+        key, value = key.strip().replace("_", "-"), value.strip()
+        where = f"{path}:{lineno}"
+        if not eq:
+            raise UsageError(f"{where}: expected key=value, got {raw!r}")
+        if key not in options:
+            raise UsageError(f"{where}: {experiment} reads no key {key!r}")
+        if options[key].type is not bool:
+            tokens.append(f"--{key}={value}")
+        elif value.lower() not in _SWITCH_VALUES:
+            raise UsageError(f"{where}: {key} must be one of "
+                             f"{'/'.join(_SWITCH_VALUES)}, got {value!r}")
+        elif _SWITCH_VALUES[value.lower()]:
+            tokens.append(f"--{key}")
+    return tokens
 
 
-def _merge(args: argparse.Namespace) -> tuple[RunConfig, str]:
-    file_cfg = _load_config(args.config) if args.config else {}
-
-    def pick(key: str, default):
-        attr = _KEY_TO_ATTR.get(key, key)
-        cli = getattr(args, attr, None)
-        if cli is not None:
-            return cli
-        if key in file_cfg:
-            val = file_cfg[key]
-            if key == "reproducible":
-                return str(val).lower() in ("1", "true", "yes")
-            return val
-        return default
-
-    gammas_raw = pick("gammas", "0.5,1,10")
-    try:
-        gammas = tuple(float(s) for s in str(gammas_raw).split(",") if s.strip())
-    except ValueError:
-        raise UsageError(f"bad --gammas value {gammas_raw!r}")
-    if not gammas:
-        raise UsageError("gammas list is empty")
-    fmt = pick("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise UsageError(f"format must be csv or json, got {fmt!r}")
-    potential = pick("potential", "shifted")
-    if potential not in ("shifted", "partner", "generalized"):
-        raise UsageError(f"bad potential kind {potential!r}")
-    cfg = RunConfig(
-        experiment=args.experiment,
-        family=pick("family", "morse"),
-        lam=float(pick("lambda", 4.5)),
-        mu=float(pick("mu", 4.0)),
-        gamma=float(pick("gamma", 1.0)),
-        gammas=gammas,
-        grid_min=pick("grid-min", None),
-        grid_max=pick("grid-max", None),
-        grid_n=pick("grid-n", None),
-        order_m=pick("order-m", None),
-        state=int(pick("state", 0)),
-        plan_n=int(pick("plan-n", DEFAULT_PLAN_N)),
-        t_max=float(pick("t-max", 40.0)),
-        output=str(pick("output", "out")),
-        fmt=fmt,
-        reproducible=bool(pick("reproducible", False)),
-    )
-    return cfg, potential
+def _prepare(cfg: argparse.Namespace, exp: Experiment) -> None:
+    """The checks made before any solve, past the bounds parsing checked:
+    a well strength is given only for a family the run solves, and every
+    solved family's params and grid are valid.  Fills in the defaults and
+    `cfg.wells`."""
+    given = set()
+    for key, flag in exp.options().items():
+        dest = key.replace("-", "_")
+        if getattr(cfg, dest) is None:
+            setattr(cfg, dest, flag.default)
+        else:
+            given.add(key)
+    cfg.wells = []
+    for family, cls in FAMILIES.items():
+        if getattr(cfg, "family", None) not in (family, "both"):
+            if cls.strength_name in given:
+                raise UsageError(
+                    f"--{cls.strength_name} sets the {cls.label} well, "
+                    f"which {cfg.experiment} --family {cfg.family} does not "
+                    "solve")
+            continue
+        # a sweep's base, and so its grid, sits at its least gamma
+        gamma = cfg.gamma if "gamma" in exp.flags else min(cfg.gammas)
+        params = cls(getattr(cfg, cls.strength_name), gamma)
+        grid = _grid_for(cfg, exp.grid(params)) if exp.grid else None
+        cfg.wells.append((params, grid))
 
 
-_RUNNERS = {
-    "potential-curve": lambda cfg, kind: run_potential_curve(cfg),
-    "spectrum": lambda cfg, kind: run_spectrum(cfg, kind),
-    "isospectral": lambda cfg, kind: run_isospectral(cfg),
-    "gamma-sweep": lambda cfg, kind: run_gamma_sweep(cfg),
-    "riccati": lambda cfg, kind: run_riccati(cfg),
-    "hankel-verify": lambda cfg, kind: run_hankel_verify(cfg),
-    "wavefunction-map": lambda cfg, kind: run_wavefunction_map(cfg),
-    "energy-shift": lambda cfg, kind: run_energy_shift(cfg),
-    "potential-term-map": lambda cfg, kind: run_potential_term_map(cfg),
-}
+def _grid_for(cfg: argparse.Namespace, default: Grid) -> Grid:
+    return Grid(default.min if cfg.grid_min is None else cfg.grid_min,
+                default.max if cfg.grid_max is None else cfg.grid_max,
+                default.n if cfg.grid_n is None else cfg.grid_n)
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        cfg = parser.parse_args(argv)
+        exp = EXPERIMENTS[cfg.experiment]
+        if cfg.config:
+            # the file's tokens go ahead of the command line's, which win
+            tokens = _config_tokens(cfg.config, cfg.experiment, exp.options())
+            cfg = parser.parse_args([argv[0], *tokens, *argv[1:]])
+        _prepare(cfg, exp)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    try:
-        cfg, potential_kind = _merge(args)
-        # parameter constraints surface as usage errors before any solve
-        if cfg.experiment in _CROSS_FAMILY and any(
-                v is not None for v in (cfg.grid_min, cfg.grid_max,
-                                        cfg.grid_n)):
-            raise UsageError(
-                f"experiment {cfg.experiment!r} solves both wells on their "
-                "default grids; --grid-min, --grid-max and --grid-n do not "
-                "apply")
-        _check_transform_flags(cfg)
-        if cfg.experiment != "hankel-verify":
-            for family in _families(cfg):
-                _family_params(cfg, family)
     except (UsageError, ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     try:
-        meta, columns, rows = _RUNNERS[cfg.experiment](cfg, potential_kind)
+        meta, rows = exp.run(cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -544,10 +508,10 @@ def main(argv=None) -> int:
         return 3
     out = Path(cfg.output)
     if out.suffix == "":
-        out = out.with_suffix(".csv" if cfg.fmt == "csv" else ".json")
+        out = out.with_suffix(f".{cfg.format}")
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
-        write_table(out, meta, columns, rows, cfg.fmt)
+        write_table(out, meta, exp.columns, rows, cfg.format)
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 2

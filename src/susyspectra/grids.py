@@ -22,6 +22,8 @@ class Grid:
             raise ValueError("grid needs at least 16 nodes")
         if not self.max > self.min:
             raise ValueError("grid requires max > min")
+        if not np.isfinite([self.min, self.max]).all():
+            raise ValueError("grid bounds must be finite")
 
     @property
     def spacing(self) -> float:

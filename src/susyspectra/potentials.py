@@ -160,8 +160,11 @@ class Well:
     strength_name: ClassVar[str]
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        if not math.isfinite(self.strength):
+            raise ValueError(f"{self.label} {self.strength_name} must be "
+                             "finite")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
 
     def _table(self) -> _CumulativeTable:
         return _weight_table(replace(self, gamma=1.0))

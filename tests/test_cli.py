@@ -1,10 +1,18 @@
+import dataclasses
+import importlib
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from susyspectra import cli
-from susyspectra.cli import EXPERIMENT_COLUMNS, main
+from susyspectra.cli import EXPERIMENTS, main
+from susyspectra.eigensolver import default_grid
+from susyspectra.potentials import MorseParams
+
+_ROOT = Path(__file__).resolve().parent.parent
 
 
 def read_csv(path: Path):
@@ -18,6 +26,44 @@ def read_csv(path: Path):
         else:
             rows.append(line.split(","))
     return meta, header, rows
+
+
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Stand-in solvers that fail the test if a solve is reached."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the flags were checked")
+
+    for name in ("solve_morse", "solve_pt", "gamma_sweep"):
+        monkeypatch.setattr(cli, name, no_solve)
+
+
+@pytest.fixture
+def no_run(monkeypatch):
+    """Stand-in runners that fail the test if an experiment is run."""
+    def no_run(cfg):
+        raise AssertionError("ran before the flags were checked")
+
+    for name, exp in EXPERIMENTS.items():
+        monkeypatch.setitem(EXPERIMENTS, name,
+                            dataclasses.replace(exp, run=no_run))
+
+
+# (experiment, flags, the flag refused): one flag, or flag value, that each
+# experiment does not read
+UNREAD = [
+    ("potential-curve", ["--state", "2"], "state"),
+    ("spectrum", ["--plan-n", "5", "--t-max", "-3", "--state", "9"],
+     "plan-n"),
+    ("spectrum", ["--family", "pt", "--lambda", "3"], "lambda"),
+    ("isospectral", ["--potential", "partner"], "potential"),
+    ("gamma-sweep", ["--gamma", "7"], "gamma"),
+    ("riccati", ["--family", "morse", "--mu", "3"], "mu"),
+    ("hankel-verify", ["--lambda", "-3"], "lambda"),
+    ("wavefunction-map", ["--potential", "generalized"], "potential"),
+    ("energy-shift", ["--order-m", "2"], "order-m"),
+    ("potential-term-map", ["--state", "1"], "state"),
+]
 
 
 class TestUsageErrors:
@@ -74,18 +120,68 @@ class TestUsageErrors:
         ["wavefunction-map", "--order-m", "-1"],
         ["potential-term-map", "--order-m", "-1"],
     ], ids=lambda argv: " ".join(argv))
-    def test_transform_flag_bounds(self, argv, tmp_path, capsys,
-                                   monkeypatch):
+    def test_transform_flag_bounds(self, argv, tmp_path, capsys, no_solve):
         # out-of-bound transform flags are usage errors, found before any
         # solve (the stand-in solvers fail the test if one is reached)
-        def no_solve(*args, **kwargs):
-            raise AssertionError("solved before the flag bounds were checked")
-
-        monkeypatch.setattr(cli, "solve_morse", no_solve)
-        monkeypatch.setattr(cli, "solve_pt", no_solve)
         out = tmp_path / "x.csv"
         assert main(argv + ["--output", str(out)]) == 2
         assert argv[1] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--grid-n", "2"],
+        ["spectrum", "--grid-min", "5", "--grid-max", "1"],
+        ["spectrum", "--grid-max", "inf"],
+        ["riccati", "--family", "both", "--grid-n", "3"],
+        ["spectrum", "--family", "morse", "--lambda", "inf"],
+        ["spectrum", "--family", "pt", "--mu", "inf"],
+        ["spectrum", "--family", "pt", "--gamma", "inf"],
+        ["energy-shift", "--gamma", "nan"],
+        ["gamma-sweep", "--gammas", "nan"],
+        ["gamma-sweep", "--gammas", "0.5,inf"],
+        ["gamma-sweep", "--gammas", "1,0"],
+        ["gamma-sweep", "--gammas", ","],
+    ], ids=lambda argv: " ".join(argv))
+    def test_well_and_grid_bounds(self, argv, tmp_path, capsys, no_solve):
+        # a well or grid that cannot be built is a usage error, found
+        # before any solve
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--output", str(out)]) == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment, flags, refused", UNREAD,
+                             ids=lambda v: " ".join(v) if isinstance(
+                                 v, list) else v)
+    def test_unread_flag_refused(self, experiment, flags, refused, tmp_path,
+                                 capsys, no_run):
+        # on the command line and from --config alike, before any run
+        out = tmp_path / "x.csv"
+        assert main([experiment, *flags, "--output", str(out)]) == 2
+        assert f"--{refused}" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{flag[2:]}={value}\n"
+                               for flag, value in zip(flags[::2],
+                                                      flags[1::2])))
+        assert main([experiment, "--config", str(cfg),
+                     "--output", str(out)]) == 2
+        assert refused in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_help_lists_only_read_flags(self, capsys):
+        assert main(["hankel-verify", "--help"]) == 0
+        text = capsys.readouterr().out
+        assert "--reproducible" in text
+        for flag in ("--lambda", "--family", "--grid-n", "--plan-n"):
+            assert flag not in text
+
+    def test_bad_config_switch(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("reproducible=ture\n")
+        out = tmp_path / "x.csv"
+        assert main(["hankel-verify", "--config", str(cfg),
+                     "--output", str(out)]) == 2
+        assert "reproducible" in capsys.readouterr().err
         assert not out.exists()
 
     def test_term_map_smallest_plan(self, tmp_path):
@@ -122,7 +218,7 @@ class TestOutputs:
                    "--reproducible"])
         assert rc == 0
         meta, header, rows = read_csv(out)
-        assert header == EXPERIMENT_COLUMNS["riccati"]
+        assert header == EXPERIMENTS["riccati"].columns
         assert meta["experiment"] == "riccati"
         assert "timestamp" not in meta
         assert len(rows) == 2
@@ -138,7 +234,7 @@ class TestOutputs:
         assert payload["meta"]["verdict"] == "pass"
         assert len(payload["rows"]) == 12
         for row in payload["rows"]:
-            assert set(row) == set(EXPERIMENT_COLUMNS["hankel-verify"])
+            assert set(row) == set(EXPERIMENTS["hankel-verify"].columns)
             assert abs(float(row["scaled_error"])) < 1e-6
 
     @pytest.mark.slow
@@ -148,7 +244,7 @@ class TestOutputs:
                    "--gamma", "1", "--output", str(out), "--reproducible"])
         assert rc == 0
         meta, header, rows = read_csv(out)
-        assert header == EXPERIMENT_COLUMNS["spectrum"]
+        assert header == EXPERIMENTS["spectrum"].columns
         assert meta["family"] == "morse"
         assert meta["bound_count"] == "4"
         assert "rho_min" in meta
@@ -185,9 +281,59 @@ class TestOutputs:
         assert payload["meta"]["lambda"] == "2.5"   # config value
         assert len(payload["rows"]) == 101
 
+    @pytest.mark.parametrize("value, stamped", [("yes", False), ("0", True)])
+    def test_config_switch(self, value, stamped, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"reproducible={value}\n")
+        out = tmp_path / "h.csv"
+        assert main(["hankel-verify", "--config", str(cfg),
+                     "--output", str(out)]) == 0
+        meta, _, _ = read_csv(out)
+        assert ("timestamp" in meta) == stamped
+
+    @pytest.mark.parametrize("gammas", [(0.5, 1.0), (1.0, 0.01)])
+    def test_gamma_sweep_grid_at_least_gamma(self, gammas, tmp_path,
+                                             monkeypatch):
+        # the sweep solves its base at the least gamma, whose rho_min lies
+        # furthest right; at lambda=1.5, gamma=0.01 is below the negative-tail
+        # mass, so the grid starts right of the default -2
+        seen = {}
+
+        def sweep(family, strength, swept, grid):
+            seen.update(swept=swept, grid=grid)
+            return SimpleNamespace(eigenvalues=np.array([])), {}, {}
+
+        monkeypatch.setattr(cli, "gamma_sweep", sweep)
+        out = tmp_path / "g.csv"
+        assert main(["gamma-sweep", "--family", "morse", "--lambda", "1.5",
+                     "--gammas", ",".join(map(str, gammas)),
+                     "--output", str(out)]) == 0
+        assert seen["swept"] == gammas
+        assert seen["grid"] == default_grid(MorseParams(1.5, min(gammas)))
+        assert (seen["grid"].min == -2.0) == (min(gammas) == 0.5)
+
     def test_default_extension_added(self, tmp_path):
         out = tmp_path / "noext"
         rc = main(["riccati", "--family", "morse", "--output", str(out),
                    "--reproducible"])
         assert rc == 0
         assert (tmp_path / "noext.csv").exists()
+
+
+@pytest.mark.slow
+def test_script_and_benchmark_argvs_are_accepted(monkeypatch, tmp_path):
+    # every argv of scripts/run_all_experiments.py and of the benchmark's
+    # workloads runs through cli.main; a usage error there would empty the
+    # benchmark's pass_frac.  Scan points may exit 3 (a refused solve).
+    monkeypatch.syspath_prepend(str(_ROOT / "scripts"))
+    monkeypatch.syspath_prepend(str(_ROOT / "perfbench"))
+    runs = importlib.import_module("run_all_experiments").RUNS
+    bench = importlib.import_module("run")
+    cases = [(argv + ["--output", str(tmp_path / name), "--reproducible"],
+              (0,)) for name, argv in runs]
+    cases += [(op.argv(tmp_path / op.name), (0,))
+              for op in (*bench.SPECTRA, *bench.TRANSFORM)]
+    cases += [(op.argv(tmp_path / op.name), (0, 3))
+              for op in bench.scan_ops(1)]
+    for argv, allowed in cases:
+        assert main(argv) in allowed, " ".join(argv)

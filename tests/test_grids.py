@@ -20,6 +20,8 @@ class TestGrid:
             Grid(1.0, 1.0, 32)
         with pytest.raises(ValueError):
             Grid(2.0, 1.0, 32)
+        with pytest.raises(ValueError):
+            Grid(0.0, np.inf, 32)
 
 
 class TestSampledFunction:

@@ -26,6 +26,19 @@ class TestParams:
         with pytest.raises(ValueError):
             PTParams(1.0, -1.0)
 
+    @pytest.mark.parametrize("cls, strength, gamma", [
+        (MorseParams, math.inf, 1.0),
+        (MorseParams, 4.5, math.inf),
+        (MorseParams, 4.5, math.nan),
+        (PTParams, math.inf, 1.0),
+        (PTParams, math.nan, 1.0),
+        (PTParams, 4.0, math.inf),
+        (PTParams, 4.0, -math.inf),
+    ])
+    def test_non_finite_refused(self, cls, strength, gamma):
+        with pytest.raises(ValueError):
+            cls(strength, gamma)
+
     def test_derived_a(self):
         assert MorseParams(4.5, 1.0).a == 4.0
 
