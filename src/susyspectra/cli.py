@@ -34,7 +34,7 @@ from .potentials import (FAMILIES, MorseParams, PTParams,
 from .transforms import (DEFAULT_PLAN_N, MIN_PLAN_N, hankel_oscillatory,
                          make_hankel_plan, morse_state_on_plan,
                          potential_term_map, potential_term_sandwich,
-                         pt_state_on_nodes, wavefunction_map)
+                         pt_state_on_nodes, truncated, wavefunction_map)
 
 # perfbench/tracer.py wraps these per-family names (and solve_morse,
 # solve_pt) by attribute, so the generic runners reach them through
@@ -210,24 +210,25 @@ def run_wavefunction_map(cfg: argparse.Namespace):
     n_state = cfg.state
     spec_m = solve_morse(params_m, "shifted")
     spec_pt = solve_pt(params_pt, "shifted")
+    # past the closed-form count, which _prepare checked: a dropped level
     if n_state >= spec_m.bound_count or n_state >= spec_pt.bound_count:
         raise UsageError(f"state {n_state} exceeds bound count")
     m = (cfg.order_m if cfg.order_m is not None
          else int(round(params_m.a)) - n_state)
-    plan = make_hankel_plan(m, cfg.t_max, cfg.plan_n)
+    plan = make_hankel_plan(cfg.t_max, cfg.plan_n)
     tp = np.linspace(0.02, 6.0, 1200)
     R = morse_state_on_plan(spec_m.eigenfunctions[n_state], params_m.lam,
                             plan)
     mapped = wavefunction_map(R, m, tp, plan)
     direct = pt_state_on_nodes(spec_pt.eigenfunctions[n_state], tp)
-    disc = normalized_l2_discrepancy(mapped.values, direct.values, tp)
+    disc = normalized_l2_discrepancy(mapped, direct, tp)
     meta = _base_meta(cfg)
     meta.update(state=n_state, order_m=m, l2_discrepancy=disc,
-                quarter_turns=mapped.meta["quarter_turns"],
+                quarter_turns=m % 4, truncation_warned=truncated(R, plan),
                 plan_n=cfg.plan_n, t_max=cfg.t_max)
     meta["lambda"] = params_m.lam
     meta["mu"] = params_pt.mu
-    rows = [(i, tp[i], mapped.values[i], direct.values[i])
+    rows = [(i, tp[i], mapped[i], direct[i])
             for i in range(tp.size)]
     return meta, rows
 
@@ -255,7 +256,7 @@ def run_energy_shift(cfg: argparse.Namespace):
 def run_potential_term_map(cfg: argparse.Namespace):
     (params_m, _), (params_pt, _) = cfg.wells
     m = cfg.order_m if cfg.order_m is not None else int(round(params_m.a))
-    plan = make_hankel_plan(m, cfg.t_max, cfg.plan_n)
+    plan = make_hankel_plan(cfg.t_max, cfg.plan_n)
     tp = np.linspace(0.01, 8.0, 800)
     report = potential_term_map(params_m, params_pt, m, plan, tp)
     spec_m = solve_morse(params_m, "generalized")
@@ -449,9 +450,10 @@ def _config_tokens(path: str, experiment: str,
 
 def _prepare(cfg: argparse.Namespace, exp: Experiment) -> None:
     """The checks made before any solve, past the bounds parsing checked:
-    a well strength is given only for a family the run solves, and every
-    solved family's params and grid are valid.  Fills in the defaults and
-    `cfg.wells`."""
+    a well strength is given only for a family the run solves, every
+    solved family's params and grid are valid, and a --state is below the
+    closed-form level count of every solved well.  Fills in the defaults
+    and `cfg.wells`."""
     given = set()
     for key, flag in exp.options().items():
         dest = key.replace("-", "_")
@@ -473,6 +475,11 @@ def _prepare(cfg: argparse.Namespace, exp: Experiment) -> None:
         params = cls(getattr(cfg, cls.strength_name), gamma)
         grid = _grid_for(cfg, exp.grid(params)) if exp.grid else None
         cfg.wells.append((params, grid))
+    if "state" in exp.flags:
+        count = min(p.level_count for p, _ in cfg.wells)
+        if cfg.state >= count:
+            raise UsageError(f"--state {cfg.state}: the wells hold "
+                             f"{count} bound states")
 
 
 def _grid_for(cfg: argparse.Namespace, default: Grid) -> Grid:

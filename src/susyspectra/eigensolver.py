@@ -77,7 +77,8 @@ def discretize(potential, grid: Grid) -> np.ndarray:
     x = grid.interior()
     v = np.asarray(potential(x), dtype=float)
     if v.shape != x.shape:
-        v = np.array([potential(xi) for xi in x], dtype=float)
+        raise ValueError(f"potential gives shape {v.shape} on {x.size} "
+                         "nodes; it must map arrays elementwise")
     if not np.all(np.isfinite(v)):
         bad = x[~np.isfinite(v)][0]
         raise ValueError(f"potential is not finite at node rho={bad:.6g}")
@@ -86,23 +87,21 @@ def discretize(potential, grid: Grid) -> np.ndarray:
     return matrix
 
 
-def solve_bound_states(potential, grid: Grid, threshold: float,
-                       tol_edge: float = _TOL_EDGE,
-                       decay_tol: float = _DECAY_TOL) -> Spectrum:
-    """All eigenpairs below threshold - tol_edge, with decay-checked,
+def solve_bound_states(potential, grid: Grid, threshold: float) -> Spectrum:
+    """All eigenpairs below threshold - _TOL_EDGE, with decay-checked,
     unit-norm eigenfunctions on the full grid.
 
     No bound states is a legitimate outcome (empty spectrum); a bound state
     that does not decay at the walls raises GridTooSmallError.
     """
     values, vectors = np.linalg.eigh(discretize(potential, grid))
-    k = int(np.searchsorted(values, threshold - tol_edge))
+    k = int(np.searchsorted(values, threshold - _TOL_EDGE))
     h = grid.spacing
     states = []
     for energy, vec in zip(values[:k], vectors[:, :k].T):
         peak = float(np.max(np.abs(vec)))
         edge = max(abs(float(vec[0])), abs(float(vec[-1])))
-        if edge > decay_tol * peak:
+        if edge > _DECAY_TOL * peak:
             raise GridTooSmallError(
                 f"state at E={energy:.6g} has edge amplitude "
                 f"{edge/peak:.2e} of its peak; widen the grid beyond "

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,15 +38,10 @@ class Grid:
 
 @dataclass
 class SampledFunction:
-    """Function tabulated on explicit nodes (wavefunctions, curves, q-terms).
-
-    `meta` carries bookkeeping such as phase quarter-turns or truncation
-    flags; it never affects numerical identity.
-    """
+    """A function tabulated on explicit nodes: a solver state on its grid."""
 
     nodes: np.ndarray
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
@@ -59,8 +54,8 @@ class SampledFunction:
             raise ValueError("values must be finite")
 
     @classmethod
-    def on_grid(cls, grid: Grid, values, meta=None) -> "SampledFunction":
-        return cls(grid.nodes(), np.asarray(values), meta or {})
+    def on_grid(cls, grid: Grid, values) -> "SampledFunction":
+        return cls(grid.nodes(), np.asarray(values))
 
     def __len__(self) -> int:
         return self.nodes.size

@@ -312,10 +312,7 @@ def _gk15_panel(f, a: float, b: float) -> float:
     c = 0.5 * (a + b)
     hw = 0.5 * (b - a)
     x = c + hw * _GK_NODES
-    fx = np.asarray(f(x), dtype=float)
-    if fx.shape != x.shape:
-        fx = np.array([f(xi) for xi in x], dtype=float)
-    return hw * float(np.dot(_GK_WEIGHTS, fx))
+    return hw * float(np.dot(_GK_WEIGHTS, f(x)))
 
 
 # ---------------------------------------------------------------------------

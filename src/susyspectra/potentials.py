@@ -169,6 +169,12 @@ class Well:
     def _table(self) -> _CumulativeTable:
         return _weight_table(replace(self, gamma=1.0))
 
+    @property
+    def level_count(self) -> int:
+        """Closed-form count of bound levels n(2s - n), n < s, of the
+        shifted and generalized wells, where s = sqrt(threshold)."""
+        return math.ceil(math.sqrt(self.threshold) - 1e-9)
+
     def rho_min(self) -> float:
         """Left edge of the domain where the generalized well is defined
         (-inf when gamma exceeds the weight's negative-tail mass)."""
@@ -364,15 +370,16 @@ def riccati_residual(f, w_prime, w_second, grid: Grid) -> float:
     x = grid.nodes()
     h = grid.spacing
 
-    def _vec(func):
+    def _vec(name, func):
         v = np.asarray(func(x), dtype=float)
         if v.shape != x.shape:
-            v = np.array([func(xi) for xi in x], dtype=float)
+            raise ValueError(f"{name} gives shape {v.shape} on {x.size} "
+                             "nodes; it must map arrays elementwise")
         return v
 
-    fv = _vec(f)
-    wp = _vec(w_prime)
-    ws = _vec(w_second)
+    fv = _vec("f", f)
+    wp = _vec("w_prime", w_prime)
+    ws = _vec("w_second", w_second)
     fp = (-fv[4:] + 8.0 * fv[3:-1] - 8.0 * fv[1:-3] + fv[:-4]) / (12.0 * h)
     core = slice(2, -2)
     res = fp + fv[core]**2 - wp[core]**2 - ws[core]

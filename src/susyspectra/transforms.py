@@ -4,16 +4,21 @@ The angular reduction of the 2-D Fourier transform, the order-m Hankel
 transform on a truncated axis, the radial wavefunction map between the Morse
 and sech-well pictures, and the deformation-term comparison reports.
 
+A Hankel plan is a quadrature rule on [0, t_max] that serves every order;
+transforms take and return value arrays.  `truncated` is the one check of a
+function still alive at t_max: the transforms warn when it holds, and the
+CLI tables record it as `truncation_warned`.
+
 Phase bookkeeping: the transform of a state with angular index m carries a
-constant factor (-i)^m.  It is tracked as a quarter-turn count in metadata so
-every stored array stays real; bound-state comparisons are phase-blind.
+constant factor (-i)^m.  Arrays stay real; the CLI tables record the phase
+as `quarter_turns` = m % 4.  Bound-state comparisons are phase-blind.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +36,7 @@ __all__ = [
     "TruncationWarning",
     "HankelPlan",
     "make_hankel_plan",
+    "truncated",
     "hankel",
     "hankel_oscillatory",
     "angular_phase_integral",
@@ -57,9 +63,9 @@ class TruncationWarning(UserWarning):
 
 @dataclass(frozen=True)
 class HankelPlan:
-    """Quadrature plan for integral_0^tmax t g(t) J_order(t t') dt."""
+    """Quadrature rule for integral_0^t_max t g(t) J_m(t t') dt at any
+    order m."""
 
-    order: int
     t_max: float
     nodes: np.ndarray
     weights: np.ndarray
@@ -69,8 +75,6 @@ class HankelPlan:
         weights = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-        if self.order < 0:
-            raise ValueError("order must be >= 0")
         if np.any(nodes <= 0) or np.any(np.diff(nodes) <= 0):
             raise ValueError("nodes must be positive and strictly increasing")
         if nodes[-1] > self.t_max + 1e-12:
@@ -79,13 +83,14 @@ class HankelPlan:
             raise ValueError("weights must be positive")
 
 
-def make_hankel_plan(order: int, t_max: float = 40.0,
+def make_hankel_plan(t_max: float = 40.0,
                      n: int = DEFAULT_PLAN_N) -> HankelPlan:
-    """n-point Gauss-Legendre rule on [0, t_max].
+    """n-point Gauss-Legendre rule on [0, t_max], for transforms of every
+    order.
 
     The rule is exact for polynomials of degree 2n - 1 and converges
     exponentially for integrands analytic on [0, t_max], once the nodes
-    resolve the oscillation of J_order(t t') there.  At lambda = 4.5,
+    resolve the oscillation of J_m(t t') there.  At lambda = 4.5,
     mu = 4 the wavefunction map over t' <= 6 is converged at 96 nodes on
     [0, 40] (L2 discrepancy 2e-9 to 6e-9 for states 0-3, the level of the
     eigenstates themselves) and fails at 64; the default of 256 leaves a
@@ -94,31 +99,30 @@ def make_hankel_plan(order: int, t_max: float = 40.0,
         raise ValueError(f"plan needs at least {MIN_PLAN_N} nodes")
     x, w = gauss_legendre(n)
     half = 0.5 * t_max
-    return HankelPlan(order, t_max, half * (1.0 + x), half * w)
+    return HankelPlan(t_max, half * (1.0 + x), half * w)
 
 
-def _g_values(g, plan: HankelPlan):
-    if isinstance(g, SampledFunction):
-        if g.nodes.shape != plan.nodes.shape or not np.allclose(g.nodes, plan.nodes):
-            raise ValueError("sampled function must live on the plan's nodes")
-        return np.asarray(g.values, dtype=float), g.meta
-    return np.asarray(g, dtype=float), {}
+def truncated(g, plan: HankelPlan) -> bool:
+    """Whether g, given by its values on the plan's nodes, is still alive at
+    t_max: its last value times t_max exceeds _DECAY_TOL (1e-8) times
+    max(1, max |g|)."""
+    gv = np.asarray(g, dtype=float)
+    if gv.shape != plan.nodes.shape:
+        raise ValueError(f"g has shape {gv.shape}; the plan has "
+                         f"{plan.nodes.size} nodes")
+    tail = abs(float(gv[-1])) * plan.t_max
+    return tail > _DECAY_TOL * max(1.0, float(np.max(np.abs(gv))))
 
 
 def _weighted(g, plan: HankelPlan) -> np.ndarray:
-    """Quadrature weight times measure times g on the plan nodes.  Warns
-    (TruncationWarning, at the caller of the public function) when g is
-    still alive at t_max, unless it carries meta['analytic_tail']."""
-    gv, meta = _g_values(g, plan)
-    if gv.shape != plan.nodes.shape:
-        raise ValueError("g must provide one value per plan node")
-    tail = abs(float(gv[-1])) * plan.t_max
-    if tail > _DECAY_TOL * max(1.0, float(np.max(np.abs(gv)))) \
-            and not meta.get("analytic_tail"):
-        warnings.warn(
-            f"integrand tail {tail:.2e} at t_max={plan.t_max:g}; "
-            "increase t_max or flag an analytic tail", TruncationWarning,
-            stacklevel=3)
+    """Quadrature weight times measure times the values g on the plan's
+    nodes.  Warns (TruncationWarning, at the caller of the public function)
+    when `truncated(g, plan)`."""
+    gv = np.asarray(g, dtype=float)
+    if truncated(gv, plan):
+        warnings.warn(f"integrand tail {abs(gv[-1]) * plan.t_max:.2e} at "
+                      f"t_max={plan.t_max:g}; increase t_max",
+                      TruncationWarning, stacklevel=3)
     return plan.weights * plan.nodes * gv
 
 
@@ -175,16 +179,19 @@ def _contract(jobs, plan: HankelPlan, tp: np.ndarray) -> list[np.ndarray]:
     return outs
 
 
-def hankel(g, plan: HankelPlan, t_prime):
-    """Truncated Hankel transform of g at t_prime (scalar or array).
+def hankel(g, plan: HankelPlan, t_prime, order: int):
+    """Truncated order-`order` Hankel transform, sum_i w_i t_i g_i
+    J_order(t_i t'), of the values g on the plan's nodes, at t_prime
+    (scalar or array).
 
-    g is a SampledFunction on the plan's nodes or a plain value array.
-    Emits TruncationWarning when the integrand is still alive at t_max,
-    unless the function carries meta['analytic_tail'].
+    Emits TruncationWarning when `truncated(g, plan)`: g is still alive at
+    t_max, so the truncated integral misses its tail.
     """
+    if order < 0:
+        raise ValueError("order must be >= 0")
     core = _weighted(g, plan)
     tp = np.asarray(t_prime, dtype=float)
-    out = _contract([(plan.order, core)], plan, np.atleast_1d(tp))[0]
+    out = _contract([(order, core)], plan, np.atleast_1d(tp))[0]
     return float(out[0]) if tp.ndim == 0 else out
 
 
@@ -215,47 +222,35 @@ def angular_phase_integral(x: float, m: int, phi_prime: float,
 # ---------------------------------------------------------------------------
 
 
+def _on_solver_grid(state: SampledFunction, rho) -> np.ndarray:
+    """A solver state at the points rho, by sinc interpolation (exact for a
+    sinc-DVR state); zero outside the solved window, where it has
+    decayed."""
+    x0 = float(state.nodes[0])
+    return sinc_interp(x0, float(state.nodes[1]) - x0, state.values, rho)
+
+
 def morse_state_on_plan(state: SampledFunction, lam: float,
-                        plan: HankelPlan) -> SampledFunction:
-    """Re-express a level-coordinate eigenfunction as R(t) on plan nodes,
-    t = lam e^-rho, by sinc interpolation in rho (exact for a sinc-DVR
-    state).  Outside the solved window the state has decayed; zeros."""
-    rho = rho_from_morse_t(lam, plan.nodes)
-    x0 = float(state.nodes[0])
-    dx = float(state.nodes[1] - state.nodes[0])
-    vals = sinc_interp(x0, dx, state.values, rho)
-    return SampledFunction(plan.nodes, vals)
+                        plan: HankelPlan) -> np.ndarray:
+    """A level-coordinate eigenfunction as R(t) on the plan's nodes,
+    t = lam e^-rho."""
+    return _on_solver_grid(state, rho_from_morse_t(lam, plan.nodes))
 
 
-def pt_state_on_nodes(state: SampledFunction, t_prime_nodes) -> SampledFunction:
-    """Re-express a sech-well eigenfunction as U(t'), t' = e^-rho."""
+def pt_state_on_nodes(state: SampledFunction, t_prime_nodes) -> np.ndarray:
+    """A sech-well eigenfunction as U(t') at t' = e^-rho."""
+    return _on_solver_grid(
+        state, rho_from_pt_t(np.asarray(t_prime_nodes, dtype=float)))
+
+
+def wavefunction_map(R, m: int, t_prime_nodes,
+                     plan: HankelPlan) -> np.ndarray:
+    """Map a radial Morse-picture state R, its values on the plan's nodes,
+    to the sech-well picture at t_prime_nodes:
+    U(t') = 2 pi (1 + t'^2)^(3/2) * Hankel_m[R](t'), less the constant
+    phase (-i)^m."""
     tp = np.asarray(t_prime_nodes, dtype=float)
-    rho = rho_from_pt_t(tp)
-    x0 = float(state.nodes[0])
-    dx = float(state.nodes[1] - state.nodes[0])
-    vals = sinc_interp(x0, dx, state.values, rho)
-    return SampledFunction(tp, vals)
-
-
-def wavefunction_map(R: SampledFunction, m: int, t_prime_nodes,
-                     plan: HankelPlan) -> SampledFunction:
-    """Map a radial Morse-picture state, sampled on the plan's nodes, to the
-    sech-well picture: U(t') = 2 pi (1 + t'^2)^(3/2) * Hankel_m[R](t'), with
-    the constant (-i)^m phase factored out into meta['quarter_turns']."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    plan = replace(plan, order=m)
-    tp = np.asarray(t_prime_nodes, dtype=float)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", TruncationWarning)
-        vals = 2.0 * np.pi * (1.0 + tp * tp) ** 1.5 * hankel(R, plan, tp)
-    truncated = any(issubclass(w.category, TruncationWarning) for w in caught)
-    for w in caught:
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    return SampledFunction(tp, vals, meta={
-        "quarter_turns": m % 4,
-        "truncation_warning": truncated,
-    })
+    return 2.0 * np.pi * (1.0 + tp * tp) ** 1.5 * hankel(R, plan, tp, m)
 
 
 # ---------------------------------------------------------------------------
@@ -304,19 +299,14 @@ def potential_term_map(params_m: MorseParams, params_pt: PTParams, m: int,
     """LHS(t') = Hankel_m of the Morse-side term, RHS(t') = direct
     sech-well-side term; residual emitted with a two-resolution trace."""
     tp = np.asarray(t_prime_nodes, dtype=float)
-    plan = replace(plan, order=m)
-    coarse = make_hankel_plan(m, plan.t_max, plan.nodes.size // 2)
+    coarse = make_hankel_plan(plan.t_max, plan.nodes.size // 2)
     rhs = pt_term_values(params_pt, tp)
     refinement = []
-    lhs = np.empty(0)
     warned = False
     for pl in (coarse, plan):
         g = morse_term_values(params_m, pl.nodes)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", TruncationWarning)
-            lhs = hankel(g, pl, tp)
-        warned = warned or any(
-            issubclass(w.category, TruncationWarning) for w in caught)
+        warned = warned or truncated(g, pl)
+        lhs = hankel(g, pl, tp, m)
         refinement.append((pl.nodes.size, float(np.max(np.abs(lhs - rhs)))))
     residual = lhs - rhs
     return TermMapReport(
@@ -378,7 +368,7 @@ def potential_term_sandwich(params_m: MorseParams, params_pt: PTParams,
         psi_t, lhs_fun = contracted[2 * n], contracted[2 * n + 1]
         hankel_route = float(np.trapezoid(tp * lhs_fun * psi_t, tp))
         direct_pt = float(np.trapezoid(direct_pt_term * psi_t, tp))
-        morse_direct = float(np.sum(plan.weights * plan.nodes * g * R.values))
+        morse_direct = float(np.sum(plan.weights * plan.nodes * g * R))
         denom = max(abs(hankel_route), abs(direct_pt), 1e-300)
         checks.append(SandwichCheck(
             n=n, order=m,

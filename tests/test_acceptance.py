@@ -150,15 +150,14 @@ def test_09_wavefunction_connection():
     spec_m = solve_morse(MorseParams(LAM, 1.0), "shifted")
     spec_pt = solve_pt(PTParams(MU, 1.0), "shifted")
     tp = np.linspace(0.02, 6.0, 1200)
+    plan = make_hankel_plan()
     worst = 0.0
     for n in (0, 1):
         m = int(round(LAM - 0.5)) - n
-        plan = make_hankel_plan(m)
         R = morse_state_on_plan(spec_m.eigenfunctions[n], LAM, plan)
         mapped = wavefunction_map(R, m, tp, plan)
         direct = pt_state_on_nodes(spec_pt.eigenfunctions[n], tp)
-        worst = max(worst, normalized_l2_discrepancy(mapped.values,
-                                                     direct.values, tp))
+        worst = max(worst, normalized_l2_discrepancy(mapped, direct, tp))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-3 and elapsed < 60.0
     assert _verdict(9, "wavefunction-connection", ok,
@@ -184,7 +183,7 @@ def test_10_energy_relation_coincident_point(morse_generalized_spectrum,
 def test_11_potential_term_relation(morse_generalized_spectrum):
     params_m = MorseParams(LAM, 1.0)
     params_pt = PTParams(MU, 1.0)
-    plan = make_hankel_plan(4, 40.0, 8192)
+    plan = make_hankel_plan(40.0, 8192)
     tp = np.linspace(0.01, 10.0, 1000)
     report = potential_term_map(params_m, params_pt, 4, plan, tp)
     print(f"  [data] unsandwiched pointwise residual: max {report.max_residual:.3e}, "

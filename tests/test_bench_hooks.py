@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from susyspectra import cli, eigensolver
+from susyspectra.transforms import DEFAULT_PLAN_N
 
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -47,6 +48,27 @@ def test_traced_runs_record_every_layer(tracing, tmp_path):
     for name in ("potentials.sample", "potentials.rho_min", "analysis.solve",
                  "eigensolver.solve", "analysis.gamma_sweep"):
         assert name in recorded, name
+
+
+def test_traced_wavefunction_map_records_its_layers(tracing, tmp_path):
+    # the tracer wraps the map and both resamplings on cli, and reads the
+    # plan from hankel's second argument and t' from its third for `mac`
+    tracer = tracing.Tracer()
+    patched = tracing.install(tracer)
+    try:
+        out = tmp_path / "map.json"
+        assert cli.main(["wavefunction-map", "--state", "1",
+                         "--output", str(out), "--format", "json",
+                         "--reproducible"]) == 0
+    finally:
+        tracing.uninstall(patched)
+    names = [span.name for span in tracer.spans]
+    for name in ("transforms.wavefunction_map", "transforms.hankel",
+                 "numerics.bessel_j"):
+        assert name in names, name
+    assert names.count("transforms.resample") == 2
+    (hankel,) = [s for s in tracer.spans if s.name == "transforms.hankel"]
+    assert hankel.counts["mac"] == DEFAULT_PLAN_N * 1200
 
 
 def test_traced_term_map_records_its_layers(tracing, tmp_path):

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import json
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,6 +12,7 @@ from susyspectra import cli
 from susyspectra.cli import EXPERIMENTS, main
 from susyspectra.eigensolver import default_grid
 from susyspectra.potentials import MorseParams
+from susyspectra.transforms import TruncationWarning
 
 _ROOT = Path(__file__).resolve().parent.parent
 
@@ -113,6 +115,8 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv", [
         ["wavefunction-map", "--state", "-1"],
+        # a = 4 and mu = 4: states 0-3 only, by the closed-form count
+        ["wavefunction-map", "--state", "4"],
         ["wavefunction-map", "--plan-n", "15"],
         ["potential-term-map", "--plan-n", "31"],
         ["wavefunction-map", "--t-max", "0"],
@@ -311,6 +315,24 @@ class TestOutputs:
         assert seen["swept"] == gammas
         assert seen["grid"] == default_grid(MorseParams(1.5, min(gammas)))
         assert (seen["grid"].min == -2.0) == (min(gammas) == 0.5)
+
+    @pytest.mark.parametrize("flags, truncation_warned, quarter_turns", [
+        ([], "false", "0"),
+        (["--state", "1"], "false", "3"),
+        (["--t-max", "5"], "true", "0"),
+    ], ids=["default", "state 1", "t-max 5"])
+    def test_wavefunction_map_reports_phase_and_truncation(
+            self, flags, truncation_warned, quarter_turns, tmp_path):
+        # a state still alive at t_max is reported in the table, not only
+        # by a Python warning
+        out = tmp_path / "w.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            assert main(["wavefunction-map", *flags, "--output", str(out),
+                         "--reproducible"]) == 0
+        meta, _, _ = read_csv(out)
+        assert meta["truncation_warned"] == truncation_warned
+        assert meta["quarter_turns"] == quarter_turns
 
     def test_default_extension_added(self, tmp_path):
         out = tmp_path / "noext"

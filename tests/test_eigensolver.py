@@ -44,6 +44,11 @@ class TestDiscretize:
         with pytest.raises(ValueError, match="rho="):
             discretize(lambda x: np.where(x > 1.0, np.inf, 0.0), grid)
 
+    def test_scalar_potential_refused(self):
+        # a potential must map the node array elementwise
+        with pytest.raises(ValueError, match=r"shape \(\) on 14 nodes"):
+            discretize(lambda x: 1.0, Grid(0.5, 2.0, 16))
+
     def test_harmonic_oscillator(self):
         grid = Grid(-10.0, 10.0, 81)  # h = 0.25
         spec = solve_bound_states(lambda x: x * x, grid, 6.0)

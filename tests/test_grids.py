@@ -35,8 +35,8 @@ class TestSampledFunction:
         with pytest.raises(ValueError):
             SampledFunction(np.array([0.0, np.inf]), np.zeros(2))
 
-    def test_on_grid_and_meta(self):
+    def test_on_grid(self):
         g = Grid(0.0, 1.0, 16)
-        f = SampledFunction.on_grid(g, np.zeros(16), meta={"tag": 1})
+        f = SampledFunction.on_grid(g, np.zeros(16))
         assert len(f) == 16
-        assert f.meta["tag"] == 1
+        assert np.array_equal(f.nodes, g.nodes())

@@ -8,7 +8,6 @@ import scipy.special
 
 from susyspectra import transforms
 from susyspectra.analysis import normalized_l2_discrepancy
-from susyspectra.grids import SampledFunction
 from susyspectra.numerics import bessel_j
 from susyspectra.potentials import MorseParams, PTParams
 from susyspectra.transforms import (HankelPlan, TruncationWarning,
@@ -18,7 +17,7 @@ from susyspectra.transforms import (HankelPlan, TruncationWarning,
                                     potential_term_map,
                                     potential_term_sandwich,
                                     pt_state_on_nodes, pt_term_values,
-                                    wavefunction_map)
+                                    truncated, wavefunction_map)
 
 # J1(1) frozen from the ascending series (cross-checked against scipy)
 J1_AT_1 = 0.44005058574493355
@@ -49,15 +48,15 @@ class TestAngularPhaseIntegral:
 
 class TestHankel:
     def test_gaussian_self_reciprocal(self):
-        plan = make_hankel_plan(0)
-        g = SampledFunction(plan.nodes, np.exp(-plan.nodes ** 2 / 2))
+        plan = make_hankel_plan()
+        g = np.exp(-plan.nodes ** 2 / 2)
         tp = np.linspace(0.0, 5.0, 101)
-        got = hankel(g, plan, tp)
+        got = hankel(g, plan, tp, 0)
         assert np.max(np.abs(got - np.exp(-tp ** 2 / 2))) < 1e-6
 
     def test_zero_function(self):
-        plan = make_hankel_plan(2, 20.0, 1024)
-        assert hankel(np.zeros(1024), plan, 1.7) == 0.0
+        plan = make_hankel_plan(20.0, 1024)
+        assert hankel(np.zeros(1024), plan, 1.7, 2) == 0.0
 
     def test_oscillatory_route_inverse_law(self):
         # g(t) = 1/t has no decaying tail; the semi-infinite path handles it
@@ -71,42 +70,46 @@ class TestHankel:
         # transform to decay fast enough to truncate the t' integral;
         # t^4 e^-t^2/2 also kills the left-endpoint trapezoid term, so a
         # moderate plan already gives the transform to ~1e-9
-        plan = make_hankel_plan(0, 30.0, 4096)
+        plan = make_hankel_plan(30.0, 4096)
         t = plan.nodes
-        g = SampledFunction(t, t ** 4 * np.exp(-t ** 2 / 2.0))
+        g = t ** 4 * np.exp(-t ** 2 / 2.0)
         tp = np.linspace(0.0, 12.0, 4097)
-        gh = hankel(g, plan, tp)
-        lhs = np.sum(plan.weights * t * g.values ** 2)
+        gh = hankel(g, plan, tp, 0)
+        lhs = np.sum(plan.weights * t * g ** 2)
         rhs = np.trapezoid(tp * gh ** 2, tp)
         assert abs(lhs - rhs) < 1e-5 * max(lhs, 1e-30)
 
     def test_at_zero_argument(self):
         # J_k(0) = delta_k0: the order-0 transform at t' = 0 is the plain
         # weighted sum, every other order vanishes there
-        g = np.exp(-make_hankel_plan(0).nodes)
-        plan0, plan3 = make_hankel_plan(0), make_hankel_plan(3)
-        assert hankel(g, plan0, 0.0) == pytest.approx(
-            np.sum(plan0.weights * plan0.nodes * g), rel=1e-15)
-        assert hankel(g, plan3, 0.0) == 0.0
+        plan = make_hankel_plan()
+        g = np.exp(-plan.nodes)
+        assert hankel(g, plan, 0.0, 0) == pytest.approx(
+            np.sum(plan.weights * plan.nodes * g), rel=1e-15)
+        assert hankel(g, plan, 0.0, 3) == 0.0
 
     def test_truncation_warning(self):
-        plan = make_hankel_plan(0, 10.0, 512)
+        plan = make_hankel_plan(10.0, 512)
         alive = np.ones(512)
+        assert truncated(alive, plan)
         with pytest.warns(TruncationWarning):
-            hankel(alive, plan, 1.0)
-        flagged = SampledFunction(plan.nodes, alive,
-                                  meta={"analytic_tail": True})
+            hankel(alive, plan, 1.0, 0)
+        decayed = np.exp(-plan.nodes ** 2)
+        assert not truncated(decayed, plan)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            hankel(flagged, plan, 1.0)
+            hankel(decayed, plan, 1.0, 0)
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
-            HankelPlan(0, 1.0, np.array([0.5, 0.25]), np.array([0.1, 0.1]))
+            HankelPlan(1.0, np.array([0.5, 0.25]), np.array([0.1, 0.1]))
         with pytest.raises(ValueError):
-            HankelPlan(-1, 1.0, np.array([0.5, 0.75]), np.array([0.1, 0.1]))
-        with pytest.raises(ValueError):
-            make_hankel_plan(0, 10.0, 4)
+            make_hankel_plan(10.0, 4)
+        plan = make_hankel_plan(10.0, 16)
+        with pytest.raises(ValueError, match="order"):
+            hankel(np.zeros(16), plan, 1.0, -1)
+        with pytest.raises(ValueError, match="16 nodes"):
+            hankel(np.zeros(15), plan, 1.0, 0)
 
 
 class TestOrderRecurrence:
@@ -116,7 +119,7 @@ class TestOrderRecurrence:
         # the kernels below the top two orders come from the downward
         # recurrence (through the gap at 4 and 3 for [5, 2]); t' = 0 checks
         # the x = 0 columns, where J_k(0) = delta_k0
-        plan = make_hankel_plan(0, 40.0, 2048)
+        plan = make_hankel_plan(40.0, 2048)
         tp = np.concatenate(([0.0], np.linspace(0.01, 8.0, 799)))
         rng = np.random.default_rng(7)
         jobs = [(k, plan.weights * rng.standard_normal(plan.nodes.size))
@@ -146,7 +149,7 @@ class TestOrderRecurrence:
         tp = np.linspace(0.01, 8.0, 800)
         checks = potential_term_sandwich(
             MorseParams(4.5, 1.0), PTParams(4.0, 1.0),
-            morse_generalized_spectrum, make_hankel_plan(4), tp)
+            morse_generalized_spectrum, make_hankel_plan(), tp)
         assert [chk.order for chk in checks] == [4, 3, 2, 1]
         chunks = -(-tp.size // transforms._CHUNK)
         assert chunks == 2
@@ -157,7 +160,7 @@ class TestGaussLegendrePlan:
     @pytest.mark.parametrize("n", [16, 17, 256, 2048])
     def test_matches_leggauss(self, n):
         # on [0, 2] the plan is the [-1, 1] rule shifted by one
-        plan = make_hankel_plan(0, 2.0, n)
+        plan = make_hankel_plan(2.0, n)
         x, w = np.polynomial.legendre.leggauss(n)
         assert np.max(np.abs(plan.nodes - (1.0 + x))) < 1e-14
         # leggauss's own weights at the ends of a large rule are off by up
@@ -170,7 +173,7 @@ class TestGaussLegendrePlan:
     @pytest.mark.parametrize("n", [16, 17, 256, 2048])
     def test_exact_for_polynomials(self, n):
         t_max = 40.0
-        plan = make_hankel_plan(0, t_max, n)
+        plan = make_hankel_plan(t_max, n)
         assert np.sum(plan.weights) == pytest.approx(t_max, rel=1e-14)
         # integral_0^t_max (t / t_max)^k dt = t_max / (k + 1), k <= 2n - 1
         s = plan.nodes / t_max
@@ -185,61 +188,56 @@ class TestGaussLegendrePlan:
         seconds = []
         for _ in range(3):
             t0 = time.perf_counter()
-            make_hankel_plan(4, 40.0, 2048)
+            make_hankel_plan(40.0, 2048)
             seconds.append(time.perf_counter() - t0)
         assert min(seconds) < 0.25
 
     def test_default_plan_maps_every_state(self, morse_shifted_spectrum,
                                            pt_shifted_spectrum):
         tp = np.linspace(0.02, 6.0, 1200)
+        plan = make_hankel_plan()
         for n in range(4):
-            m = 4 - n
-            plan = make_hankel_plan(m)
             R = morse_state_on_plan(morse_shifted_spectrum.eigenfunctions[n],
                                     4.5, plan)
-            mapped = wavefunction_map(R, m, tp, plan)
+            mapped = wavefunction_map(R, 4 - n, tp, plan)
             direct = pt_state_on_nodes(pt_shifted_spectrum.eigenfunctions[n],
                                        tp)
-            assert normalized_l2_discrepancy(mapped.values, direct.values,
-                                             tp) < 1e-8, n
+            assert normalized_l2_discrepancy(mapped, direct, tp) < 1e-8, n
 
 
 class TestWavefunctionMap:
     def test_zero_maps_to_zero(self):
-        plan = make_hankel_plan(3, 20.0, 2048)
-        R = SampledFunction(plan.nodes, np.zeros(2048))
-        out = wavefunction_map(R, 3, np.linspace(0.1, 4.0, 64), plan)
-        assert np.allclose(out.values, 0.0)
-        assert out.meta["quarter_turns"] == 3
+        plan = make_hankel_plan(20.0, 2048)
+        out = wavefunction_map(np.zeros(2048), 3, np.linspace(0.1, 4.0, 64),
+                               plan)
+        assert np.allclose(out, 0.0)
 
     def test_ground_state_connects_families(self, morse_shifted_spectrum,
                                             pt_shifted_spectrum):
-        plan = make_hankel_plan(4, 40.0, 8192)
+        plan = make_hankel_plan(40.0, 8192)
         tp = np.linspace(0.02, 6.0, 1200)
         R = morse_state_on_plan(morse_shifted_spectrum.eigenfunctions[0],
                                 4.5, plan)
         mapped = wavefunction_map(R, 4, tp, plan)
         direct = pt_state_on_nodes(pt_shifted_spectrum.eigenfunctions[0], tp)
-        assert normalized_l2_discrepancy(mapped.values, direct.values,
-                                         tp) < 1e-3
+        assert normalized_l2_discrepancy(mapped, direct, tp) < 1e-3
 
     def test_analytic_ground_state_closed_form(self):
         # t^a e^-t at order a transforms to c * t'^a (1+t'^2)^-a
         a = 4
-        plan = make_hankel_plan(a, 40.0, 8192)
-        R = SampledFunction(plan.nodes,
-                            plan.nodes ** a * np.exp(-plan.nodes))
+        plan = make_hankel_plan(40.0, 8192)
+        R = plan.nodes ** a * np.exp(-plan.nodes)
         tp = np.linspace(0.05, 5.0, 300)
         mapped = wavefunction_map(R, a, tp, plan)
         closed = tp ** a / (1 + tp ** 2) ** a
-        assert normalized_l2_discrepancy(mapped.values, closed, tp) < 1e-9
+        assert normalized_l2_discrepancy(mapped, closed, tp) < 1e-9
 
 
 class TestPotentialTermMap:
     def test_zero_deformation_limit(self):
         params_m = MorseParams(4.5, 1e12)
         params_pt = PTParams(4.0, 1e12)
-        plan = make_hankel_plan(4, 40.0, 4096)
+        plan = make_hankel_plan(40.0, 4096)
         tp = np.linspace(0.05, 5.0, 200)
         report = potential_term_map(params_m, params_pt, 4, plan, tp)
         assert report.max_residual < 1e-8
@@ -247,7 +245,7 @@ class TestPotentialTermMap:
     def test_residual_is_resolution_converged(self):
         params_m = MorseParams(4.5, 1.0)
         params_pt = PTParams(4.0, 1.0)
-        plan = make_hankel_plan(4, 40.0, 8192)
+        plan = make_hankel_plan(40.0, 8192)
         tp = np.linspace(0.1, 3.0, 100)
         report = potential_term_map(params_m, params_pt, 4, plan, tp)
         (n1, r1), (n2, r2) = report.refinement
@@ -262,9 +260,9 @@ class TestPotentialTermMap:
         tp = np.linspace(0.1, 3.0, 50)
         vals = {}
         for t_max in (40.0, 80.0):
-            plan = make_hankel_plan(4, t_max, int(204.8 * t_max))
+            plan = make_hankel_plan(t_max, int(204.8 * t_max))
             g = morse_term_values(params_m, plan.nodes)
-            vals[t_max] = hankel(g, plan, tp)
+            vals[t_max] = hankel(g, plan, tp, 4)
         assert np.max(np.abs(vals[40.0] - vals[80.0])) < 1e-6
 
     def test_sandwich_parseval_consistency(self, morse_generalized_spectrum):
@@ -272,7 +270,7 @@ class TestPotentialTermMap:
         # whether it matches the PT side is a physics question, not asserted
         params_m = MorseParams(4.5, 1.0)
         params_pt = PTParams(4.0, 1.0)
-        plan = make_hankel_plan(4, 40.0, 8192)
+        plan = make_hankel_plan(40.0, 8192)
         tp = np.linspace(0.01, 10.0, 1000)
         checks = potential_term_sandwich(params_m, params_pt,
                                          morse_generalized_spectrum, plan, tp)
