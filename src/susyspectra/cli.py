@@ -258,9 +258,10 @@ def run_potential_term_map(cfg: argparse.Namespace):
     m = cfg.order_m if cfg.order_m is not None else int(round(params_m.a))
     plan = make_hankel_plan(cfg.t_max, cfg.plan_n)
     tp = np.linspace(0.01, 8.0, 800)
-    report = potential_term_map(params_m, params_pt, m, plan, tp)
     spec_m = solve_morse(params_m, "generalized")
-    sandwiches = potential_term_sandwich(params_m, params_pt, spec_m, plan, tp)
+    # one kernel pass serves the term map and every state's sandwich
+    report = potential_term_map(params_m, params_pt, m, plan, tp, spec_m)
+    sandwiches = potential_term_sandwich(report)
     meta = _base_meta(cfg)
     meta.update(gamma=cfg.gamma, order_m=m, plan_n=cfg.plan_n,
                 t_max=cfg.t_max, max_residual=report.max_residual,

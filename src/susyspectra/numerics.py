@@ -68,6 +68,10 @@ _ASYM_BANDS = (30.0, 60.0)
 
 
 def _bessel_series(m: int, x: np.ndarray) -> np.ndarray:
+    """Ascending series, stopped once every term of the band is below 1e-17
+    of its partial sum.  The stop is tested every fourth term: the terms
+    shrink from there on, so the ones added past the stop leave every sum
+    as it is."""
     half = 0.5 * x
     term = np.ones_like(x)
     for k in range(1, m + 1):
@@ -75,9 +79,11 @@ def _bessel_series(m: int, x: np.ndarray) -> np.ndarray:
     out = term.copy()
     hh = half * half
     for k in range(1, 64):
-        term = -term * hh / (k * (k + m))
+        term *= hh
+        term /= -(k * (k + m))
         out += term
-        if np.all(np.abs(term) <= 1e-17 * (np.abs(out) + 1e-300)):
+        if k % 4 == 0 and np.all(
+                np.abs(term) <= 1e-17 * (np.abs(out) + 1e-300)):
             break
     return out
 
@@ -86,33 +92,36 @@ def _bessel_miller(m: int, x: np.ndarray) -> np.ndarray:
     """Downward recurrence from a high order, normalized by
     J_0 + 2*sum_k J_{2k} = 1.  Stable for all x; used in the band where
     neither the series nor the asymptotic expansion reaches full accuracy.
+    2/x is formed once and the recurrence runs in three buffers; every
+    eighth step one maximum tests whether the values near overflow.
     """
     xmax = float(np.max(x))
     start = int(max(m, xmax) + 20 + math.ceil(14.0 * math.sqrt(max(xmax, 1.0))))
     if start % 2 == 1:
         start += 1
+    two_over_x = 2.0 / x
     fk1 = np.zeros_like(x)
     fk = np.full_like(x, 1e-30)
-    total = np.zeros_like(x)
-    target = np.zeros_like(x)
+    nxt = np.empty_like(x)
+    evens = np.zeros_like(x)  # sum of f_{2j}, j >= 1
+    target = None
     for k in range(start, 0, -1):
-        fkm1 = (2.0 * k / x) * fk - fk1
-        fk1 = fk
-        fk = fkm1
+        np.multiply(two_over_x, k, out=nxt)
+        nxt *= fk
+        nxt -= fk1
+        fk1, fk, nxt = fk, nxt, fk1
         if k - 1 == m:
             target = fk.copy()
         if (k - 1) % 2 == 0 and k - 1 > 0:
-            total += 2.0 * fk
-        if k % 8 == 0:
-            big = np.abs(fk) > 1e280
-            if np.any(big):
-                scale = np.where(big, 1e-280, 1.0)
-                fk = fk * scale
-                fk1 = fk1 * scale
-                total = total * scale
-                target = target * scale
-    total += fk
-    return target / total
+            evens += fk
+        if k % 8 == 0 and np.max(np.abs(fk, out=nxt)) > 1e280:
+            scale = np.where(nxt > 1e280, 1e-280, 1.0)
+            fk *= scale
+            fk1 *= scale
+            evens *= scale
+            if target is not None:
+                target *= scale
+    return target / (2.0 * evens + fk)
 
 
 def _asymptotic_coefficients(m: int, x_min: float) -> tuple[list, list]:
@@ -235,18 +244,20 @@ def bessel_j_zero(m: int, k: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(x) and P_{n-1}(x) by the three-term recurrence."""
-    p0 = np.ones_like(x)
-    p1 = x.copy()
-    for k in range(1, n):
-        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
-    return p1, p0
-
-
 def _legendre_newton(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Newton step P_n(x) / P_n'(x) and the derivative P_n'(x), |x| < 1."""
-    p, pm = _legendre_pair(n, x)
+    """Newton step P_n(x) / P_n'(x) and the derivative P_n'(x), |x| < 1.
+
+    P_n and P_{n-1} come from the three-term recurrence
+    P_{k+1} = ((2k + 1) x P_k - k P_{k-1}) / (k + 1), run in place over
+    three buffers."""
+    pm, p, nxt = np.ones_like(x), x.copy(), np.empty_like(x)
+    for k in range(1, n):
+        np.multiply(x, 2 * k + 1, out=nxt)
+        nxt *= p
+        pm *= k
+        nxt -= pm
+        nxt /= k + 1
+        pm, p, nxt = p, nxt, pm
     dp = n * (x * p - pm) / (x * x - 1.0)
     return p / dp, dp
 
@@ -255,16 +266,22 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
     [-1, 1].
 
-    Newton's method on P_n, vectorized over the nodes of [0, 1) from the
-    guesses cos(pi (k - 1/4) / (n + 1/2)); the other half is the mirror
-    image.  The weights 2 / ((1 - x^2) P_n'(x)^2) take P_n' afresh at the
-    converged nodes.  O(n^2) work in n recurrence steps, where the
-    eigenvalue route (Golub-Welsch, numpy's leggauss) is O(n^3).
+    Newton's method on P_n, vectorized over the nodes of [0, 1), stopped
+    once no node moves by more than 1e-15; the other half is the mirror
+    image.  It starts from Tricomi's guesses
+    (1 - 1/(8n^2) + 1/(8n^3)) cos(pi (k - 1/4) / (n + 1/2)), within
+    O(n^-4) of the nodes, so from about 200 nodes up (16384 tried) three
+    Newton sweeps converge, against four from the plain cosines.  The
+    weights 2 / ((1 - x^2) P_n'(x)^2) take P_n' afresh at the converged
+    nodes, one sweep more.  Each sweep is n recurrence steps over the
+    half-rule, O(n^2) work in all, where the eigenvalue route
+    (Golub-Welsch, numpy's leggauss) is O(n^3).
     """
     if n < 1:
         raise ValueError("rule needs at least one node")
     k = np.arange(1, (n + 1) // 2 + 1)
-    x = np.cos(np.pi * (k - 0.25) / (n + 0.5))
+    x = ((1.0 - 1.0 / (8.0 * n * n) + 1.0 / (8.0 * n ** 3))
+         * np.cos(np.pi * (k - 0.25) / (n + 0.5)))
     for _ in range(20):
         step, _ = _legendre_newton(n, x)
         x = x - step
@@ -307,12 +324,21 @@ _GK_NODES = np.concatenate((-_XGK[:-1], _XGK[::-1]))          # 15 ascending
 _GK_WEIGHTS = np.concatenate((_WGK[:-1], _WGK[::-1]))
 
 
-def _gk15_panel(f, a: float, b: float) -> float:
-    """Kronrod 15-point value of the integral of f over [a, b]."""
-    c = 0.5 * (a + b)
-    hw = 0.5 * (b - a)
-    x = c + hw * _GK_NODES
-    return hw * float(np.dot(_GK_WEIGHTS, f(x)))
+def _gk15_panels(f, a: float, b: float, npanels: int) -> float:
+    """Kronrod 15-point value of the integral of f over [a, b], split into
+    npanels equal panels.  f is called once, on the nodes of every panel,
+    and the panel values are summed in order."""
+    width = b - a
+    j = np.arange(npanels + 1)
+    edges = a + width * j / npanels
+    lo, hi = edges[:-1], edges[1:]
+    hw = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + hw[:, None] * _GK_NODES
+    vals = f(x.ravel()).reshape(x.shape)
+    total = 0.0
+    for h, row in zip(hw.tolist(), vals):
+        total += h * float(np.dot(_GK_WEIGHTS, row))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +370,9 @@ def integrate_oscillatory_bessel(g, m: int, p: float, tol: float = 1e-9,
     """Evaluate integral_0^inf g(x) J_m(p x) dx.
 
     The axis is partitioned at the zeros of J_m(p x) (McMahon approximation);
-    each inter-zero block is integrated with Gauss-Kronrod panels, and the
-    alternating sequence of partial sums is accelerated with Wynn's epsilon
-    algorithm.  Integrands whose envelope decays (or at worst stays bounded)
+    each inter-zero block is integrated with Gauss-Kronrod panels, whose
+    nodes take g and J_m in one call per block, and the alternating
+    sequence of partial sums is accelerated with Wynn's epsilon algorithm.  Integrands whose envelope decays (or at worst stays bounded)
     converge; anything with a growing envelope raises OscillatoryError.
     """
     if p <= 0:
@@ -367,12 +393,8 @@ def integrate_oscillatory_bessel(g, m: int, p: float, tol: float = 1e-9,
         b = bessel_j_zero(m, k) / p
         width = b - a
         npanels = max(1, int(math.ceil(width * p / 3.0)))
-        block = 0.0
-        for j in range(npanels):
-            lo = a + width * j / npanels
-            hi = a + width * (j + 1) / npanels
-            block += _gk15_panel(f, lo, hi)
-            evals += 15
+        block = _gk15_panels(f, a, b, npanels)
+        evals += 15 * npanels
         if not math.isfinite(block):
             raise OscillatoryError("block integral is not finite")
         total += block

@@ -17,8 +17,9 @@ as `quarter_turns` = m % 4.  Bound-state comparisons are phase-blind.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,6 +46,7 @@ __all__ = [
     "pt_state_on_nodes",
     "morse_term_values",
     "pt_term_values",
+    "StateContraction",
     "TermMapReport",
     "potential_term_map",
     "SandwichCheck",
@@ -114,6 +116,17 @@ def truncated(g, plan: HankelPlan) -> bool:
     return tail > _DECAY_TOL * max(1.0, float(np.max(np.abs(gv))))
 
 
+def _outside_stacklevel() -> int:
+    """The `warnings.warn` stacklevel, counted from the caller of this
+    function, of the first frame outside this module: the caller of the
+    public transform, however deep inside the module the warning is
+    raised."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename == __file__:
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def _weighted(g, plan: HankelPlan) -> np.ndarray:
     """Quadrature weight times measure times the values g on the plan's
     nodes.  Warns (TruncationWarning, at the caller of the public function)
@@ -122,7 +135,7 @@ def _weighted(g, plan: HankelPlan) -> np.ndarray:
     if truncated(gv, plan):
         warnings.warn(f"integrand tail {abs(gv[-1]) * plan.t_max:.2e} at "
                       f"t_max={plan.t_max:g}; increase t_max",
-                      TruncationWarning, stacklevel=3)
+                      TruncationWarning, stacklevel=_outside_stacklevel())
     return plan.weights * plan.nodes * gv
 
 
@@ -163,7 +176,11 @@ def _contract(jobs, plan: HankelPlan, tp: np.ndarray) -> list[np.ndarray]:
     it, and by recurrence at every lower order down to the lowest, gaps
     included.  Each job is contracted with the kernel at its own order by
     its own vector-matrix product, and each chunk's kernels are dropped
-    before the next chunk's are built."""
+    before the next chunk's are built.  `hankel` passes one job;
+    `potential_term_map` passes the term map's and every bound state's
+    jobs to a single pass.  A job's result is the same whichever jobs
+    share its pass, up to rounding when the pass reaches its order by
+    recurrence rather than by bessel_j."""
     outs = [np.empty(tp.size) for _ in jobs]
     if not jobs:
         return outs
@@ -274,6 +291,20 @@ def pt_term_values(params: PTParams, t_prime) -> np.ndarray:
 
 
 @dataclass
+class StateContraction:
+    """One bound state R_n of the Morse well on the fine plan, at its order
+    m_n: psi = Hankel_m[R_n](t'), term = Hankel_m[Morse term](t'), and
+    morse_direct = sum_i w_i t_i g_i R_n(t_i), the single-integral form of
+    their t'-overlap."""
+
+    n: int
+    order: int
+    psi: np.ndarray
+    term: np.ndarray
+    morse_direct: float
+
+
+@dataclass
 class TermMapReport:
     """Pointwise comparison of the transformed Morse deformation term with
     the direct sech-well term, plus a quadrature-refinement trace.
@@ -281,7 +312,9 @@ class TermMapReport:
     The residual is reported as data: the comparison probes whether the
     term-level transform claim holds at all, so no threshold is attached.
     The refinement trace shows the residual is resolution-converged (a
-    property of the functions, not quadrature noise).
+    property of the functions, not quadrature noise).  `states` holds the
+    fine-plan contractions of each bound state given to
+    `potential_term_map`, which `potential_term_sandwich` integrates.
     """
 
     order: int
@@ -292,23 +325,45 @@ class TermMapReport:
     max_residual: float
     refinement: list[tuple[int, float]]
     truncation_warned: bool = False
+    states: list[StateContraction] = field(default_factory=list)
 
 
 def potential_term_map(params_m: MorseParams, params_pt: PTParams, m: int,
-                       plan: HankelPlan, t_prime_nodes) -> TermMapReport:
+                       plan: HankelPlan, t_prime_nodes,
+                       spectrum: Spectrum | None = None) -> TermMapReport:
     """LHS(t') = Hankel_m of the Morse-side term, RHS(t') = direct
-    sech-well-side term; residual emitted with a two-resolution trace."""
+    sech-well-side term; residual emitted with a two-resolution trace, the
+    plan's and a coarse plan of half its nodes.
+
+    On the fine plan one `_contract` pass serves the term map and every
+    bound state of `spectrum`: its jobs are (m, g) and, per state at its
+    order m_n, (m_n, R_n) and (m_n, g), so the Bessel kernel is built once
+    per chunk of t' for all of them.  The states' contractions are kept on
+    the report's `states` for `potential_term_sandwich`."""
     tp = np.asarray(t_prime_nodes, dtype=float)
     coarse = make_hankel_plan(plan.t_max, plan.nodes.size // 2)
     rhs = pt_term_values(params_pt, tp)
-    refinement = []
-    warned = False
-    for pl in (coarse, plan):
-        g = morse_term_values(params_m, pl.nodes)
-        warned = warned or truncated(g, pl)
-        lhs = hankel(g, pl, tp, m)
-        refinement.append((pl.nodes.size, float(np.max(np.abs(lhs - rhs)))))
+    g = morse_term_values(params_m, coarse.nodes)
+    warned = truncated(g, coarse)
+    lhs = hankel(g, coarse, tp, m)
+    refinement = [(coarse.nodes.size, float(np.max(np.abs(lhs - rhs))))]
+    g = morse_term_values(params_m, plan.nodes)
+    warned = warned or truncated(g, plan)
+    g_core = _weighted(g, plan)
+    jobs = [(m, g_core)]
+    states = []
+    if spectrum is not None:
+        a2 = params_m.a * params_m.a
+        for n, state in enumerate(spectrum.eigenfunctions):
+            energy = float(spectrum.eigenvalues[n])
+            m_n = int(round(math.sqrt(max(a2 - energy, 0.0))))
+            R = morse_state_on_plan(state, params_m.lam, plan)
+            states.append((n, m_n, float(np.sum(g_core * R))))
+            jobs += [(m_n, _weighted(R, plan)), (m_n, g_core)]
+    contracted = _contract(jobs, plan, tp)
+    lhs = contracted[0]
     residual = lhs - rhs
+    refinement.append((plan.nodes.size, float(np.max(np.abs(residual)))))
     return TermMapReport(
         order=m,
         t_prime=tp,
@@ -318,6 +373,9 @@ def potential_term_map(params_m: MorseParams, params_pt: PTParams, m: int,
         max_residual=float(np.max(np.abs(residual))),
         refinement=refinement,
         truncation_warned=warned,
+        states=[StateContraction(n, m_n, contracted[1 + 2 * i],
+                                 contracted[2 + 2 * i], direct)
+                for i, (n, m_n, direct) in enumerate(states)],
     )
 
 
@@ -339,42 +397,28 @@ class SandwichCheck:
     rel_diff: float
 
 
-def potential_term_sandwich(params_m: MorseParams, params_pt: PTParams,
-                            spectrum: Spectrum, plan: HankelPlan,
-                            t_prime_nodes) -> list[SandwichCheck]:
-    """For each bound state R_n: compare
+def potential_term_sandwich(report: TermMapReport) -> list[SandwichCheck]:
+    """For each bound state R_n on the report: compare
     integral dt' t' Hankel_m[morse term](t') Psi_n(t')   (Hankel route)
     with
     integral dt' t' [sech-well term](t') Psi_n(t')       (direct evaluation)
     where Psi_n = Hankel_m[R_n] and m_n resolves from the state's energy.
+    Both integrals are trapezoid sums over the report's t'; the
+    contractions are those `potential_term_map` kept, so no kernel is
+    built here.
     """
-    tp = np.asarray(t_prime_nodes, dtype=float)
-    a = params_m.a
-    g = morse_term_values(params_m, plan.nodes)
-    g_core = _weighted(g, plan)
-    states = []
-    jobs = []
-    for n, state in enumerate(spectrum.eigenfunctions):
-        energy = float(spectrum.eigenvalues[n])
-        m = int(round(math.sqrt(max(a * a - energy, 0.0))))
-        R = morse_state_on_plan(state, params_m.lam, plan)
-        states.append((m, R))
-        jobs += [(m, _weighted(R, plan)), (m, g_core)]
-    # one kernel pass serves every state: its order's R and g share it
-    contracted = _contract(jobs, plan, tp)
-    direct_pt_term = tp * pt_term_values(params_pt, tp)
+    tp = report.t_prime
+    direct_pt_term = tp * report.rhs
     checks = []
-    for n, (m, R) in enumerate(states):
-        psi_t, lhs_fun = contracted[2 * n], contracted[2 * n + 1]
-        hankel_route = float(np.trapezoid(tp * lhs_fun * psi_t, tp))
-        direct_pt = float(np.trapezoid(direct_pt_term * psi_t, tp))
-        morse_direct = float(np.sum(plan.weights * plan.nodes * g * R))
+    for st in report.states:
+        hankel_route = float(np.trapezoid(tp * st.term * st.psi, tp))
+        direct_pt = float(np.trapezoid(direct_pt_term * st.psi, tp))
         denom = max(abs(hankel_route), abs(direct_pt), 1e-300)
         checks.append(SandwichCheck(
-            n=n, order=m,
+            n=st.n, order=st.order,
             hankel_route=hankel_route,
             direct_pt=direct_pt,
-            morse_direct=morse_direct,
+            morse_direct=st.morse_direct,
             rel_diff=abs(hankel_route - direct_pt) / denom,
         ))
     return checks

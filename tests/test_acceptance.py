@@ -185,12 +185,12 @@ def test_11_potential_term_relation(morse_generalized_spectrum):
     params_pt = PTParams(MU, 1.0)
     plan = make_hankel_plan(40.0, 8192)
     tp = np.linspace(0.01, 10.0, 1000)
-    report = potential_term_map(params_m, params_pt, 4, plan, tp)
+    report = potential_term_map(params_m, params_pt, 4, plan, tp,
+                                morse_generalized_spectrum)
     print(f"  [data] unsandwiched pointwise residual: max {report.max_residual:.3e}, "
           "refinement "
           + " -> ".join(f"n={n}:{r:.3e}" for n, r in report.refinement))
-    checks = potential_term_sandwich(params_m, params_pt,
-                                     morse_generalized_spectrum, plan, tp)
+    checks = potential_term_sandwich(report)
     worst = 0.0
     for chk in checks:
         print(f"  [data] state n={chk.n} m={chk.order}: hankel-route "

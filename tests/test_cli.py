@@ -334,6 +334,16 @@ class TestOutputs:
         assert meta["truncation_warned"] == truncation_warned
         assert meta["quarter_turns"] == quarter_turns
 
+    def test_truncation_warning_names_the_caller(self, tmp_path):
+        # the warning points at the CLI line that called the map, not at
+        # the transform module's own call of hankel
+        with pytest.warns(TruncationWarning) as record:
+            assert main(["wavefunction-map", "--t-max", "5", "--output",
+                         str(tmp_path / "w.csv"), "--reproducible"]) == 0
+        names = {Path(w.filename).name for w in record}
+        assert "transforms.py" not in names
+        assert names == {"cli.py"}
+
     def test_default_extension_added(self, tmp_path):
         out = tmp_path / "noext"
         rc = main(["riccati", "--family", "morse", "--output", str(out),

@@ -1,6 +1,7 @@
 import math
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +95,11 @@ class TestHankel:
         assert truncated(alive, plan)
         with pytest.warns(TruncationWarning):
             hankel(alive, plan, 1.0, 0)
+        # reported at the caller of the public function, here this file,
+        # also when the map raises it through hankel
+        with pytest.warns(TruncationWarning) as record:
+            wavefunction_map(alive, 0, np.array([1.0]), plan)
+        assert [Path(w.filename).name for w in record] == [Path(__file__).name]
         decayed = np.exp(-plan.nodes ** 2)
         assert not truncated(decayed, plan)
         with warnings.catch_warnings():
@@ -138,22 +144,77 @@ class TestOrderRecurrence:
     def test_two_kernel_builds_per_chunk(self, monkeypatch,
                                          morse_generalized_spectrum):
         # four states at orders 4, 3, 2, 1 share one kernel pass: bessel_j
-        # runs at orders 4 and 3 only, once per chunk of t'
+        # runs at orders 4 and 3 only, once per chunk of t'; the coarse
+        # refinement plan, of half the nodes, is counted apart
+        plan = make_hankel_plan()
         calls = []
 
         def counting(m, x):
-            calls.append(m)
+            if x.shape[0] == plan.nodes.size:
+                calls.append(m)
             return bessel_j(m, x)
 
         monkeypatch.setattr(transforms, "bessel_j", counting)
         tp = np.linspace(0.01, 8.0, 800)
-        checks = potential_term_sandwich(
-            MorseParams(4.5, 1.0), PTParams(4.0, 1.0),
-            morse_generalized_spectrum, make_hankel_plan(), tp)
+        report = potential_term_map(
+            MorseParams(4.5, 1.0), PTParams(4.0, 1.0), 4, plan, tp,
+            morse_generalized_spectrum)
+        checks = potential_term_sandwich(report)
         assert [chk.order for chk in checks] == [4, 3, 2, 1]
         chunks = -(-tp.size // transforms._CHUNK)
         assert chunks == 2
         assert calls == [4, 3] * chunks
+
+
+class TestFusedTermMap:
+    """The fine-plan term map and every state's contractions come from one
+    kernel pass."""
+
+    TP = np.linspace(0.01, 8.0, 800)
+
+    def run(self, m, spectrum, plan):
+        return potential_term_map(MorseParams(4.5, 1.0), PTParams(4.0, 1.0),
+                                  m, plan, self.TP, spectrum)
+
+    def test_bessel_calls_per_plan(self, monkeypatch,
+                                   morse_generalized_spectrum):
+        # the coarse plan's term map builds order 4 once per chunk; the fine
+        # plan builds orders 4 and 3 once per chunk for the term map and
+        # all four states together
+        calls = []
+
+        def counting(m, x):
+            calls.append((x.shape[0], m))
+            return bessel_j(m, x)
+
+        monkeypatch.setattr(transforms, "bessel_j", counting)
+        self.run(4, morse_generalized_spectrum, make_hankel_plan(40.0, 2048))
+        assert calls == ([(1024, 4)] * 2
+                         + [(2048, 4), (2048, 3), (2048, 4), (2048, 3)])
+
+    def test_default_order_matches_standalone_bitwise(
+            self, morse_generalized_spectrum):
+        # order 4 is the states' highest, built by bessel_j as a lone
+        # transform builds it
+        plan = make_hankel_plan(40.0, 2048)
+        report = self.run(4, morse_generalized_spectrum, plan)
+        g = morse_term_values(MorseParams(4.5, 1.0), plan.nodes)
+        assert np.array_equal(report.lhs, hankel(g, plan, self.TP, 4))
+        assert len(report.states) == 4
+
+    @pytest.mark.parametrize("m", [2, 6])
+    def test_other_orders_match_standalone(self, m,
+                                           morse_generalized_spectrum):
+        # order 2 comes from the recurrence below the states' top order;
+        # order 6 puts the pass's top above the states and takes theirs by
+        # recurrence
+        plan = make_hankel_plan(40.0, 2048)
+        report = self.run(m, morse_generalized_spectrum, plan)
+        g = morse_term_values(MorseParams(4.5, 1.0), plan.nodes)
+        ref = hankel(g, plan, self.TP, m)
+        assert np.max(np.abs(report.lhs - ref)) < 1e-13 * np.max(np.abs(ref))
+        assert report.order == m
+        assert [st.order for st in report.states] == [4, 3, 2, 1]
 
 
 class TestGaussLegendrePlan:
@@ -272,8 +333,9 @@ class TestPotentialTermMap:
         params_pt = PTParams(4.0, 1.0)
         plan = make_hankel_plan(40.0, 8192)
         tp = np.linspace(0.01, 10.0, 1000)
-        checks = potential_term_sandwich(params_m, params_pt,
-                                         morse_generalized_spectrum, plan, tp)
+        report = potential_term_map(params_m, params_pt, 4, plan, tp,
+                                    morse_generalized_spectrum)
+        checks = potential_term_sandwich(report)
         assert len(checks) == 4
         for chk in checks:
             scale = max(abs(chk.morse_direct), 1e-12)
