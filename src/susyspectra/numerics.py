@@ -56,7 +56,10 @@ class QuadratureResult:
 # Region boundaries: ascending series while the terms cannot cancel
 # catastrophically, normalized downward recurrence through the transition
 # band, real (Stokes-free) asymptotic expansion once its optimal-truncation
-# error is below double precision.
+# error is below double precision.  Hankel's expansion needs x >= m^2 / 2
+# as well: below it the first correction, about 4m^2 / (8x) of the leading
+# term, is larger than the term itself, and the optimal-truncation stop
+# keeps the leading term alone (errors of order 1 from m = 13 at x = m + 10).
 _SERIES_X = 10.0
 _ASYM_X = 18.0
 # Both expansions are summed separately on each band of x split at these
@@ -178,10 +181,9 @@ def bessel_j(m: int, x):
     _SERIES_BANDS; the transition band takes the normalized downward
     recurrence; large x takes Hankel's asymptotic expansion, whose length
     is fixed per band of _ASYM_BANDS by the band's smallest x and whose
-    scalar coefficients are summed by Horner's rule in 1/(8x)^2.  Accurate
-    to roughly 1e-13 absolute over 0 <= x <= 400 for orders up to 10 (and
-    beyond, where the asymptotic expansion only improves).  Accepts scalars
-    or arrays.
+    scalar coefficients are summed by Horner's rule in 1/(8x)^2; it starts
+    at max(18, m + 10, m^2 / 2).  Accurate to roughly 1e-13 absolute over
+    0 <= x <= 400 for orders up to 300.  Accepts scalars or arrays.
     """
     if m != int(m):
         raise ValueError("order must be an integer")
@@ -201,9 +203,16 @@ def bessel_j(m: int, x):
         xa = np.abs(xa)
     out = np.empty_like(xa)
     series_x = min(m + 8.0, _SERIES_X)
-    asym_x = max(_ASYM_X, m + 10.0)
+    asym_x = max(_ASYM_X, m + 10.0, 0.5 * m * m)
+    # the recurrence starts above its band's largest x and grows by up to
+    # 2k/x a step between overflow checks, so past _ASYM_X its bands span
+    # a factor of two each
+    recur = []
+    while _ASYM_X * 2.0 ** len(recur) < asym_x:
+        recur.append(_ASYM_X * 2.0 ** len(recur))
     lowers = ([0.0] + [e for e in _SERIES_BANDS if e < series_x]
-              + [series_x, asym_x] + [e for e in _ASYM_BANDS if e > asym_x])
+              + [series_x] + recur + [asym_x]
+              + [e for e in _ASYM_BANDS if e > asym_x])
     band = np.searchsorted(lowers[1:], xa, side="right")
     for b, lower in enumerate(lowers):
         sel = band == b
@@ -372,8 +381,9 @@ def integrate_oscillatory_bessel(g, m: int, p: float, tol: float = 1e-9,
     The axis is partitioned at the zeros of J_m(p x) (McMahon approximation);
     each inter-zero block is integrated with Gauss-Kronrod panels, whose
     nodes take g and J_m in one call per block, and the alternating
-    sequence of partial sums is accelerated with Wynn's epsilon algorithm.  Integrands whose envelope decays (or at worst stays bounded)
-    converge; anything with a growing envelope raises OscillatoryError.
+    sequence of partial sums is accelerated with Wynn's epsilon algorithm.
+    Integrands whose envelope decays (or at worst stays bounded) converge;
+    anything with a growing envelope raises OscillatoryError.
     """
     if p <= 0:
         raise ValueError("p must be positive")

@@ -178,9 +178,12 @@ def _contract(jobs, plan: HankelPlan, tp: np.ndarray) -> list[np.ndarray]:
     its own vector-matrix product, and each chunk's kernels are dropped
     before the next chunk's are built.  `hankel` passes one job;
     `potential_term_map` passes the term map's and every bound state's
-    jobs to a single pass.  A job's result is the same whichever jobs
-    share its pass, up to rounding when the pass reaches its order by
-    recurrence rather than by bessel_j."""
+    jobs to a single pass when the term map's order is not above the
+    states'.  A job's result is the same whichever jobs share its pass, up
+    to rounding when the pass reaches its order by recurrence rather than
+    by bessel_j, as long as the top order's kernel has not underflowed
+    where a lower order's has not: the recurrence gets nothing back from
+    J_top = 0, and J_300(x) is 0 for every x < 10."""
     outs = [np.empty(tp.size) for _ in jobs]
     if not jobs:
         return outs
@@ -338,8 +341,9 @@ def potential_term_map(params_m: MorseParams, params_pt: PTParams, m: int,
     On the fine plan one `_contract` pass serves the term map and every
     bound state of `spectrum`: its jobs are (m, g) and, per state at its
     order m_n, (m_n, R_n) and (m_n, g), so the Bessel kernel is built once
-    per chunk of t' for all of them.  The states' contractions are kept on
-    the report's `states` for `potential_term_sandwich`."""
+    per chunk of t' for all of them.  An m above every m_n gets a pass of
+    its own, so the states' contractions never depend on m.  They are kept
+    on the report's `states` for `potential_term_sandwich`."""
     tp = np.asarray(t_prime_nodes, dtype=float)
     coarse = make_hankel_plan(plan.t_max, plan.nodes.size // 2)
     rhs = pt_term_values(params_pt, tp)
@@ -350,7 +354,7 @@ def potential_term_map(params_m: MorseParams, params_pt: PTParams, m: int,
     g = morse_term_values(params_m, plan.nodes)
     warned = warned or truncated(g, plan)
     g_core = _weighted(g, plan)
-    jobs = [(m, g_core)]
+    jobs = []
     states = []
     if spectrum is not None:
         a2 = params_m.a * params_m.a
@@ -360,8 +364,14 @@ def potential_term_map(params_m: MorseParams, params_pt: PTParams, m: int,
             R = morse_state_on_plan(state, params_m.lam, plan)
             states.append((n, m_n, float(np.sum(g_core * R))))
             jobs += [(m_n, _weighted(R, plan)), (m_n, g_core)]
-    contracted = _contract(jobs, plan, tp)
-    lhs = contracted[0]
+    if m <= max((k for k, _ in jobs), default=m):
+        lhs, *contracted = _contract([(m, g_core)] + jobs, plan, tp)
+    else:
+        # a pass started at m would take the states' kernels by recurrence
+        # from J_m, which underflows where theirs does not (for x < 10 at
+        # m = 300), so the term map takes a pass of its own
+        lhs = _contract([(m, g_core)], plan, tp)[0]
+        contracted = _contract(jobs, plan, tp)
     residual = lhs - rhs
     refinement.append((plan.nodes.size, float(np.max(np.abs(residual)))))
     return TermMapReport(
@@ -373,8 +383,8 @@ def potential_term_map(params_m: MorseParams, params_pt: PTParams, m: int,
         max_residual=float(np.max(np.abs(residual))),
         refinement=refinement,
         truncation_warned=warned,
-        states=[StateContraction(n, m_n, contracted[1 + 2 * i],
-                                 contracted[2 + 2 * i], direct)
+        states=[StateContraction(n, m_n, contracted[2 * i],
+                                 contracted[2 * i + 1], direct)
                 for i, (n, m_n, direct) in enumerate(states)],
     )
 

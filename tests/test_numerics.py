@@ -59,6 +59,17 @@ class TestBesselJ:
         err = np.max(np.abs(bessel_j(m, x) - scipy.special.jv(m, x)))
         assert err < 1e-12, err
 
+    @pytest.mark.parametrize("m", [11, 12, 13, 14, 15, 20, 30, 60, 300])
+    def test_high_orders_against_scipy(self, m):
+        # Hankel's expansion starts no lower than m^2 / 2, where its first
+        # correction falls below the leading term; both sides of that edge
+        # and of m + 10 are in the sample
+        edges = np.array([m + 10.0, 0.5 * m * m])
+        x = np.concatenate([np.linspace(1e-6, 400.0, 8001),
+                            np.nextafter(edges, 0.0), edges])
+        err = np.max(np.abs(bessel_j(m, x) - scipy.special.jv(m, x)))
+        assert err < 1e-12, err
+
     def test_three_term_recurrence(self):
         x = np.linspace(0.5, 30.0, 901)
         for m in range(1, 10):

@@ -206,8 +206,7 @@ class TestFusedTermMap:
     def test_other_orders_match_standalone(self, m,
                                            morse_generalized_spectrum):
         # order 2 comes from the recurrence below the states' top order;
-        # order 6 puts the pass's top above the states and takes theirs by
-        # recurrence
+        # order 6 is above the states' orders and takes a pass of its own
         plan = make_hankel_plan(40.0, 2048)
         report = self.run(m, morse_generalized_spectrum, plan)
         g = morse_term_values(MorseParams(4.5, 1.0), plan.nodes)
@@ -215,6 +214,20 @@ class TestFusedTermMap:
         assert np.max(np.abs(report.lhs - ref)) < 1e-13 * np.max(np.abs(ref))
         assert report.order == m
         assert [st.order for st in report.states] == [4, 3, 2, 1]
+
+    def test_states_do_not_depend_on_order(self, morse_generalized_spectrum):
+        # started at order 300 the recurrence would reach the states' orders
+        # from J_300, which is 0 for every t t' < 10
+        plan = make_hankel_plan(40.0, 512)
+        ref = self.run(4, morse_generalized_spectrum, plan)
+        report = self.run(300, morse_generalized_spectrum, plan)
+        for st, st_ref in zip(report.states, ref.states, strict=True):
+            assert np.array_equal(st.psi, st_ref.psi)
+            assert np.array_equal(st.term, st_ref.term)
+        assert (potential_term_sandwich(report)
+                == potential_term_sandwich(ref))
+        g = morse_term_values(MorseParams(4.5, 1.0), plan.nodes)
+        assert np.array_equal(report.lhs, hankel(g, plan, self.TP, 300))
 
 
 class TestGaussLegendrePlan:
