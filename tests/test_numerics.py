@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.special
 
-from susyspectra.numerics import (OscillatoryError, bessel_j, bessel_j_zero,
-                                  integrate_oscillatory_bessel, sinc_interp)
+from susyspectra.numerics import (OscillatoryError, bessel_j, bessel_j_pair,
+                                  bessel_j_zero, integrate_oscillatory_bessel,
+                                  sinc_interp)
 
 # First positive zero of J0, located by bisection on the plain power series
 # (oracle below) and frozen here.
@@ -69,6 +70,37 @@ class TestBesselJ:
                             np.nextafter(edges, 0.0), edges])
         err = np.max(np.abs(bessel_j(m, x) - scipy.special.jv(m, x)))
         assert err < 1e-12, err
+
+    def test_pair_matches_single_orders(self):
+        # bessel_j_pair splits x once, at order m's bands: J_m must be
+        # bessel_j's bit for bit (the fused term map equals a lone hankel),
+        # and J_{m-1} within 1e-14 of bessel_j's, on each side of every
+        # band edge of both orders below 400
+        orders = np.arange(0, 301)
+        edges = np.concatenate(([1.0, 3.0, 6.0, 10.0, 18.0, 30.0, 60.0],
+                                orders + 7.0, orders + 8.0, orders + 9.0,
+                                orders + 10.0, 0.5 * orders ** 2))
+        edges = edges[edges <= 400.0]
+        x = np.concatenate([np.linspace(0.0, 400.0, 2001),
+                            np.nextafter(edges, 0.0), edges])
+        below = bessel_j(0, x)
+        for m in range(1, 301):
+            upper, lower = bessel_j_pair(m, x)
+            err = np.max(np.abs(lower - below))
+            assert err < 1e-14, (m, err)
+            below = bessel_j(m, x)
+            assert np.array_equal(upper, below), m
+
+    def test_pair_negative_argument_and_order(self):
+        x = np.linspace(-30.0, 30.0, 601)
+        for m in (1, 2, 5):
+            upper, lower = bessel_j_pair(m, x)
+            assert np.array_equal(upper, bessel_j(m, x))
+            assert np.max(np.abs(lower - bessel_j(m - 1, x))) < 1e-14
+        with pytest.raises(ValueError):
+            bessel_j_pair(0, x)
+        with pytest.raises(ValueError):
+            bessel_j_pair(3, np.array([1.0, np.nan]))
 
     def test_three_term_recurrence(self):
         x = np.linspace(0.5, 30.0, 901)

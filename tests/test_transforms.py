@@ -1,6 +1,8 @@
+import itertools
 import math
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,8 @@ import scipy.special
 
 from susyspectra import transforms
 from susyspectra.analysis import normalized_l2_discrepancy
-from susyspectra.numerics import bessel_j
+from susyspectra.eigensolver import Spectrum
+from susyspectra.numerics import bessel_j, bessel_j_pair
 from susyspectra.potentials import MorseParams, PTParams
 from susyspectra.transforms import (HankelPlan, TruncationWarning,
                                     angular_phase_integral, hankel,
@@ -143,27 +146,113 @@ class TestOrderRecurrence:
 
     def test_two_kernel_builds_per_chunk(self, monkeypatch,
                                          morse_generalized_spectrum):
-        # four states at orders 4, 3, 2, 1 share one kernel pass: bessel_j
-        # runs at orders 4 and 3 only, once per chunk of t'; the coarse
-        # refinement plan, of half the nodes, is counted apart
-        plan = make_hankel_plan()
-        calls = []
-
-        def counting(m, x):
-            if x.shape[0] == plan.nodes.size:
-                calls.append(m)
-            return bessel_j(m, x)
-
-        monkeypatch.setattr(transforms, "bessel_j", counting)
+        # four states at orders 4, 3, 2, 1 share one kernel pass: orders 4
+        # and 3 are built together, by one bessel_j_pair call per block of
+        # t', and nothing else is built; the coarse refinement plan, of
+        # half the nodes, is counted apart
+        plan = make_hankel_plan(40.0, 512)
+        calls = _count_kernel_builds(monkeypatch, plan.nodes.size)
         tp = np.linspace(0.01, 8.0, 800)
         report = potential_term_map(
             MorseParams(4.5, 1.0), PTParams(4.0, 1.0), 4, plan, tp,
             morse_generalized_spectrum)
         checks = potential_term_sandwich(report)
         assert [chk.order for chk in checks] == [4, 3, 2, 1]
-        chunks = -(-tp.size // transforms._CHUNK)
-        assert chunks == 2
-        assert calls == [4, 3] * chunks
+        blocks = _blocks(plan.nodes.size, tp.size)
+        assert blocks == 2
+        assert sorted(calls) == [(plan.nodes.size, 4, 3)] * blocks
+
+
+def _blocks(nodes: int, tp: int) -> int:
+    """Kernel blocks of a _contract pass: ceil(nodes * tp / budget)."""
+    return -(-nodes * tp // transforms._BLOCK_ELEMENTS)
+
+
+def _count_kernel_builds(monkeypatch, nodes: int | None = None) -> list:
+    """Record (nodes, orders...) for each kernel build on a plan of `nodes`
+    nodes (every plan if None): one order per bessel_j call, two per
+    bessel_j_pair call.  The blocks may run on pool threads in any order,
+    so compare the records sorted."""
+    calls = []
+
+    def single(m, x):
+        if nodes in (None, x.shape[0]):
+            calls.append((x.shape[0], m))
+        return bessel_j(m, x)
+
+    def pair(m, x):
+        if nodes in (None, x.shape[0]):
+            calls.append((x.shape[0], m, m - 1))
+        return bessel_j_pair(m, x)
+
+    monkeypatch.setattr(transforms, "bessel_j", single)
+    monkeypatch.setattr(transforms, "bessel_j_pair", pair)
+    return calls
+
+
+class TestKernelBlocks:
+    """_contract's blocks of t' run on a thread pool; the results do not
+    depend on it."""
+
+    TP = np.linspace(0.01, 8.0, 800)
+
+    @staticmethod
+    def executors(monkeypatch):
+        # serial, a pool of three and the module's own pool
+        pool = ThreadPoolExecutor(3)
+        for make in (lambda: None, lambda: pool, transforms._executor):
+            monkeypatch.setattr(transforms, "_executor", make)
+            yield
+        pool.shutdown()
+
+    def test_term_map_same_on_any_worker_count(self, monkeypatch,
+                                               morse_generalized_spectrum):
+        plan = make_hankel_plan(40.0, 2048)
+        assert _blocks(plan.nodes.size, self.TP.size) == 7
+        reports = []
+        for _ in self.executors(monkeypatch):
+            reports.append(potential_term_map(
+                MorseParams(4.5, 1.0), PTParams(4.0, 1.0), 4, plan, self.TP,
+                morse_generalized_spectrum))
+        for report in reports[1:]:
+            assert np.array_equal(report.lhs, reports[0].lhs)
+            for st, st_ref in zip(report.states, reports[0].states,
+                                  strict=True):
+                assert np.array_equal(st.psi, st_ref.psi)
+                assert np.array_equal(st.term, st_ref.term)
+
+    def test_hankel_same_on_any_worker_count(self, monkeypatch):
+        plan = make_hankel_plan(40.0, 256)
+        tp = np.linspace(0.02, 6.0, 1200)
+        assert _blocks(plan.nodes.size, tp.size) == 2
+        g = plan.nodes ** 3 * np.exp(-plan.nodes)
+        outs = [hankel(g, plan, tp, 3) for _ in self.executors(monkeypatch)]
+        for out in outs[1:]:
+            assert np.array_equal(out, outs[0])
+
+    def test_block_error_reaches_the_caller(self, monkeypatch):
+        # the third block's kernel build fails on a pool thread
+        plan = make_hankel_plan(40.0, 1024)
+        pool = ThreadPoolExecutor(2)
+        monkeypatch.setattr(transforms, "_executor", lambda: pool)
+        builds = itertools.count()
+
+        def failing(m, x):
+            if next(builds) == 2:
+                raise FloatingPointError("kernel build failed")
+            return bessel_j_pair(m, x)
+
+        monkeypatch.setattr(transforms, "bessel_j_pair", failing)
+        jobs = [(k, plan.weights) for k in (2, 1)]
+        with pytest.raises(FloatingPointError, match="kernel build failed"):
+            transforms._contract(jobs, plan, self.TP)
+        pool.shutdown()
+
+    def test_no_t_prime(self):
+        plan = make_hankel_plan(40.0, 64)
+        out = transforms._contract([(2, plan.weights), (0, plan.weights)],
+                                   plan, np.empty(0))
+        assert [o.shape for o in out] == [(0,), (0,)]
 
 
 class TestFusedTermMap:
@@ -178,19 +267,14 @@ class TestFusedTermMap:
 
     def test_bessel_calls_per_plan(self, monkeypatch,
                                    morse_generalized_spectrum):
-        # the coarse plan's term map builds order 4 once per chunk; the fine
-        # plan builds orders 4 and 3 once per chunk for the term map and
-        # all four states together
-        calls = []
-
-        def counting(m, x):
-            calls.append((x.shape[0], m))
-            return bessel_j(m, x)
-
-        monkeypatch.setattr(transforms, "bessel_j", counting)
+        # the coarse plan's term map builds order 4 once per block; the fine
+        # plan builds orders 4 and 3 together once per block for the term
+        # map and all four states
+        calls = _count_kernel_builds(monkeypatch)
         self.run(4, morse_generalized_spectrum, make_hankel_plan(40.0, 2048))
-        assert calls == ([(1024, 4)] * 2
-                         + [(2048, 4), (2048, 3), (2048, 4), (2048, 3)])
+        coarse, fine = (_blocks(n, self.TP.size) for n in (1024, 2048))
+        assert (coarse, fine) == (4, 7)
+        assert sorted(calls) == [(1024, 4)] * coarse + [(2048, 4, 3)] * fine
 
     def test_default_order_matches_standalone_bitwise(
             self, morse_generalized_spectrum):
@@ -313,7 +397,8 @@ class TestPotentialTermMap:
         params_pt = PTParams(4.0, 1e12)
         plan = make_hankel_plan(40.0, 4096)
         tp = np.linspace(0.05, 5.0, 200)
-        report = potential_term_map(params_m, params_pt, 4, plan, tp)
+        report = potential_term_map(params_m, params_pt, 4, plan, tp,
+                                    Spectrum(np.empty(0)))
         assert report.max_residual < 1e-8
 
     def test_residual_is_resolution_converged(self):
@@ -321,7 +406,8 @@ class TestPotentialTermMap:
         params_pt = PTParams(4.0, 1.0)
         plan = make_hankel_plan(40.0, 8192)
         tp = np.linspace(0.1, 3.0, 100)
-        report = potential_term_map(params_m, params_pt, 4, plan, tp)
+        report = potential_term_map(params_m, params_pt, 4, plan, tp,
+                                    Spectrum(np.empty(0)))
         (n1, r1), (n2, r2) = report.refinement
         assert n2 == 2 * n1
         assert r1 > 0 and r2 > 0
