@@ -325,24 +325,140 @@ def _legendre_newton(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p / dp, dp
 
 
-def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
-    [-1, 1].
+# Above this many nodes the rule comes from Bogaert's asymptotic formulas,
+# O(n) and good to round-off; at and below it from Newton's method, O(n^2)
+# but about 3 ms at most, where the asymptotic rule loses digits (weights off
+# by 7e-15 relative at 50 nodes, 8e-12 at 20, 1e-9 at 10).
+_NEWTON_MAX_N = 100
 
-    Newton's method on P_n, vectorized over the nodes of [0, 1), stopped
-    once no node moves by more than 1e-15; the other half is the mirror
-    image.  It starts from Tricomi's guesses
-    (1 - 1/(8n^2) + 1/(8n^3)) cos(pi (k - 1/4) / (n + 1/2)), within
-    O(n^-4) of the nodes, so from about 200 nodes up (16384 tried) three
-    Newton sweeps converge, against four from the plain cosines.  The
-    weights 2 / ((1 - x^2) P_n'(x)^2) take P_n' afresh at the converged
-    nodes, one sweep more.  Each sweep is n recurrence steps over the
-    half-rule, O(n^2) work in all, where the eigenvalue route
-    (Golub-Welsch, numpy's leggauss) is O(n^3).
-    """
-    if n < 1:
-        raise ValueError("rule needs at least one node")
-    k = np.arange(1, (n + 1) // 2 + 1)
+# First 20 positive zeros j_{0,k} of J_0 and first 21 values J_1(j_{0,k})^2,
+# 40-digit values rounded to 30; later ones come from the McMahon-type
+# series below.
+_J0_ZEROS = np.array([
+    2.40482555769577276862163187933, 5.52007811028631064959660411281,
+    8.65372791291101221695419871266, 11.7915344390142816137430449119,
+    14.9309177084877859477625939974, 18.0710639679109225431478829756,
+    21.2116366298792589590783933505, 24.3524715307493027370579447632,
+    27.4934791320402547958772882346, 30.6346064684319751175495789269,
+    33.7758202135735686842385463467, 36.9170983536640439797694930633,
+    40.0584257646282392947993073740, 43.1997917131767303575240727287,
+    46.3411883716618140186857888791, 49.4826098973978171736027615332,
+    52.6240518411149960292512853804, 55.7655107550199793116834927735,
+    58.9069839260809421328344066346, 62.0484691902271698828525002647,
+])
+_J1_SQUARED = np.array([
+    0.269514123941916926139021992911, 0.115780138582203695807812836182,
+    0.0736863511364082151406476811985, 0.0540375731981162820417749182759,
+    0.0426614290172430912655106063497, 0.0352421034909961013587473033648,
+    0.0300210701030546726750888157688, 0.0261473914953080885904584675399,
+    0.0231591218246913922652676382178, 0.0207838291222678576039808057296,
+    0.0188504506693176678161056800213, 0.0172461575696650082995240053542,
+    0.0158935181059235978027065594287, 0.0147376260964721895895742982591,
+    0.0137384651453871179182880484135, 0.0128661817376151328791406637229,
+    0.0120980515486267975471075438497, 0.0114164712244916085168627222987,
+    0.0108075927911802040115547286831, 0.0102603729262807628110423992789,
+    0.00976589713979105054059846736697,
+])
+
+# Polynomial coefficients, constant term first (the order _horner takes),
+# of Bogaert's reference code fastgl: j_{0,k} = z + (1/z) P(1/z^2) with
+# z = pi (k - 1/4), and J_1(j_{0,k})^2 = (1/y) Q(1/y^2) with y = k - 1/4.
+_J0_ZERO_SERIES = (
+    0.125, -0.807291666666666666666666666667e-1,
+    0.246028645833333333333333333333, -1.82443876720610119047619047619,
+    25.3364147973439050099206349206, -567.644412135183381139802038240,
+    18690.4765282320653831636345064, -8.49353580299148769921876983660e5,
+    5.09225462402226769498681286758e7)
+_J1_SQUARED_SERIES = (
+    0.202642367284675542887091750892, 0.0,
+    -0.303380429711290253026202643516e-3, 0.198924364245969295201137972743e-3,
+    -0.228969902772111653038747229723e-3, 0.433710719130746277915572905025e-3,
+    -0.123632349727175414724737657367e-2, 0.496101423268883102872271417616e-2,
+    -0.266837393702323757700998557826e-1, 0.185395398206345628711318848386)
+# The corrections F_1, F_2, F_3 to the nodes and those to the weights,
+# each a polynomial in theta^2.
+_NODE_F = (
+    (-0.416666666666662959639712457549e-1,
+     0.416666666665193394525296923981e-2,
+     -0.148809523713909147898955880165e-3,
+     0.275573168962061235623801563453e-5, -3.13148654635992041468855740012e-8,
+     2.40724685864330121825976175184e-10, -1.29052996274280508473467968379e-12),
+    (0.815972221772932265640401128517e-2,
+     -0.209022248387852902722635654229e-2,
+     0.282116886057560434805998583817e-3,
+     -0.253300326008232025914059965302e-4,
+     0.161969259453836261731700382098e-5, -7.53036771373769326811030753538e-8,
+     2.20639421781871003734786884322e-9),
+    (-0.416012165620204364833694266818e-2,
+     0.128654198542845137196151147483e-2,
+     -0.251395293283965914823026348764e-3,
+     0.418498100329504574443885193835e-4,
+     -0.567797841356833081642185432056e-5, 5.55845330223796209655886325712e-7,
+     -2.97058225375526229899781956673e-8),
+)
+_WEIGHT_F = (
+    (0.833333333333333302184063103900e-1,
+     -0.305555555555553028279487898503e-1,
+     0.436507936507598105249726413120e-2,
+     -0.326278659594412170300449074873e-3,
+     0.149644593625028648361395938176e-4, -4.63968647553221331251529631098e-7,
+     1.03756066927916795821098009353e-8, -1.75257700735423807659851042318e-10,
+     2.30365726860377376873232578871e-12, -2.20902861044616638398573427475e-14),
+    (-0.111111111111214923138249347172e-1,
+     0.268959435694729660779984493795e-2,
+     -0.407297185611335764191683161117e-3,
+     0.465969530694968391417927388162e-4,
+     -0.381817918680045468483009307090e-5, 2.11483880685947151466370130277e-7,
+     -7.12912857233642220650643150625e-9, 7.67643545069893130779501844323e-11,
+     3.63117412152654783455929483029e-12),
+    (0.656966489926484797412985260842e-2,
+     -0.947969308958577323145923317955e-4,
+     -0.105646050254076140548678457002e-3,
+     -0.422888059282921161626339411388e-4,
+     0.200559326396458326778521795392e-4,
+     -0.397933316519135275712977531366e-5, 5.08898347288671653137451093208e-7,
+     -4.38647122520206649251063212545e-8, 2.01826791256703301806643264922e-9),
+)
+
+
+def _j0_zeros_and_j1_squared(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """j_{0,k} and J_1(j_{0,k})^2 for k = 1, 2, ..., count."""
+    y = np.arange(1, count + 1) - 0.25
+    z = np.pi * y
+    nu = z + _horner(_J0_ZERO_SERIES, 1.0 / (z * z)) / z
+    b = _horner(_J1_SQUARED_SERIES, 1.0 / (y * y)) / y
+    nu[:_J0_ZEROS.size] = _J0_ZEROS[:count]
+    b[:_J1_SQUARED.size] = _J1_SQUARED[:count]
+    return nu, b
+
+
+def _legendre_asymptotic(n: int, k: np.ndarray) -> tuple[np.ndarray,
+                                                         np.ndarray]:
+    """Nodes cos(theta_k) and weights of the n-point rule, k = 1 nearest
+    x = 1, from the asymptotic expansions of Bogaert (SIAM J. Sci. Comput.
+    36, A1008 (2014)) in w = 1/(n + 1/2) about the Bessel-function
+    approximation theta_k ~ w j_{0,k}."""
+    nu, b = _j0_zeros_and_j1_squared(k.size)
+    w = 1.0 / (n + 0.5)
+    theta = w * nu
+    x = theta * theta
+    nu_over_sin = nu / np.sin(theta)
+    big_w = w * w * nu_over_sin
+    w2 = big_w * big_w
+    f1, f2, f3 = (_horner(c, x) for c in _NODE_F)
+    theta = w * (nu + theta * big_w * (f1 + w2 * (f2 + w2 * f3)))
+    g1, g2, g3 = (_horner(c, x) for c in _WEIGHT_F)
+    denominator = b * nu_over_sin * (1.0 + w2 * (g1 + w2 * (g2 + w2 * g3)))
+    return np.cos(theta), 2.0 * w / denominator
+
+
+def _legendre_by_newton(n: int, k: np.ndarray) -> tuple[np.ndarray,
+                                                       np.ndarray]:
+    """Nodes and weights of the n-point rule, k = 1 nearest x = 1, by
+    Newton's method on P_n from Tricomi's guesses
+    (1 - 1/(8n^2) + 1/(8n^3)) cos(pi (k - 1/4) / (n + 1/2)), stopped once
+    no node moves by more than 1e-15.  The weights
+    2 / ((1 - x^2) P_n'(x)^2) take P_n' afresh at the converged nodes."""
     x = ((1.0 - 1.0 / (8.0 * n * n) + 1.0 / (8.0 * n ** 3))
          * np.cos(np.pi * (k - 0.25) / (n + 0.5)))
     for _ in range(20):
@@ -351,8 +467,34 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
         if np.max(np.abs(step)) <= 1e-15:
             break
     _, dp = _legendre_newton(n, x)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
+    [-1, 1].
+
+    The nodes of [0, 1) are computed and mirrored; an odd rule's middle
+    node is exactly 0.  Above 100 nodes they come in O(n) work from
+    Bogaert's iteration-free asymptotic formulas (SIAM J. Sci. Comput. 36,
+    A1008 (2014)), nodes and weights both within a few ulps of their
+    40-digit values; 2048 nodes take well under a millisecond.  Up to 100
+    nodes Newton's method on the Legendre recurrence, O(n^2) work but
+    3 ms at most, keeps full accuracy where the asymptotic formulas do
+    not; its weights lose O(n^2 eps) at the ends of the rule (1.2e-13
+    relative at 100 nodes, 7e-11 at 2048), which is why it does not serve
+    larger rules.  The
+    eigenvalue route (Golub-Welsch, numpy's leggauss) is O(n^3) and less
+    accurate still.
+    """
+    if n < 1:
+        raise ValueError("rule needs at least one node")
+    k = np.arange(1, (n + 1) // 2 + 1)
+    rule = _legendre_asymptotic if n > _NEWTON_MAX_N else _legendre_by_newton
+    x, w = rule(n, k)
     lo = n // 2  # an odd rule's middle node, x = 0, is not mirrored
+    if n % 2:
+        x[lo] = 0.0
     return (np.concatenate((-x[:lo], x[::-1])),
             np.concatenate((w[:lo], w[::-1])))
 
@@ -509,14 +651,31 @@ def sinc_interp(x0: float, dx: float, fvals: np.ndarray, x):
     f(x_j), x_j = x0 + j dx.  For a sinc-DVR eigenvector this is the state
     itself, not an approximation of it.  Points outside the sampled range
     map to 0.
+
+    With s = (x - x0) / dx = r + d, r the nearest integer,
+    sinc(s - j) = (-1)^(r + j) sin(pi d) / (pi (s - j)), so each point
+    takes one sine, of the small argument pi d, and the sum over the
+    samples is one division per term: sin(pi d) / pi times
+    sum_j (-1)^(r + j) f_j / (s - j).  A point on a node (d = 0) is that
+    node's sample.
     """
     f = np.asarray(fvals, dtype=float)
     xq = np.asarray(x, dtype=float)
     scalar = xq.ndim == 0
     s = (np.atleast_1d(xq) - x0) / dx
-    inside = (s >= 0.0) & (s <= f.size - 1)
     out = np.zeros(s.size)
-    out[inside] = np.sinc(s[inside, None] - np.arange(f.size)) @ f
+    inside = np.flatnonzero((s >= 0.0) & (s <= f.size - 1))
+    r = np.rint(s[inside])
+    d = s[inside] - r
+    on_node = d == 0.0
+    out[inside[on_node]] = f[r[on_node].astype(int)]
+    off, r, d = inside[~on_node], r[~on_node], d[~on_node]
+    j = np.arange(f.size)
+    recip = s[off, None] - j
+    np.divide(1.0, recip, out=recip)
+    alternating = np.where(j % 2, -f, f)
+    out[off] = (np.where(r % 2, -1.0, 1.0) * np.sin(np.pi * d) / np.pi
+                * (recip @ alternating))
     return float(out[0]) if scalar else out
 
 

@@ -438,3 +438,30 @@ def test_diff_tables_script(monkeypatch, tmp_path, capsys):
         "  column v: 1/2 differ, max abs 3e-10, max rel 1e-10"]
     monkeypatch.setattr(sys, "argv", ["diff_tables.py", str(a), str(a)])
     assert diff_tables.main() == 0
+
+
+def test_bench_pairs_summary(monkeypatch):
+    # canned last lines of perfbench/run.py: B is faster in two of three
+    # pairs, equal in digits, and the summary counts wins per direction
+    monkeypatch.syspath_prepend(str(_ROOT / "scripts"))
+    bench_pairs = importlib.import_module("bench_pairs")
+    assert bench_pairs.parse_seeds("1-3,7") == [1, 2, 3, 7]
+
+    def line(wall, digits, correct=True):
+        return ("# noise\n" + json.dumps({
+            "correct": correct, "attempted": 4, "failed": 0,
+            "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                        "digits": {"value": digits, "unit": "digits"}}}))
+
+    pairs = [(bench_pairs.parse_result(line(a, 8.0)),
+              bench_pairs.parse_result(line(b, 8.0, ok)))
+             for a, b, ok in ((1.0, 0.8, True), (1.2, 0.9, True),
+                              (0.9, 1.0, False))]
+    out = bench_pairs.summarise(pairs, {"wall_s": "lower",
+                                        "digits": "higher"})
+    assert out == [
+        "digits: A median 8 [8, 8], B median 8 [8, 8], change +0.0%, "
+        "|shift| 0 vs A IQR 0, B better in 0/3",
+        "wall_s: A median 1 [0.95, 1.1], B median 0.9 [0.85, 0.95], "
+        "change -10.0%, |shift| 0.1 vs A IQR 0.15, B better in 2/3",
+        "correct: 2/3 pairs on both sides"]

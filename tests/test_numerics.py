@@ -1,10 +1,15 @@
+import decimal
+from decimal import Decimal
+
 import numpy as np
 import pytest
 import scipy.special
 
-from susyspectra.numerics import (OscillatoryError, bessel_j, bessel_j_pair,
-                                  bessel_j_zero, integrate_oscillatory_bessel,
-                                  sinc_interp)
+from susyspectra.numerics import (_J0_ZEROS, _J1_SQUARED, OscillatoryError,
+                                  _j0_zeros_and_j1_squared, bessel_j,
+                                  bessel_j_pair, bessel_j_zero,
+                                  gauss_legendre,
+                                  integrate_oscillatory_bessel, sinc_interp)
 
 # First positive zero of J0, located by bisection on the plain power series
 # (oracle below) and frozen here.
@@ -146,6 +151,64 @@ class TestBesselJ:
             assert np.all(got < ref[1:])
 
 
+def _legendre_decimal(n: int, x: Decimal) -> tuple[Decimal, Decimal]:
+    """P_n(x) and P_n'(x) from the three-term recurrence, in the precision
+    of the current decimal context."""
+    pm, p = Decimal(1), x
+    for k in range(1, n):
+        pm, p = p, ((2 * k + 1) * x * p - k * pm) / (k + 1)
+    return p, n * (x * p - pm) / (x * x - 1)
+
+
+def _legendre_oracle(n: int, x0: float) -> tuple[Decimal, Decimal]:
+    """40-digit node and weight of the n-point Gauss-Legendre rule nearest
+    x0: Newton's method on P_n in decimal arithmetic, started at x0."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        x = Decimal(float(x0))
+        for _ in range(3):
+            p, dp = _legendre_decimal(n, x)
+            x -= p / dp
+        _, dp = _legendre_decimal(n, x)
+        return x, 2 / ((1 - x * x) * dp * dp)
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [17, 64, 100, 101, 256, 257, 2048, 2049])
+    def test_against_decimal_oracle(self, n):
+        x, w = gauss_legendre(n)
+        # Newton's weights (n <= 100) lose O(n^2 eps) at the ends of the
+        # rule; above 100 nodes the asymptotic rule holds them to round-off
+        w_tol = 1e-14 if n > 100 else 2e-13
+        for i in (0, 1, n // 4, n // 2, n - 2, n - 1):
+            x_ref, w_ref = _legendre_oracle(n, x[i])
+            assert abs(float(x_ref - Decimal(x[i]))) <= 1e-15, i
+            assert abs(float((Decimal(w[i]) - w_ref) / w_ref)) <= w_tol, i
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 100, 101, 256, 2049])
+    def test_ascending_and_mirrored(self, n):
+        x, w = gauss_legendre(n)
+        assert np.all(np.diff(x) > 0)
+        assert np.array_equal(x, -x[::-1])
+        assert np.array_equal(w, w[::-1])
+        if n % 2:
+            assert x[n // 2] == 0.0
+        assert np.sum(w) == pytest.approx(2.0, rel=1e-14)
+
+    def test_tabulated_bessel_values(self):
+        nu, b = _j0_zeros_and_j1_squared(40)
+        ref = scipy.special.jn_zeros(0, 40)
+        ref_b = scipy.special.j1(ref) ** 2
+        # the literals (k <= 20, 21) and the series beyond them
+        assert _J0_ZEROS.size == 20 and _J1_SQUARED.size == 21
+        assert np.max(np.abs(nu / ref - 1.0)) <= 1e-15
+        assert np.max(np.abs(b / ref_b - 1.0)) <= 1e-15
+
+    def test_rejects_empty_rule(self):
+        with pytest.raises(ValueError):
+            gauss_legendre(0)
+
+
 class TestOscillatoryBessel:
     def test_unit_over_p_identity(self):
         ones = lambda x: np.ones_like(np.asarray(x, dtype=float))
@@ -183,3 +246,27 @@ class TestSincInterp:
         out = sinc_interp(0.0, 0.1, vals, np.array([-1e-9, 1.0 + 1e-9, 2.0]))
         assert np.all(out == 0.0)
         assert sinc_interp(0.0, 0.1, vals, 0.3) == pytest.approx(vals[3])
+
+    def test_one_sine_form_matches_sinc_matrix(self):
+        def sinc_matrix(x0, dx, f, x):
+            # the direct form: np.sinc on every point x sample
+            s = (x - x0) / dx
+            inside = (s >= 0.0) & (s <= f.size - 1)
+            out = np.zeros(s.size)
+            out[inside] = np.sinc(s[inside, None] - np.arange(f.size)) @ f
+            return out
+
+        rng = np.random.default_rng(7)
+        x0, dx = -3.0, 0.0625  # nodes x0 + j dx are exact floats
+        f = rng.standard_normal(227) * np.exp(-np.linspace(-4, 4, 227) ** 2)
+        on = [0, 1, 2, 57, 58, 113, 225, 226]  # both ends, odd and even r
+        nodes = x0 + dx * np.array(on, dtype=float)
+        near = x0 + dx * (np.array([1, 2, 57, 58, 225])[:, None]
+                          + np.array([-1e-13, 1e-13])).ravel()
+        ends = x0 + dx * np.array([1e-13, 226 - 1e-13, -1e-13, 226 + 1e-13])
+        x = np.concatenate((rng.uniform(x0 - 0.2, x0 + 226 * dx + 0.2, 500),
+                            nodes, near, ends))
+        got = sinc_interp(x0, dx, f, x)
+        assert np.max(np.abs(got - sinc_matrix(x0, dx, f, x))) \
+            <= 1e-14 * np.max(np.abs(f))
+        assert np.array_equal(got[500:508], f[on])

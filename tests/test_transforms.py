@@ -315,7 +315,7 @@ class TestFusedTermMap:
 
 
 class TestGaussLegendrePlan:
-    @pytest.mark.parametrize("n", [16, 17, 256, 2048])
+    @pytest.mark.parametrize("n", [16, 17, 256, 257, 2048, 2049])
     def test_matches_leggauss(self, n):
         # on [0, 2] the plan is the [-1, 1] rule shifted by one
         plan = make_hankel_plan(2.0, n)
@@ -328,7 +328,7 @@ class TestGaussLegendrePlan:
         tol = 1e-12 if n <= 256 else 1e-10
         assert np.max(np.abs(plan.weights - w)) < tol * np.max(w)
 
-    @pytest.mark.parametrize("n", [16, 17, 256, 2048])
+    @pytest.mark.parametrize("n", [16, 17, 256, 257, 2048, 2049])
     def test_exact_for_polynomials(self, n):
         t_max = 40.0
         plan = make_hankel_plan(t_max, n)
@@ -342,7 +342,8 @@ class TestGaussLegendrePlan:
             power *= s
 
     def test_large_plan_is_cheap(self):
-        # the Newton iteration is O(n^2); an O(n^3) eigensolve is not
+        # the asymptotic rule is O(n) (Newton's method, O(n^2), took
+        # ~50 ms here); an O(n^3) eigensolve is not cheap
         seconds = []
         for _ in range(3):
             t0 = time.perf_counter()
