@@ -2,17 +2,18 @@
 """Alternated A/B pairs of the benchmark on two source trees.
 
     python scripts/bench_pairs.py DIR_A DIR_B --workload transform \\
-        --seeds 1-6 [--seconds 34]
+        --seeds 1-6
 
-For each seed, runs ``perfbench/run.py --workload W --seed S --seconds S
---trace 0`` once on each tree, the side that goes first alternating from
-one seed to the next.  Every run starts from a fresh copy of its tree
+For each seed, runs ``perfbench/run.py --workload W --seed S --trace 0``
+once on each tree, the side that goes first alternating from one seed to
+the next, each run as long as the ``run_seconds`` of A's
+``BENCHMARK.json``.  Every run starts from a fresh copy of its tree
 without ``__pycache__``, ``.bench_work`` or ``.git``, so both sides import
 against the same (empty) bytecode cache.  Prints each pair's metrics and
 then, per metric, the medians and quartiles of both sides, the change of
 the medians against the spread (interquartile range) of A's runs, and the
-number of pairs in which B beats A.  The direction of "better" comes from
-A's ``BENCHMARK.json``.
+number of pairs in which B beats A.  The direction of "better" also comes
+from A's ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -93,9 +94,11 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return parse_result(done.stdout)
 
 
-def load_better(tree: Path) -> dict[str, str]:
+def load_spec(tree: Path) -> tuple[float, dict[str, str]]:
+    """A tree's benchmark run length and each metric's "better"."""
     spec = json.loads((tree / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return (spec["run_seconds"],
+            {m["name"]: m["better"] for m in spec["end_to_end"]})
 
 
 def main(argv=None) -> int:
@@ -104,20 +107,20 @@ def main(argv=None) -> int:
     ap.add_argument("dir_b", type=Path)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, type=parse_seeds)
-    ap.add_argument("--seconds", type=float, default=34.0)
     args = ap.parse_args(argv)
+    seconds, better = load_spec(args.dir_a)
     pairs = []
     for i, seed in enumerate(args.seeds):
         order = ("A", "B") if i % 2 == 0 else ("B", "A")
         got = {side: run_once(args.dir_a if side == "A" else args.dir_b,
-                              args.workload, seed, args.seconds)
+                              args.workload, seed, seconds)
                for side in order}
         pairs.append((got["A"], got["B"]))
         print(f"seed {seed} ({' then '.join(order)}): "
               + ", ".join(f"{k} {got['A'][k]:.6g} -> {got['B'][k]:.6g}"
                           for k in sorted(got["A"]) if k != "correct"),
               flush=True)
-    for line in summarise(pairs, load_better(args.dir_a)):
+    for line in summarise(pairs, better):
         print(line)
     return 0
 
