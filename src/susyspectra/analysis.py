@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolver import Spectrum, default_grid, solve_bound_states
+from .eigensolver import (GridTooSmallError, Spectrum, default_grid,
+                          solve_bound_states)
 from .grids import Grid
 from .potentials import FAMILIES, MorseParams, PTParams, Well
 
@@ -119,12 +121,31 @@ _KIND_TABLES = {"morse": _MORSE_KINDS, "pt": _PT_KINDS}
 def solve(params: Well, kind: str = "shifted",
           grid: Grid | None = None) -> Spectrum:
     """Bound states of the family's shifted, partner or generalized well on
-    `grid` (default: the family's default grid)."""
+    `grid` (default: the family's default grid).
+
+    Raises GridTooSmallError when the grid returns fewer levels than the
+    closed form holds: `Well.level_count`, one fewer for the partner well.
+    """
     if kind not in KINDS:
         raise ValueError(f"unknown {params.label} potential kind {kind!r}")
     grid = grid or default_grid(params)
     pot = _KIND_TABLES[params.family][kind]
-    return solve_bound_states(lambda r: pot(params, r), grid, params.threshold)
+    spec = solve_bound_states(lambda r: pot(params, r), grid, params.threshold)
+    # the partner's levels are the shifted well's from n = 1 on
+    first = int(kind == "partner")
+    expected = params.level_count - first
+    if spec.bound_count < expected:
+        n = first + spec.bound_count
+        s = math.sqrt(params.threshold)
+        energy = n * (2.0 * s - n)
+        raise GridTooSmallError(
+            f"{params.label} {kind} well: {spec.bound_count} of {expected} "
+            f"bound levels found; the level at E = n(2s - n) = {energy:.6g} "
+            f"(n={n}, s={s:g}), "
+            f"{params.threshold - energy:.3g} below the threshold "
+            f"{params.threshold:.6g}, is not resolved on the grid "
+            f"[{grid.min:g}, {grid.max:g}]")
+    return spec
 
 
 solve_morse = solve_pt = solve

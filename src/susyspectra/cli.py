@@ -210,9 +210,6 @@ def run_wavefunction_map(cfg: argparse.Namespace):
     n_state = cfg.state
     spec_m = solve_morse(params_m, "shifted")
     spec_pt = solve_pt(params_pt, "shifted")
-    # past the closed-form count, which _prepare checked: a dropped level
-    if n_state >= spec_m.bound_count or n_state >= spec_pt.bound_count:
-        raise UsageError(f"state {n_state} exceeds bound count")
     m = (cfg.order_m if cfg.order_m is not None
          else int(round(params_m.a)) - n_state)
     plan = make_hankel_plan(cfg.t_max, cfg.plan_n)

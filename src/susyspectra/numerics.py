@@ -1,11 +1,10 @@
 """Special functions and numerical kernels used throughout the package.
 
 Everything here is self-contained (numpy only): cylindrical Bessel functions
-of integer order, the 15-point Gauss-Kronrod rule (also used by the
-potentials' weight tables), Gauss-Legendre rules of any size (the Hankel
-plans), semi-infinite oscillatory integrals against Bessel weights, and the
-sinc basis on a uniform grid (the DVR kinetic matrix and band-limited
-interpolation between the nodes).
+of integer order, the 15-point Gauss-Kronrod rule, Gauss-Legendre rules of
+any size (the Hankel plans), semi-infinite oscillatory integrals against
+Bessel weights, and the sinc basis on a uniform grid (the DVR kinetic matrix
+and band-limited interpolation between the nodes).
 
 All functions are pure and hold no module-level mutable state, so they are
 safe to call concurrently.

@@ -1,36 +1,37 @@
-"""Morse and Poschl-Teller potential families.
+"""Morse and Poschl-Teller potential families, built from their
+superpotentials.
 
 A family is a frozen parameter record (`MorseParams`, `PTParams`) that
-carries its closed forms: the log ground-state weight ln psi0^2 and its
-decay rate, the superpotential derivatives W' and W'', the shifted base
-well (ground state displaced to zero energy) and its factorization partner
-(same spectrum minus the zero mode), the continuum threshold, the strength,
-the range of the weight table and the default domains.  The `Well` base
-class builds the rest once for every family:
+declares its superpotential W and the derivatives W' and W'', its strength
+and its domains.  The `Well` base class derives the rest once for every
+family (Cooper, Khare & Sukhatme, Phys. Rep. 251, 267 (1995)):
 
+* the shifted well W'^2 - W'' (ground state psi0 = e^-W at zero energy),
+  its factorization partner W'^2 + W'' (same spectrum minus the zero mode)
+  and the continuum threshold W'(+inf)^2,
 * the deformation term q = psi0^2 / (gamma + int_0^rho psi0^2) and q',
 * the one-parameter generalized well V - 2 q', isospectral to the shifted
   one for every gamma > 0,
 * the deformed superpotential derivative f = W' + q, which solves the
   Riccati equation f' + f^2 = W'^2 + W''.
 
-The cumulative integral in the denominator of q is precomputed once per
-parameter strength on a fine grid and evaluated between nodes by cubic
-Hermite interpolation (the integrand is the known derivative, so both values
-and slopes are exact at the nodes).
+The running integral in the denominator of q is computed at the points it
+is asked for: Gauss-Kronrod panels of a fixed step from 0 to the multiple
+of the step nearest each point, then one short Gauss-Legendre panel from
+there to the point.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
 from .grids import Grid
-from .numerics import _GK_NODES, _GK_WEIGHTS
+from .numerics import _GK_NODES, _GK_WEIGHTS, gauss_legendre
 
 __all__ = [
     "Well",
@@ -40,6 +41,12 @@ __all__ = [
     "SingularConfigurationError",
     "riccati_residual",
 ]
+
+# Panel width of the running integral of psi0^2, and the rule on the last
+# partial panel (at most half a step long).  psi0^2 is a bump of width about
+# 1/sqrt(2 W'') at its peak, 0.2 or more for strengths up to 12.
+_STEP = 0.1
+_GL_NODES, _GL_WEIGHTS = gauss_legendre(6)
 
 
 class SingularConfigurationError(ValueError):
@@ -52,85 +59,8 @@ class SingularConfigurationError(ValueError):
         self.rho = rho
 
 
-# ---------------------------------------------------------------------------
-# Cached cumulative weight tables
-# ---------------------------------------------------------------------------
-
-
-class _CumulativeTable:
-    """Cumulative integral I(rho) = int_0^rho w with Hermite interpolation.
-
-    Outside the tabulated range the integrand has decayed below double
-    precision, so I saturates at its end values.
-    """
-
-    def __init__(self, weight, rho_lo: float, rho_hi: float, h: float):
-        n_neg = int(math.ceil(-rho_lo / h))
-        n_pos = int(math.ceil(rho_hi / h))
-        xs = np.arange(-n_neg, n_pos + 1) * h
-        # Gauss-Kronrod panel integrals, vectorized over all panels
-        mids = 0.5 * (xs[:-1] + xs[1:])
-        pts = mids[:, None] + (0.5 * h) * _GK_NODES[None, :]
-        with np.errstate(over="ignore", under="ignore"):
-            wv = weight(pts.ravel()).reshape(pts.shape)
-        panels = (0.5 * h) * (wv @ _GK_WEIGHTS)
-        cum = np.concatenate(([0.0], np.cumsum(panels)))
-        self.xs = xs
-        self.h = h
-        self.I = cum - cum[n_neg]          # anchored so that I(0) = 0
-        with np.errstate(over="ignore", under="ignore"):
-            self.w = weight(xs)
-        self.I_lo = float(self.I[0])       # = -(negative-tail mass)
-        self.I_hi = float(self.I[-1])
-
-    def eval(self, rho: np.ndarray) -> np.ndarray:
-        xs, h = self.xs, self.h
-        s = (rho - xs[0]) / h
-        j = np.clip(np.floor(s).astype(int), 0, xs.size - 2)
-        u = s - j
-        h00 = (2 * u - 3) * u * u + 1.0
-        h10 = ((u - 2) * u + 1.0) * u
-        h01 = (3 - 2 * u) * u * u
-        h11 = (u - 1) * u * u
-        out = (h00 * self.I[j] + h * h10 * self.w[j]
-               + h01 * self.I[j + 1] + h * h11 * self.w[j + 1])
-        out = np.where(rho < xs[0], self.I_lo, out)
-        out = np.where(rho > xs[-1], self.I_hi, out)
-        return out
-
-    def rho_min(self, gamma: float) -> float:
-        """Leftmost rho with gamma + I(rho) > 0; -inf when gamma clears the
-        whole negative tail."""
-        if gamma + self.I_lo > 0:
-            return -math.inf
-        lo, hi = self.xs[0], 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if gamma + float(self.eval(np.array([mid]))[0]) > 0:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo < 1e-13 * max(1.0, abs(hi)):
-                break
-        return 0.5 * (lo + hi)
-
-
-@functools.lru_cache(maxsize=128)
-def _weight_table(well: "Well") -> _CumulativeTable:
-    """Table of int_0^rho psi0^2; keyed by a well whose gamma is fixed at 1,
-    because the weight depends on the strength alone."""
-    lo, hi = well.table_range
-    h = max(0.005, (hi - lo) / 400_000)
-    return _CumulativeTable(lambda r: np.exp(well.log_weight(r)), lo, hi, h)
-
-
-# ---------------------------------------------------------------------------
-# Generic family
-# ---------------------------------------------------------------------------
-
-
 def _elementwise(method):
-    """Let a method written for 1-D arrays of rho take a scalar as well and
+    """Let a method written for arrays of rho take a scalar as well and
     return a float for it."""
 
     @functools.wraps(method)
@@ -141,18 +71,28 @@ def _elementwise(method):
     return wrapper
 
 
-class Well:
-    """What every family provides, and what is built from it.
+# ---------------------------------------------------------------------------
+# Generic family
+# ---------------------------------------------------------------------------
 
-    A family is a frozen dataclass with fields (strength, gamma) that sets
-    the class attributes `family` (CLI name), `label` (for messages) and
-    `strength_name` (its flag), the attributes `strength`, `threshold`
-    (continuum edge of the shifted well), `table_range` (where the weight
-    is tabulated), `default_domain`, `rho_min_margin` (how far right of
-    `rho_min` the default domain starts, or None to keep it fixed) and
-    `riccati_domain` (lo, hi, nodes), and the closed forms `log_weight`
-    (ln psi0^2), `decay_rate` (-d ln psi0^2 / drho), `w_prime`, `w_second`,
-    `shifted` and `partner`.
+
+class Well:
+    """What every family declares, and what is derived from it.
+
+    A family is a frozen dataclass with fields (strength, gamma) that
+    declares:
+
+    * the class attributes `family` (CLI name), `label` (for messages),
+      `strength_name` (its flag), `default_domain`, `rho_min_margin` (how
+      far right of `rho_min` the default domain starts, or None to keep it
+      fixed) and `riccati_domain` (lo, hi, nodes);
+    * the attributes `strength` and `weight_support`, the (lo, hi) outside
+      which psi0^2 is below double precision, so that its running integral
+      has saturated there;
+    * the superpotential `w` and its derivatives `w_prime` and `w_second`.
+
+    From these it derives the shifted and partner wells, the threshold, the
+    level count, `rho_min`, q, q', the generalized well and f.
     """
 
     family: ClassVar[str]
@@ -166,8 +106,10 @@ class Well:
         if not 0.0 < self.gamma < math.inf:
             raise ValueError("gamma must be positive and finite")
 
-    def _table(self) -> _CumulativeTable:
-        return _weight_table(replace(self, gamma=1.0))
+    @property
+    def threshold(self) -> float:
+        """Continuum edge of the shifted well, W'(+inf)^2."""
+        return self.w_prime(math.inf) ** 2
 
     @property
     def level_count(self) -> int:
@@ -175,31 +117,74 @@ class Well:
         shifted and generalized wells, where s = sqrt(threshold)."""
         return math.ceil(math.sqrt(self.threshold) - 1e-9)
 
+    @_elementwise
+    def shifted(self, r):
+        """W'^2 - W'': the base well with its ground state at zero energy."""
+        with np.errstate(over="ignore"):
+            return self.w_prime(r) ** 2 - self.w_second(r)
+
+    @_elementwise
+    def partner(self, r):
+        """W'^2 + W'': the factorization partner, whose levels are the
+        shifted well's without the zero mode."""
+        with np.errstate(over="ignore"):
+            return self.w_prime(r) ** 2 + self.w_second(r)
+
+    def _weight(self, r):
+        """psi0^2 = e^-2W."""
+        with np.errstate(over="ignore", under="ignore"):
+            return np.exp(-2.0 * self.w(r))
+
+    @_elementwise
+    def _weight_integral(self, r):
+        """I(rho) = int_0^rho psi0^2 at each point, with the points clipped
+        to `weight_support`: Gauss-Kronrod panels of width _STEP from 0 to
+        the multiple k _STEP nearest the point, then one Gauss-Legendre
+        panel from there to the point."""
+        r = np.clip(r, *self.weight_support)
+        k = np.rint(r / _STEP).astype(int)
+        lo = k.min(initial=0)
+        mids = (np.arange(lo, k.max(initial=0)) + 0.5) * _STEP
+        panels = self._weight(mids[:, None] + 0.5 * _STEP * _GK_NODES)
+        cum = np.concatenate(([0.0], np.cumsum(panels @ _GK_WEIGHTS)))
+        half = 0.5 * (r - k * _STEP)
+        rest = self._weight((r - half)[:, None] + half[:, None] * _GL_NODES)
+        return 0.5 * _STEP * (cum[k - lo] - cum[-lo]) + half * (
+            rest @ _GL_WEIGHTS)
+
     def rho_min(self) -> float:
-        """Left edge of the domain where the generalized well is defined
-        (-inf when gamma exceeds the weight's negative-tail mass)."""
-        return self._table().rho_min(self.gamma)
+        """Left edge of the domain where the generalized well is defined,
+        the root of gamma + I(rho) found by bisection (-inf when gamma
+        exceeds the weight's negative-tail mass)."""
+        lo, hi = self.weight_support[0], 0.0
+        if self.gamma + self._weight_integral(lo) > 0:
+            return -math.inf
+        while hi - lo >= 1e-13 * max(1.0, abs(hi)):
+            mid = 0.5 * (lo + hi)
+            if self.gamma + self._weight_integral(mid) > 0:
+                hi = mid
+            else:
+                lo = mid
+        return 0.5 * (lo + hi)
 
     @_elementwise
     def q(self, r):
         """Deformation term: squared ground state over (gamma + its running
         integral from 0).  Strictly positive wherever defined."""
-        with np.errstate(over="ignore", under="ignore"):
-            num = np.exp(self.log_weight(r))
-        den = self.gamma + self._table().eval(r)
+        den = self.gamma + self._weight_integral(r)
         bad = den <= 0.0
         if np.any(bad):
             raise SingularConfigurationError(
                 self.label, float(r[np.argmax(bad)]), self.gamma)
-        return num / den
+        return self._weight(r) / den
 
     @_elementwise
     def q_derivative(self, r):
         """dq/drho through the logarithmic-derivative identity
-        q' = -g' q - q^2, with g' = `decay_rate`."""
+        q' = -2 W' q - q^2."""
         q = self.q(r)
-        out = -self.decay_rate(r) * q - q * q
-        # where q has underflowed to 0, g' may have overflowed (0 * inf)
+        out = -2.0 * self.w_prime(r) * q - q * q
+        # where q has underflowed to 0, W' may have overflowed (0 * inf)
         return np.where(q == 0.0, 0.0, out)
 
     @_elementwise
@@ -248,37 +233,19 @@ class MorseParams(Well):
         return self.lam - 0.5
 
     @property
-    def threshold(self) -> float:
-        return self.a ** 2
-
-    @property
-    def table_range(self) -> tuple[float, float]:
-        # upper range: e^-(2 lam - 1) rho tail below 1e-20
+    def weight_support(self) -> tuple[float, float]:
+        # upper end: e^-(2 lam - 1) rho tail below 1e-20
         return -8.0, max(12.0, 46.0 / (2.0 * self.lam - 1.0) + 2.0)
 
-    def log_weight(self, r):
-        return -(2.0 * self.lam - 1.0) * r - 2.0 * self.lam * np.exp(-r)
-
-    def decay_rate(self, r):
-        with np.errstate(over="ignore"):
-            return (2.0 * self.lam - 1.0) - 2.0 * self.lam * np.exp(-r)
-
     @_elementwise
-    def shifted(self, r):
-        """lam^2 (1 - e^-rho)^2 - lam + 1/4; zero-energy ground state."""
+    def w(self, r):
+        """Superpotential W = lam e^-rho + (lam - 1/2) rho."""
         with np.errstate(over="ignore"):
-            return self.lam**2 * (1.0 - np.exp(-r))**2 - self.lam + 0.25
-
-    @_elementwise
-    def partner(self, r):
-        """Factorization partner: shifted potential plus 2 lam e^-rho."""
-        with np.errstate(over="ignore"):
-            return (self.lam**2 * (1.0 - np.exp(-r))**2 - self.lam + 0.25
-                    + 2.0 * self.lam * np.exp(-r))
+            return self.lam * np.exp(-r) + (self.lam - 0.5) * r
 
     @_elementwise
     def w_prime(self, r):
-        """Base superpotential derivative W' = lam(1 - e^-rho) - 1/2."""
+        """W' = lam (1 - e^-rho) - 1/2."""
         with np.errstate(over="ignore"):
             return self.lam * (1.0 - np.exp(-r)) - 0.5
 
@@ -317,33 +284,16 @@ class PTParams(Well):
         return self.mu
 
     @property
-    def threshold(self) -> float:
-        return self.mu ** 2
-
-    @property
-    def table_range(self) -> tuple[float, float]:
+    def weight_support(self) -> tuple[float, float]:
         hi = max(12.0, 46.0 / (2.0 * self.mu) + math.log(2.0) + 2.0)
         return -hi, hi
 
-    def log_weight(self, r):
-        # -2 mu * ln cosh, computed overflow-free
+    @_elementwise
+    def w(self, r):
+        """Superpotential W = mu ln cosh rho, computed overflow-free."""
         abs_r = np.abs(r)
-        lncosh = abs_r + np.log1p(np.exp(-2.0 * abs_r)) - math.log(2.0)
-        return -2.0 * self.mu * lncosh
-
-    def decay_rate(self, r):
-        return 2.0 * self.mu * np.tanh(r)
-
-    @_elementwise
-    def shifted(self, r):
-        """-mu(mu+1)/cosh^2 rho + mu^2; zero-energy ground state."""
-        return -self.mu * (self.mu + 1.0) / np.cosh(r)**2 + self.mu**2
-
-    @_elementwise
-    def partner(self, r):
-        """Partner well: strength drops from mu(mu+1) to mu(mu-1)."""
-        return ((-self.mu * (self.mu + 1.0) + 2.0 * self.mu) / np.cosh(r)**2
-                + self.mu**2)
+        return self.mu * (abs_r + np.log1p(np.exp(-2.0 * abs_r))
+                          - math.log(2.0))
 
     @_elementwise
     def w_prime(self, r):

@@ -225,6 +225,23 @@ class TestNumericalFailures:
         assert not out.exists()
         assert "denominator" in capsys.readouterr().err
 
+    # each solve returns one level fewer than the closed form holds: the
+    # level n(2s - n) named in the message, just below the threshold s^2
+    @pytest.mark.parametrize("argv, missing", [
+        (["--family", "pt", "--mu", "4.05"], "E = n(2s - n) = 16.4 (n=4"),
+        (["--family", "pt", "--mu", "3.02"], "E = n(2s - n) = 9.12 (n=3"),
+        (["--family", "morse", "--lambda", "4.52", "--potential", "partner"],
+         "E = n(2s - n) = 16.16 (n=4"),
+    ], ids=["pt-4.05", "pt-3.02", "morse-4.52-partner"])
+    def test_missing_level_exit_3(self, argv, missing, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main(["spectrum", *argv, "--output", str(out)])
+        assert rc == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert missing in err
+        assert "below the threshold" in err
+
 
 class TestOutputs:
     def test_riccati_csv_schema_and_values(self, tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,7 +66,7 @@ class TestMorse:
                 math.exp(-2 * lam) / gamma, rel=1e-13)
 
     def test_q_denominator_two_routes(self):
-        # cached-table route vs incomplete-gamma closed form of the integral
+        # summed route vs incomplete-gamma closed form of the integral
         lam, gamma, rho = 1.0, 1.0, 1.0
         p = MorseParams(lam, gamma)
         s = 2 * lam - 1
@@ -254,3 +255,97 @@ class TestRiccati:
         res = riccati_residual(lambda r: p.w_prime(r) + 0.1, p.w_prime,
                                p.w_second, grid)
         assert res > 1e-2
+
+    # the table this replaced read back the integral by cubic Hermite
+    # interpolation, which held the sech-well residual at 2.8e-8 (mu = 3)
+    @pytest.mark.parametrize("well", [
+        PTParams(2.0, 1.0), PTParams(3.0, 1.0), PTParams(4.0, 1.0),
+        MorseParams(2.5, 1.0), MorseParams(4.5, 1.0)],
+        ids=["pt-2", "pt-3", "pt-4", "morse-2.5", "morse-4.5"])
+    def test_f_solves_riccati_to_stencil_resolution(self, well):
+        grid = Grid(*well.riccati_domain)
+        res = riccati_residual(well.f, well.w_prime, well.w_second, grid)
+        assert res <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# The running integral I(rho) = int_0^rho psi0^2 against independent values.
+# Tolerance, fixed before the first run: |I - I_ref| <= 1e-13 M, with M the
+# total mass of psi0^2 over the line; rho_min to 1e-10 of brentq's root.
+# ---------------------------------------------------------------------------
+
+
+def _morse_mass(lam: float) -> float:
+    return (2 * lam) ** (1 - 2 * lam) * math.gamma(2 * lam - 1)
+
+
+def _morse_integral(lam: float, rho):
+    """(2 lam)^(1 - 2 lam) Gamma(2 lam - 1) [P(2 lam - 1, 2 lam)
+    - P(2 lam - 1, 2 lam e^-rho)], P the regularized lower incomplete
+    gamma function."""
+    s = 2 * lam - 1
+    with np.errstate(over="ignore"):
+        x = 2 * lam * np.exp(-np.asarray(rho, dtype=float))
+    return _morse_mass(lam) * (scipy.special.gammainc(s, 2 * lam)
+                               - scipy.special.gammainc(s, x))
+
+
+def _pt_mass(mu: float) -> float:
+    return math.sqrt(math.pi) * math.gamma(mu) / math.gamma(mu + 0.5)
+
+
+def _pt_integral(mu: float, rho):
+    f = lambda x: np.cosh(x) ** (-2.0 * mu)
+    return np.array([scipy.integrate.quad(f, 0.0, r, epsabs=1e-14,
+                                          epsrel=1e-13, limit=400)[0]
+                     for r in np.atleast_1d(rho)])
+
+
+# both tails, either side of a half step, points past the clip range on
+# each side; unsorted
+_POINTS = np.array([0.26, -3.0, 0.0, 7.5, -0.05, 0.05, -0.051, 1.7, -12.0,
+                    40.0, -1.3, 0.149, 300.0, -300.0, 25.0])
+
+
+class TestWeightIntegral:
+    @pytest.mark.parametrize("lam", [0.6, 1.05, 4.5, 12.0])
+    def test_morse_against_incomplete_gamma(self, lam):
+        p = MorseParams(lam, 1.0)
+        lo, hi = p.weight_support
+        pts = np.concatenate((_POINTS, [lo - 1.0, hi + 1.0, hi - 0.3]))
+        got = p._weight_integral(pts)
+        assert got.shape == pts.shape
+        want = _morse_integral(lam, pts)
+        assert np.max(np.abs(got - want)) <= 1e-13 * _morse_mass(lam)
+        for r in (-0.7, 2.03, hi + 5.0):
+            value = p._weight_integral(r)
+            assert isinstance(value, float)
+            assert abs(value - _morse_integral(lam, r)) <= (
+                1e-13 * _morse_mass(lam))
+
+    @pytest.mark.parametrize("mu", [0.2, 0.6, 4.0, 10.0])
+    def test_pt_against_quadrature(self, mu):
+        p = PTParams(mu, 1.0)
+        lo, hi = p.weight_support
+        pts = np.concatenate((_POINTS, [lo - 1.0, hi + 1.0, hi - 0.3]))
+        got = p._weight_integral(pts)
+        assert got.shape == pts.shape
+        # sech^(2 mu) is even: the clipped tails hold half the mass each
+        want = np.where(np.abs(pts) > hi, np.sign(pts) * _pt_mass(mu) / 2,
+                        0.0)
+        inside = np.abs(pts) <= hi
+        want[inside] = _pt_integral(mu, pts[inside])
+        assert np.max(np.abs(got - want)) <= 1e-13 * _pt_mass(mu)
+        value = p._weight_integral(-0.7)
+        assert isinstance(value, float)
+        assert abs(value - _pt_integral(mu, -0.7)[0]) <= 1e-13 * _pt_mass(mu)
+
+    @pytest.mark.parametrize("well, integral", [
+        (MorseParams(0.6, 0.1), lambda r: _morse_integral(0.6, r)),
+        (PTParams(0.6, 0.5), lambda r: _pt_integral(0.6, r)[0]),
+    ], ids=["morse", "pt"])
+    def test_rho_min_against_brentq(self, well, integral):
+        lo = well.weight_support[0]
+        want = scipy.optimize.brentq(lambda r: well.gamma + integral(r),
+                                     lo, 0.0, xtol=1e-14, rtol=1e-15)
+        assert abs(well.rho_min() - want) <= 1e-10
