@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolver import (GridTooSmallError, Spectrum, default_grid,
-                          solve_bound_states)
+from .eigensolver import (_TOL_EDGE, GridTooSmallError, Spectrum,
+                          default_grid, solve_bound_states)
 from .grids import Grid
 from .potentials import FAMILIES, MorseParams, PTParams, Well
 
@@ -138,13 +138,15 @@ def solve(params: Well, kind: str = "shifted",
         n = first + spec.bound_count
         s = math.sqrt(params.threshold)
         energy = n * (2.0 * s - n)
+        gap = params.threshold - energy
+        reason = (f"is not resolved on the grid [{grid.min:g}, {grid.max:g}]"
+                  if gap >= _TOL_EDGE else "falls inside the solver's "
+                  f"near-threshold cut ({_TOL_EDGE:g}), so no grid returns it")
         raise GridTooSmallError(
             f"{params.label} {kind} well: {spec.bound_count} of {expected} "
             f"bound levels found; the level at E = n(2s - n) = {energy:.6g} "
-            f"(n={n}, s={s:g}), "
-            f"{params.threshold - energy:.3g} below the threshold "
-            f"{params.threshold:.6g}, is not resolved on the grid "
-            f"[{grid.min:g}, {grid.max:g}]")
+            f"(n={n}, s={s:g}), {gap:.3g} below the threshold "
+            f"{params.threshold:.6g}, {reason}")
     return spec
 
 

@@ -31,8 +31,9 @@ from .grids import Grid
 from .numerics import OscillatoryError
 from .potentials import (FAMILIES, MorseParams, PTParams,
                          SingularConfigurationError, riccati_residual)
-from .transforms import (DEFAULT_PLAN_N, MIN_PLAN_N, hankel_oscillatory,
-                         make_hankel_plan, morse_state_on_plan,
+from .transforms import (DEFAULT_PLAN_N, DEFAULT_T_MAX, MIN_PLAN_N,
+                         hankel_oscillatory, make_hankel_plan,
+                         morse_state_on_plan,
                          potential_term_map, potential_term_sandwich,
                          pt_state_on_nodes, truncated, wavefunction_map)
 
@@ -325,7 +326,7 @@ _GRID = {"grid-min": Flag(float), "grid-max": Flag(float),
 _PLAN = {"order-m": Flag(_at_least(0)),
          "plan-n": Flag(_at_least(MIN_PLAN_N), DEFAULT_PLAN_N),
          "t-max": Flag(_bounded(float, lambda v: 0.0 < v < math.inf,
-                                "positive and finite"), 40.0)}
+                                "positive and finite"), DEFAULT_T_MAX)}
 _OUTPUT = {"output": Flag(str, "out"),
            "format": Flag(str, "csv", ("csv", "json")),
            "reproducible": Flag(bool, False)}
@@ -366,7 +367,6 @@ EXPERIMENTS = {
     "isospectral": Experiment(
         run_isospectral, ["comparison", "index", "e_left", "e_right", "delta"],
         _ONE, {**_WELL, **_GRID}, default_grid),
-    # no --gamma: the sweep solves its base, on its grid, at the least gamma
     "gamma-sweep": Experiment(
         run_gamma_sweep, ["gamma", "index", "energy", "delta_vs_base"], _ONE,
         {"lambda": _WELL["lambda"], "mu": _WELL["mu"],
@@ -468,7 +468,6 @@ def _prepare(cfg: argparse.Namespace, exp: Experiment) -> None:
                     f"which {cfg.experiment} --family {cfg.family} does not "
                     "solve")
             continue
-        # a sweep's base, and so its grid, sits at its least gamma
         gamma = cfg.gamma if "gamma" in exp.flags else min(cfg.gammas)
         params = cls(getattr(cfg, cls.strength_name), gamma)
         grid = _grid_for(cfg, exp.grid(params)) if exp.grid else None

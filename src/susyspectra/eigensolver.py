@@ -24,9 +24,8 @@ from .numerics import sinc_kinetic
 from .numerics import tridiag_eigen  # noqa: F401  (retired; see numerics)
 from .potentials import Well
 
-# perfbench/tracer.py wraps this name by attribute to count the rho_min
-# lookups of the default grids; it retires with the numerics stubs at the
-# next change to the benchmark.
+# Nothing in the package calls this binding.  perfbench/tracer.py still
+# wraps it by name, so it stays until the next change to the benchmark.
 morse_rho_min = Well.rho_min
 
 __all__ = [
@@ -124,10 +123,7 @@ def _grid_at_spacing(lo: float, hi: float, spacing: float) -> Grid:
 
 
 def default_grid(params: Well) -> Grid:
-    """The family's default domain at spacing DEFAULT_SPACING.  A family
-    with a `rho_min_margin` (Morse) moves the left edge right to that margin
-    past `rho_min` when the deformation restricts the negative side."""
-    lo, hi = params.default_domain
-    if params.rho_min_margin is not None:
-        lo = max(morse_rho_min(params) + params.rho_min_margin, lo)
-    return _grid_at_spacing(lo, hi, DEFAULT_SPACING)
+    """The family's default domain at spacing DEFAULT_SPACING, the same at
+    every gamma: a gamma below the negative-tail mass is refused by `q`,
+    not by moving the grid."""
+    return _grid_at_spacing(*params.default_domain, DEFAULT_SPACING)

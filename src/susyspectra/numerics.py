@@ -1,8 +1,8 @@
 """Special functions and numerical kernels used throughout the package.
 
 Everything here is self-contained (numpy only): cylindrical Bessel functions
-of integer order, the 15-point Gauss-Kronrod rule, Gauss-Legendre rules of
-any size (the Hankel plans), semi-infinite oscillatory integrals against
+of integer order, Gauss-Legendre rules of any size (the Hankel plans and
+15-point panel integrals), semi-infinite oscillatory integrals against
 Bessel weights, and the sinc basis on a uniform grid (the DVR kinetic matrix
 and band-limited interpolation between the nodes).
 
@@ -499,50 +499,21 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Kronrod 15-point rule
+# Fixed-rule panel integrals
 # ---------------------------------------------------------------------------
 
-# QUADPACK dqk15 abscissae/weights (symmetric half shown).
-_XGK = np.array([
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-    0.000000000000000000000000000000000,
-])
-_WGK = np.array([
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-])
-
-_GK_NODES = np.concatenate((-_XGK[:-1], _XGK[::-1]))          # 15 ascending
-_GK_WEIGHTS = np.concatenate((_WGK[:-1], _WGK[::-1]))
+_PANEL_NODES, _PANEL_WEIGHTS = gauss_legendre(15)
 
 
-def _gk15_panels(f, a: float, b: float, npanels: int) -> float:
-    """Kronrod 15-point value of the integral of f over [a, b], split into
-    npanels equal panels.  f is called once, on the nodes of every panel,
-    and the panel values are summed in order."""
-    width = b - a
-    j = np.arange(npanels + 1)
-    edges = a + width * j / npanels
-    lo, hi = edges[:-1], edges[1:]
-    hw = 0.5 * (hi - lo)
-    x = (0.5 * (lo + hi))[:, None] + hw[:, None] * _GK_NODES
+def _panel_integrals(f, lo, hi) -> np.ndarray:
+    """15-point Gauss-Legendre value of the integral of f over each panel
+    [lo_i, hi_i] of two equal-shape arrays, exact to polynomial degree 29.
+    Widths are signed: hi_i < lo_i gives the negative of the reverse panel.
+    f is called once, on the nodes of every panel."""
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[..., None] + half[..., None] * _PANEL_NODES
     vals = f(x.ravel()).reshape(x.shape)
-    total = 0.0
-    for h, row in zip(hw.tolist(), vals):
-        total += h * float(np.dot(_GK_WEIGHTS, row))
-    return total
+    return half * (vals @ _PANEL_WEIGHTS)
 
 
 # ---------------------------------------------------------------------------
@@ -574,8 +545,8 @@ def integrate_oscillatory_bessel(g, m: int, p: float, tol: float = 1e-9,
     """Evaluate integral_0^inf g(x) J_m(p x) dx.
 
     The axis is partitioned at the zeros of J_m(p x) (McMahon approximation);
-    each inter-zero block is integrated with Gauss-Kronrod panels, whose
-    nodes take g and J_m in one call per block, and the alternating
+    each inter-zero block is the sum of its Gauss-Legendre panel integrals,
+    whose nodes take g and J_m in one call per block, and the alternating
     sequence of partial sums is accelerated with Wynn's epsilon algorithm.
     Integrands whose envelope decays (or at worst stays bounded) converge;
     anything with a growing envelope raises OscillatoryError.
@@ -596,10 +567,10 @@ def integrate_oscillatory_bessel(g, m: int, p: float, tol: float = 1e-9,
     last_pair: tuple[float, float] | None = None
     for k in range(1, max_blocks + 1):
         b = bessel_j_zero(m, k) / p
-        width = b - a
-        npanels = max(1, int(math.ceil(width * p / 3.0)))
-        block = _gk15_panels(f, a, b, npanels)
-        evals += 15 * npanels
+        npanels = max(1, int(math.ceil((b - a) * p / 3.0)))
+        edges = a + (b - a) * np.arange(npanels + 1) / npanels
+        block = float(np.sum(_panel_integrals(f, edges[:-1], edges[1:])))
+        evals += _PANEL_NODES.size * npanels
         if not math.isfinite(block):
             raise OscillatoryError("block integral is not finite")
         total += block

@@ -16,9 +16,11 @@ family (Cooper, Khare & Sukhatme, Phys. Rep. 251, 267 (1995)):
   Riccati equation f' + f^2 = W'^2 + W''.
 
 The running integral in the denominator of q is computed at the points it
-is asked for: Gauss-Kronrod panels of a fixed step from 0 to the multiple
-of the step nearest each point, then one short Gauss-Legendre panel from
-there to the point.
+is asked for: the cumulative sum of 15-point Gauss-Legendre panels of a
+fixed step from 0 to the multiple of the step nearest each point, plus one
+short panel of the same rule from there to the point.  Where it is not
+positive (gamma below the negative-tail mass of psi0^2), q raises
+`SingularConfigurationError`, the one admissibility rule of both families.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import ClassVar
 import numpy as np
 
 from .grids import Grid
-from .numerics import _GK_NODES, _GK_WEIGHTS, gauss_legendre
+from .numerics import _panel_integrals
 
 __all__ = [
     "Well",
@@ -42,11 +44,9 @@ __all__ = [
     "riccati_residual",
 ]
 
-# Panel width of the running integral of psi0^2, and the rule on the last
-# partial panel (at most half a step long).  psi0^2 is a bump of width about
-# 1/sqrt(2 W'') at its peak, 0.2 or more for strengths up to 12.
+# Panel width of the running integral of psi0^2.  psi0^2 is a bump of width
+# about 1/sqrt(2 W'') at its peak, 0.2 or more for strengths up to 12.
 _STEP = 0.1
-_GL_NODES, _GL_WEIGHTS = gauss_legendre(6)
 
 
 class SingularConfigurationError(ValueError):
@@ -83,9 +83,8 @@ class Well:
     declares:
 
     * the class attributes `family` (CLI name), `label` (for messages),
-      `strength_name` (its flag), `default_domain`, `rho_min_margin` (how
-      far right of `rho_min` the default domain starts, or None to keep it
-      fixed) and `riccati_domain` (lo, hi, nodes);
+      `strength_name` (its flag), `default_domain` (the default grid's
+      domain at every gamma) and `riccati_domain` (lo, hi, nodes);
     * the attributes `strength` and `weight_support`, the (lo, hi) outside
       which psi0^2 is below double precision, so that its running integral
       has saturated there;
@@ -138,19 +137,18 @@ class Well:
     @_elementwise
     def _weight_integral(self, r):
         """I(rho) = int_0^rho psi0^2 at each point, with the points clipped
-        to `weight_support`: Gauss-Kronrod panels of width _STEP from 0 to
-        the multiple k _STEP nearest the point, then one Gauss-Legendre
-        panel from there to the point."""
+        to `weight_support`: the cumulative sum of the panels of width
+        _STEP from 0 to the multiple k _STEP nearest the point, plus one
+        signed panel from there to the point."""
         r = np.clip(r, *self.weight_support)
         k = np.rint(r / _STEP).astype(int)
         lo = k.min(initial=0)
-        mids = (np.arange(lo, k.max(initial=0)) + 0.5) * _STEP
-        panels = self._weight(mids[:, None] + 0.5 * _STEP * _GK_NODES)
-        cum = np.concatenate(([0.0], np.cumsum(panels @ _GK_WEIGHTS)))
-        half = 0.5 * (r - k * _STEP)
-        rest = self._weight((r - half)[:, None] + half[:, None] * _GL_NODES)
-        return 0.5 * _STEP * (cum[k - lo] - cum[-lo]) + half * (
-            rest @ _GL_WEIGHTS)
+        edges = np.arange(lo, k.max(initial=0) + 1) * _STEP
+        cum = np.concatenate((
+            [0.0], np.cumsum(_panel_integrals(self._weight, edges[:-1],
+                                              edges[1:]))))
+        return (cum[k - lo] - cum[-lo]
+                + _panel_integrals(self._weight, k * _STEP, r))
 
     def rho_min(self) -> float:
         """Left edge of the domain where the generalized well is defined,
@@ -215,7 +213,6 @@ class MorseParams(Well):
     label: ClassVar[str] = "Morse"
     strength_name: ClassVar[str] = "lambda"
     default_domain: ClassVar[tuple] = (-2.0, 32.0)
-    rho_min_margin: ClassVar[float | None] = 0.5
     riccati_domain: ClassVar[tuple] = (-1.0, 6.0, 7001)
 
     def __post_init__(self):
@@ -271,7 +268,6 @@ class PTParams(Well):
     label: ClassVar[str] = "PT"
     strength_name: ClassVar[str] = "mu"
     default_domain: ClassVar[tuple] = (-20.0, 20.0)
-    rho_min_margin: ClassVar[float | None] = None
     riccati_domain: ClassVar[tuple] = (-5.0, 5.0, 10001)
 
     def __post_init__(self):

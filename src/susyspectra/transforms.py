@@ -36,6 +36,7 @@ from .potentials import MorseParams, PTParams
 
 __all__ = [
     "DEFAULT_PLAN_N",
+    "DEFAULT_T_MAX",
     "MIN_PLAN_N",
     "TruncationWarning",
     "HankelPlan",
@@ -57,6 +58,7 @@ __all__ = [
 ]
 
 DEFAULT_PLAN_N = 256
+DEFAULT_T_MAX = 40.0
 MIN_PLAN_N = 16
 _DECAY_TOL = 1e-8
 # The element budget (nodes x t') of a kernel block, 2 MB per array, so
@@ -93,7 +95,7 @@ class HankelPlan:
             raise ValueError("weights must be positive")
 
 
-def make_hankel_plan(t_max: float = 40.0,
+def make_hankel_plan(t_max: float = DEFAULT_T_MAX,
                      n: int = DEFAULT_PLAN_N) -> HankelPlan:
     """n-point Gauss-Legendre rule on [0, t_max], for transforms of every
     order.

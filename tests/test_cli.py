@@ -226,14 +226,19 @@ class TestNumericalFailures:
         assert "denominator" in capsys.readouterr().err
 
     # each solve returns one level fewer than the closed form holds: the
-    # level n(2s - n) named in the message, just below the threshold s^2
-    @pytest.mark.parametrize("argv, missing", [
-        (["--family", "pt", "--mu", "4.05"], "E = n(2s - n) = 16.4 (n=4"),
-        (["--family", "pt", "--mu", "3.02"], "E = n(2s - n) = 9.12 (n=3"),
+    # level n(2s - n) named in the message, just below the threshold s^2.
+    # A level within the solver's 1e-3 near-threshold cut (gap 4e-4) is
+    # named as cut; one 0.0025 below is named as not resolved on the grid.
+    @pytest.mark.parametrize("argv, missing, reason", [
+        (["--family", "pt", "--mu", "4.05"], "E = n(2s - n) = 16.4 (n=4",
+         "is not resolved on the grid [-20, 20]"),
+        (["--family", "pt", "--mu", "3.02"], "E = n(2s - n) = 9.12 (n=3",
+         "near-threshold cut"),
         (["--family", "morse", "--lambda", "4.52", "--potential", "partner"],
-         "E = n(2s - n) = 16.16 (n=4"),
+         "E = n(2s - n) = 16.16 (n=4", "near-threshold cut"),
     ], ids=["pt-4.05", "pt-3.02", "morse-4.52-partner"])
-    def test_missing_level_exit_3(self, argv, missing, tmp_path, capsys):
+    def test_missing_level_exit_3(self, argv, missing, reason, tmp_path,
+                                  capsys):
         out = tmp_path / "x.csv"
         rc = main(["spectrum", *argv, "--output", str(out)])
         assert rc == 3
@@ -241,6 +246,37 @@ class TestNumericalFailures:
         err = capsys.readouterr().err
         assert missing in err
         assert "below the threshold" in err
+        assert reason in err
+        assert ("no grid returns it" in err) == ("cut" in reason)
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "morse", "--lambda", "4.5", "--gamma", "1e-5"],
+        ["--family", "pt", "--mu", "3", "--gamma", "0.1"],
+    ], ids=["morse-4.5", "pt-3"])
+    def test_generalized_below_tail_mass_exit_3(self, argv, tmp_path,
+                                                capsys):
+        # the default grid is the same at every gamma, so a gamma below the
+        # negative-tail mass reaches the singular region of q on it
+        out = tmp_path / "x.csv"
+        rc = main(["spectrum", *argv, "--potential", "generalized",
+                   "--output", str(out)])
+        assert rc == 3
+        assert not out.exists()
+        assert "below the negative-tail mass" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("potential", ["shifted", "partner"])
+    def test_gamma_free_wells_ignore_gamma(self, potential, tmp_path):
+        # neither well depends on gamma, so gamma = 1e-5 (below the
+        # negative-tail mass) solves on the same grid to the same levels
+        tables = []
+        for gamma in ("1e-5", "1"):
+            out = tmp_path / f"{gamma}.csv"
+            assert main(["spectrum", "--family", "morse", "--lambda", "4.5",
+                         "--gamma", gamma, "--potential", potential,
+                         "--output", str(out)]) == 0
+            meta, _, rows = read_csv(out)
+            tables.append(((meta["grid_min"], meta["grid_n"]), rows))
+        assert tables[0] == tables[1]
 
 
 class TestOutputs:
@@ -324,11 +360,11 @@ class TestOutputs:
         assert ("timestamp" in meta) == stamped
 
     @pytest.mark.parametrize("gammas", [(0.5, 1.0), (1.0, 0.01)])
-    def test_gamma_sweep_grid_at_least_gamma(self, gammas, tmp_path,
-                                             monkeypatch):
-        # the sweep solves its base at the least gamma, whose rho_min lies
-        # furthest right; at lambda=1.5, gamma=0.01 is below the negative-tail
-        # mass, so the grid starts right of the default -2
+    def test_gamma_sweep_grid_is_default_domain(self, gammas, tmp_path,
+                                                monkeypatch):
+        # the sweep's grid is the family's default domain whatever its
+        # gammas; at lambda=1.5, gamma=0.01 is below the negative-tail mass,
+        # which the generalized solve (stubbed out here) refuses
         seen = {}
 
         def sweep(family, strength, swept, grid):
@@ -341,8 +377,9 @@ class TestOutputs:
                      "--gammas", ",".join(map(str, gammas)),
                      "--output", str(out)]) == 0
         assert seen["swept"] == gammas
-        assert seen["grid"] == default_grid(MorseParams(1.5, min(gammas)))
-        assert (seen["grid"].min == -2.0) == (min(gammas) == 0.5)
+        assert seen["grid"] == default_grid(MorseParams(1.5, 1.0))
+        assert (seen["grid"].min, seen["grid"].max) == (
+            MorseParams.default_domain)
 
     @pytest.mark.parametrize("flags, truncation_warned, quarter_turns", [
         ([], "false", "0"),

@@ -171,6 +171,8 @@ def test_default_grids():
     g2 = default_grid(PTParams(4.0, 1.0))
     assert g2.min == -20.0 and g2.max == 20.0 and g2.n == 268
     assert max(g.spacing, g2.spacing) <= DEFAULT_SPACING
-    # a gamma below the negative-tail mass pulls the left edge in
-    g3 = default_grid(MorseParams(0.6, 0.1))
-    assert g3.min > -2.0
+    # gamma does not move the grid, not even below the negative-tail mass
+    assert default_grid(MorseParams(0.6, 0.1)) == default_grid(
+        MorseParams(0.6, 1.0))
+    assert default_grid(PTParams(0.3, 0.1)) == default_grid(
+        PTParams(0.3, 1.0))

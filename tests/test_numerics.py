@@ -6,10 +6,11 @@ import pytest
 import scipy.special
 
 from susyspectra.numerics import (_J0_ZEROS, _J1_SQUARED, OscillatoryError,
-                                  _j0_zeros_and_j1_squared, bessel_j,
-                                  bessel_j_pair, bessel_j_zero,
+                                  _j0_zeros_and_j1_squared, _panel_integrals,
+                                  bessel_j, bessel_j_pair, bessel_j_zero,
                                   gauss_legendre,
                                   integrate_oscillatory_bessel, sinc_interp)
+from susyspectra.transforms import hankel_oscillatory
 
 # First positive zero of J0, located by bisection on the plain power series
 # (oracle below) and frozen here.
@@ -207,6 +208,38 @@ class TestGaussLegendre:
     def test_rejects_empty_rule(self):
         with pytest.raises(ValueError):
             gauss_legendre(0)
+
+
+class TestPanelIntegrals:
+    # uneven panels on both sides of 0, one of them long
+    EDGES = np.array([-1.3, -0.9, -0.85, 0.0, 0.1, 0.7, 2.5])
+
+    @pytest.mark.parametrize("k", range(30))
+    def test_exact_to_degree_29(self, k):
+        lo, hi = self.EDGES[:-1], self.EDGES[1:]
+        got = _panel_integrals(lambda x: x**k, lo, hi)
+        exact = (hi**(k + 1) - lo**(k + 1)) / (k + 1)
+        assert got.shape == lo.shape
+        assert np.max(np.abs(got / exact - 1.0)) <= 1e-14
+
+    def test_zero_width_and_reversed_panels(self):
+        f = lambda x: np.exp(-x * x) * np.cos(3.0 * x)
+        lo = np.array([0.0, 0.4, -2.0])
+        hi = np.array([0.0, 1.3, 0.5])
+        forward = _panel_integrals(f, lo, hi)
+        assert forward[0] == 0.0
+        backward = _panel_integrals(f, hi, lo)
+        assert backward[0] == 0.0
+        assert np.allclose(backward, -forward, rtol=1e-15, atol=0.0)
+
+    def test_hankel_verify_evaluation_count(self):
+        # the twelve oscillatory integrals of `hankel-verify` take one
+        # 15-node panel per block as the rule they replaced did
+        total = sum(
+            hankel_oscillatory(lambda t: 1.0 / np.asarray(t), order, p,
+                               tol=1e-9).evaluations
+            for p in (0.5, 1.0, 2.0, 5.0) for order in (0, 1, 2))
+        assert total == 4830
 
 
 class TestOscillatoryBessel:
