@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage/config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -397,7 +398,10 @@ EXPERIMENTS = {
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every experiment, built at the first `main` call and
+    reused by the later ones in the process."""
     parser = argparse.ArgumentParser(
         prog="susyspectra",
         description="Isospectral Morse / Poschl-Teller experiments")

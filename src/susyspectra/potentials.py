@@ -48,6 +48,10 @@ __all__ = [
 # about 1/sqrt(2 W'') at its peak, 0.2 or more for strengths up to 12.
 _STEP = 0.1
 
+# Decay of the least-bound level at the edges of the default domain, as
+# the WKB factor exp(-int sqrt(V - E) drho) from its turning points.
+_DOMAIN_TOL = 1e-9
+
 
 class SingularConfigurationError(ValueError):
     """The q-term denominator hit zero; gamma is too small for this rho."""
@@ -83,15 +87,16 @@ class Well:
     declares:
 
     * the class attributes `family` (CLI name), `label` (for messages),
-      `strength_name` (its flag), `default_domain` (the default grid's
-      domain at every gamma) and `riccati_domain` (lo, hi, nodes);
+      `strength_name` (its flag), `domain_box` (the interval every default
+      domain is clipped to) and `riccati_domain` (lo, hi, nodes);
     * the attributes `strength` and `weight_support`, the (lo, hi) outside
       which psi0^2 is below double precision, so that its running integral
       has saturated there;
     * the superpotential `w` and its derivatives `w_prime` and `w_second`.
 
     From these it derives the shifted and partner wells, the threshold, the
-    level count, `rho_min`, q, q', the generalized well and f.
+    level count, the default domain, `rho_min`, q, q', the generalized well
+    and f.
     """
 
     family: ClassVar[str]
@@ -115,6 +120,29 @@ class Well:
         """Closed-form count of bound levels n(2s - n), n < s, of the
         shifted and generalized wells, where s = sqrt(threshold)."""
         return math.ceil(math.sqrt(self.threshold) - 1e-9)
+
+    def default_domain(self) -> tuple[float, float]:
+        """The default grid's domain, the same for every kind and every
+        gamma: on each side, where the WKB exponent int sqrt(V - E*) drho of
+        the least-bound level E* = n(2s - n), n = level_count - 1, reaches
+        ln(1/_DOMAIN_TOL) beyond its outermost turning point on the shifted
+        well V.  V is sampled on a 0.01 step over `domain_box` and the
+        exponent is its cumulative sum; an edge the box cuts off is the
+        box's, and the eigensolver's edge check then judges it."""
+        h = 0.01
+        lo, hi = self.domain_box
+        r = np.linspace(lo, hi, round((hi - lo) / h) + 1)
+        s = math.sqrt(self.threshold)
+        n = self.level_count - 1
+        excess = self.shifted(r) - n * (2.0 * s - n)
+        allowed = excess <= 0.0
+        left = int(np.argmax(allowed))
+        right = r.size - 1 - int(np.argmax(allowed[::-1]))
+        kappa = h * np.sqrt(np.maximum(excess, 0.0))
+        target = math.log(1.0 / _DOMAIN_TOL)
+        left -= int(np.searchsorted(np.cumsum(kappa[left::-1]), target))
+        right += int(np.searchsorted(np.cumsum(kappa[right:]), target))
+        return float(r[max(left, 0)]), float(r[min(right, r.size - 1)])
 
     @_elementwise
     def shifted(self, r):
@@ -212,7 +240,7 @@ class MorseParams(Well):
     family: ClassVar[str] = "morse"
     label: ClassVar[str] = "Morse"
     strength_name: ClassVar[str] = "lambda"
-    default_domain: ClassVar[tuple] = (-2.0, 32.0)
+    domain_box: ClassVar[tuple] = (-4.0, 32.0)
     riccati_domain: ClassVar[tuple] = (-1.0, 6.0, 7001)
 
     def __post_init__(self):
@@ -267,7 +295,7 @@ class PTParams(Well):
     family: ClassVar[str] = "pt"
     label: ClassVar[str] = "PT"
     strength_name: ClassVar[str] = "mu"
-    default_domain: ClassVar[tuple] = (-20.0, 20.0)
+    domain_box: ClassVar[tuple] = (-20.0, 20.0)
     riccati_domain: ClassVar[tuple] = (-5.0, 5.0, 10001)
 
     def __post_init__(self):

@@ -363,8 +363,9 @@ class TestOutputs:
     def test_gamma_sweep_grid_is_default_domain(self, gammas, tmp_path,
                                                 monkeypatch):
         # the sweep's grid is the family's default domain whatever its
-        # gammas; at lambda=1.5, gamma=0.01 is below the negative-tail mass,
-        # which the generalized solve (stubbed out here) refuses
+        # gammas, so every gamma's levels are compared on one grid; at
+        # lambda=1.5, gamma=0.01 is below the negative-tail mass, which the
+        # generalized solve (stubbed out here) refuses
         seen = {}
 
         def sweep(family, strength, swept, grid):
@@ -378,8 +379,9 @@ class TestOutputs:
                      "--output", str(out)]) == 0
         assert seen["swept"] == gammas
         assert seen["grid"] == default_grid(MorseParams(1.5, 1.0))
-        assert (seen["grid"].min, seen["grid"].max) == (
-            MorseParams.default_domain)
+        assert seen["grid"] == default_grid(MorseParams(1.5, 0.1))
+        box_lo, box_hi = MorseParams.domain_box
+        assert box_lo <= seen["grid"].min < seen["grid"].max <= box_hi
 
     @pytest.mark.parametrize("flags, truncation_warned, quarter_turns", [
         ([], "false", "0"),
@@ -398,6 +400,21 @@ class TestOutputs:
         meta, _, _ = read_csv(out)
         assert meta["truncation_warned"] == truncation_warned
         assert meta["quarter_turns"] == quarter_turns
+
+    @pytest.mark.parametrize("lam, mu, state", [
+        (1.5, 1, 0), (2.5, 2, 0), (2.5, 2, 1),
+        (3.5, 3, 0), (3.5, 3, 1), (3.5, 3, 2)])
+    def test_wavefunction_map_low_pairing_points(self, lam, mu, state,
+                                                 tmp_path):
+        # on mu = lambda - 1/2 every state maps onto its sech-well partner;
+        # these wells' excited states need the left edge below -2
+        out = tmp_path / "w.csv"
+        assert main(["wavefunction-map", "--lambda", str(lam), "--mu",
+                     str(mu), "--state", str(state), "--output", str(out),
+                     "--reproducible"]) == 0
+        meta, _, _ = read_csv(out)
+        assert meta["truncation_warned"] == "false"
+        assert float(meta["l2_discrepancy"]) < 1e-9
 
     def test_truncation_warning_names_the_caller(self, tmp_path):
         # the warning points at the CLI line that called the map, not at

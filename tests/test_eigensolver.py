@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from susyspectra.analysis import solve
 from susyspectra.eigensolver import (DEFAULT_SPACING, GridTooSmallError,
                                      Spectrum, default_grid, discretize,
                                      solve_bound_states)
@@ -166,13 +167,33 @@ class TestSUSYStructure:
 
 
 def test_default_grids():
+    # the least-bound level of Morse lambda=4.5 has decayed by rho~25, well
+    # inside its box; the sech well's needs the whole box
     g = default_grid(MorseParams(4.5, 1.0))
-    assert g.min == -2.0 and g.max == 32.0 and g.n == 228
+    assert g.n <= 190
     g2 = default_grid(PTParams(4.0, 1.0))
     assert g2.min == -20.0 and g2.max == 20.0 and g2.n == 268
     assert max(g.spacing, g2.spacing) <= DEFAULT_SPACING
+
+
+@pytest.mark.parametrize("params", [
+    MorseParams(lam, 1.0) for lam in (0.6, 1.047, 1.5, 3.2, 4.5, 4.55, 12.0)
+] + [PTParams(mu, 1.0) for mu in (0.3, 1.0, 4.0, 8.1)], ids=repr)
+def test_default_domain_in_box_and_gamma_free(params):
+    lo, hi = params.default_domain()
+    box_lo, box_hi = params.domain_box
+    assert box_lo <= lo < hi <= box_hi
     # gamma does not move the grid, not even below the negative-tail mass
-    assert default_grid(MorseParams(0.6, 0.1)) == default_grid(
-        MorseParams(0.6, 1.0))
-    assert default_grid(PTParams(0.3, 0.1)) == default_grid(
-        PTParams(0.3, 1.0))
+    low_gamma = type(params)(params.strength, 0.1)
+    assert default_grid(low_gamma) == default_grid(params)
+
+
+@pytest.mark.parametrize("kind", ["shifted", "partner", "generalized"])
+@pytest.mark.parametrize("lam", [1.5, 2.5, 3.5, 1.047, 3.2])
+def test_morse_left_wall_closed_form(lam, kind):
+    # a left wall at -2 cuts these wells' excited states off
+    # (GridTooSmallError); the default domain reaches their tails
+    skip = 1 if kind == "partner" else 0
+    spec = solve(MorseParams(lam, 1.0), kind)
+    np.testing.assert_allclose(spec.eigenvalues, morse_levels(lam)[skip:],
+                               rtol=0, atol=1e-12)
