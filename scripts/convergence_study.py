@@ -20,8 +20,8 @@ import time
 import numpy as np
 
 from susyspectra.analysis import solve
-from susyspectra.eigensolver import GridTooSmallError, default_grid
-from susyspectra.grids import Grid
+from susyspectra.eigensolver import (GridTooSmallError, _grid_at_spacing,
+                                     default_grid)
 from susyspectra.potentials import MorseParams, PTParams
 
 SPACINGS = (0.4, 0.3, 0.25, 0.2, 0.15, 0.125, 0.1)
@@ -47,8 +47,7 @@ def main() -> None:
         domain = default_grid(params)
         exact = exact_levels(params)
         for h in SPACINGS:
-            n = math.ceil((domain.max - domain.min) / h) + 1
-            grid = Grid(domain.min, domain.max, n)
+            grid = _grid_at_spacing(domain.min, domain.max, h)
             t0 = time.perf_counter()
             try:
                 levels = solve(params, "shifted", grid).eigenvalues
@@ -61,8 +60,8 @@ def main() -> None:
             else:
                 status = "ok"
                 err = float(np.max(np.abs(levels - exact)))
-            rows.append(f"{family},{n},{grid.spacing:.6g},{status},{err:.6e},"
-                        f"{dt:.3f}")
+            rows.append(f"{family},{grid.n},{grid.spacing:.6g},{status},"
+                        f"{err:.6e},{dt:.3f}")
             print(rows[-1])
     with open(args.out, "w") as fh:
         fh.write("\n".join(rows) + "\n")

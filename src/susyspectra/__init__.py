@@ -1,7 +1,7 @@
 """Isospectral Morse and Poschl-Teller families: bound-state spectra and the
 Fourier-Bessel connection between the two pictures."""
 
-from .grids import Grid, SampledFunction
+from .grids import Grid
 from .numerics import (OscillatoryError, QuadratureResult, bessel_j,
                        integrate_oscillatory_bessel, sinc_interp,
                        sinc_kinetic)

@@ -216,10 +216,9 @@ def run_wavefunction_map(cfg: argparse.Namespace):
          else int(round(params_m.a)) - n_state)
     plan = make_hankel_plan(cfg.t_max, cfg.plan_n)
     tp = np.linspace(0.02, 6.0, 1200)
-    R = morse_state_on_plan(spec_m.eigenfunctions[n_state], params_m.lam,
-                            plan)
+    R = morse_state_on_plan(spec_m, params_m.lam, plan)[n_state]
     mapped = wavefunction_map(R, m, tp, plan)
-    direct = pt_state_on_nodes(spec_pt.eigenfunctions[n_state], tp)
+    direct = pt_state_on_nodes(spec_pt, tp)[n_state]
     disc = normalized_l2_discrepancy(mapped, direct, tp)
     meta = _base_meta(cfg)
     meta.update(state=n_state, order_m=m, l2_discrepancy=disc,

@@ -4,7 +4,7 @@ Sinc discrete variable representation (DVR) on the interior nodes of a
 uniform grid: the kinetic matrix is dense and exact for the band-limited
 sinc basis, V is diagonal, and the spectrum follows from one dense
 symmetric eigensolve.  The error falls exponentially as the spacing shrinks,
-so the default grids (183 Morse and 268 sech-well nodes at the verification
+so the default grids (182 Morse and 268 sech-well nodes at the verification
 point) reach 1e-8 or better there; memory grows as N^2 and time as N^3 in
 the node count.  A default grid spans `Well.default_domain`: out to where
 the least-bound closed-form level has decayed by the WKB factor 1e-9 past
@@ -18,11 +18,11 @@ is wide enough.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, SampledFunction
+from .grids import Grid
 from .numerics import sinc_kinetic
 from .numerics import tridiag_eigen  # noqa: F401  (retired; see numerics)
 from .potentials import Well
@@ -53,18 +53,25 @@ class GridTooSmallError(RuntimeError):
 
 @dataclass
 class Spectrum:
-    """Bound eigenvalues (ascending) with trapezoid-normalized states."""
+    """Bound eigenvalues (ascending), the grid they were solved on and their
+    unit-norm states, one row per level over every node of the grid: a row
+    holds a sinc-DVR state's coefficients, so with the grid it is the state."""
 
     eigenvalues: np.ndarray
-    eigenfunctions: list[SampledFunction] = field(default_factory=list)
+    grid: Grid
+    states: np.ndarray
     continuum_threshold: float = np.inf
 
     def __post_init__(self):
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
+        self.states = np.asarray(self.states, dtype=float)
         if self.eigenvalues.size > 1 and np.any(np.diff(self.eigenvalues) <= 0):
             raise ValueError("eigenvalues must be strictly increasing")
         if np.any(self.eigenvalues >= self.continuum_threshold):
             raise ValueError("bound eigenvalues must sit below the threshold")
+        if self.states.shape != (self.eigenvalues.size, self.grid.n):
+            raise ValueError(f"states have shape {self.states.shape}, not "
+                             f"({self.eigenvalues.size}, {self.grid.n})")
 
     @property
     def bound_count(self) -> int:
@@ -92,37 +99,39 @@ def discretize(potential, grid: Grid) -> np.ndarray:
 
 def solve_bound_states(potential, grid: Grid, threshold: float) -> Spectrum:
     """All eigenpairs below threshold - _TOL_EDGE, with decay-checked,
-    unit-norm eigenfunctions on the full grid.
+    unit-norm states on the full grid.
 
     No bound states is a legitimate outcome (empty spectrum); a bound state
-    that does not decay at the walls raises GridTooSmallError.
+    that does not decay at the walls raises GridTooSmallError, which names
+    the lowest such state.
     """
     values, vectors = np.linalg.eigh(discretize(potential, grid))
     k = int(np.searchsorted(values, threshold - _TOL_EDGE))
-    h = grid.spacing
-    states = []
-    for energy, vec in zip(values[:k], vectors[:, :k].T):
-        peak = float(np.max(np.abs(vec)))
-        edge = max(abs(float(vec[0])), abs(float(vec[-1])))
-        if edge > _DECAY_TOL * peak:
-            raise GridTooSmallError(
-                f"state at E={energy:.6g} has edge amplitude "
-                f"{edge/peak:.2e} of its peak; widen the grid beyond "
-                f"[{grid.min:g}, {grid.max:g}]")
-        # deterministic sign: the leftmost component above 1e-3 of the peak
-        # is positive.  Not the largest one: an odd state of a symmetric well
-        # has two, at +-rho, whose magnitudes tie to rounding.
-        lead = vec[np.argmax(np.abs(vec) > _SIGN_FRACTION * peak)]
-        sign = 1.0 if lead > 0 else -1.0
-        full = np.zeros(grid.n)
-        full[1:-1] = vec * (sign / np.sqrt(h * float(np.dot(vec, vec))))
-        states.append(SampledFunction.on_grid(grid, full))
-    return Spectrum(values[:k], states, threshold)
+    vecs = vectors[:, :k].T
+    peak = np.max(np.abs(vecs), axis=1)
+    edge = np.maximum(np.abs(vecs[:, 0]), np.abs(vecs[:, -1]))
+    wide = np.flatnonzero(edge > _DECAY_TOL * peak)
+    if wide.size:
+        i = wide[0]
+        raise GridTooSmallError(
+            f"state at E={values[i]:.6g} has edge amplitude "
+            f"{edge[i]/peak[i]:.2e} of its peak; widen the grid beyond "
+            f"[{grid.min:g}, {grid.max:g}]")
+    # deterministic sign: the leftmost component above 1e-3 of the peak is
+    # positive.  Not the largest one: an odd state of a symmetric well has
+    # two, at +-rho, whose magnitudes tie to rounding.
+    lead = np.argmax(np.abs(vecs) > _SIGN_FRACTION * peak[:, None], axis=1)
+    sign = np.where(vecs[np.arange(k), lead] > 0, 1.0, -1.0)
+    norm = np.sqrt(grid.spacing * np.sum(vecs * vecs, axis=1))
+    states = np.zeros((k, grid.n))
+    states[:, 1:-1] = vecs * (sign / norm)[:, None]
+    return Spectrum(values[:k], grid, states, threshold)
 
 
 def _grid_at_spacing(lo: float, hi: float, spacing: float) -> Grid:
-    """Uniform grid on [lo, hi] with spacing at most `spacing`."""
-    return Grid(lo, hi, math.ceil((hi - lo) / spacing) + 1)
+    """Uniform grid on [lo, hi] with spacing at most `spacing`, to rounding:
+    27.15 / 0.15 = 181.00000000000003 gives 181 intervals, not 182."""
+    return Grid(lo, hi, math.ceil(round((hi - lo) / spacing, 9)) + 1)
 
 
 def default_grid(params: Well) -> Grid:

@@ -1,4 +1,4 @@
-"""Uniform sample grids and tabulated functions shared across modules."""
+"""The uniform sample grid shared across modules."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Grid", "SampledFunction"]
+__all__ = ["Grid"]
 
 
 @dataclass(frozen=True)
@@ -35,27 +35,3 @@ class Grid:
     def interior(self) -> np.ndarray:
         return self.nodes()[1:-1]
 
-
-@dataclass
-class SampledFunction:
-    """A function tabulated on explicit nodes: a solver state on its grid."""
-
-    nodes: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.nodes = np.asarray(self.nodes, dtype=float)
-        self.values = np.asarray(self.values)
-        if self.nodes.shape != self.values.shape:
-            raise ValueError("nodes and values must have matching length")
-        if not np.all(np.isfinite(self.nodes)):
-            raise ValueError("nodes must be finite")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("values must be finite")
-
-    @classmethod
-    def on_grid(cls, grid: Grid, values) -> "SampledFunction":
-        return cls(grid.nodes(), np.asarray(values))
-
-    def __len__(self) -> int:
-        return self.nodes.size

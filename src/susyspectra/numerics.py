@@ -622,6 +622,10 @@ def sinc_interp(x0: float, dx: float, fvals: np.ndarray, x):
     itself, not an approximation of it.  Points outside the sampled range
     map to 0.
 
+    A stack of sample rows, shape (..., n), gives shape (..., points): the
+    rows share one reciprocal matrix, each row contracted with it by its own
+    matrix-vector product, so bit for bit as a call with that row alone.
+
     With s = (x - x0) / dx = r + d, r the nearest integer,
     sinc(s - j) = (-1)^(r + j) sin(pi d) / (pi (s - j)), so each point
     takes one sine, of the small argument pi d, and the sum over the
@@ -631,22 +635,24 @@ def sinc_interp(x0: float, dx: float, fvals: np.ndarray, x):
     """
     f = np.asarray(fvals, dtype=float)
     xq = np.asarray(x, dtype=float)
-    scalar = xq.ndim == 0
     s = (np.atleast_1d(xq) - x0) / dx
-    out = np.zeros(s.size)
-    inside = np.flatnonzero((s >= 0.0) & (s <= f.size - 1))
+    n = f.shape[-1]
+    out = np.zeros(f.shape[:-1] + (s.size,))
+    inside = np.flatnonzero((s >= 0.0) & (s <= n - 1))
     r = np.rint(s[inside])
     d = s[inside] - r
     on_node = d == 0.0
-    out[inside[on_node]] = f[r[on_node].astype(int)]
+    out[..., inside[on_node]] = f[..., r[on_node].astype(int)]
     off, r, d = inside[~on_node], r[~on_node], d[~on_node]
-    j = np.arange(f.size)
+    j = np.arange(n)
     recip = s[off, None] - j
     np.divide(1.0, recip, out=recip)
     alternating = np.where(j % 2, -f, f)
-    out[off] = (np.where(r % 2, -1.0, 1.0) * np.sin(np.pi * d) / np.pi
-                * (recip @ alternating))
-    return float(out[0]) if scalar else out
+    out[..., off] = (np.where(r % 2, -1.0, 1.0) * np.sin(np.pi * d) / np.pi
+                     * (recip @ alternating[..., None])[..., 0])
+    if xq.ndim == 0:
+        return float(out[0]) if f.ndim == 1 else out[..., 0]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -180,18 +180,24 @@ class Well:
 
     def rho_min(self) -> float:
         """Left edge of the domain where the generalized well is defined,
-        the root of gamma + I(rho) found by bisection (-inf when gamma
-        exceeds the weight's negative-tail mass)."""
-        lo, hi = self.weight_support[0], 0.0
-        if self.gamma + self._weight_integral(lo) > 0:
+        the root of gamma + I(rho) (-inf when gamma exceeds the weight's
+        negative-tail mass).  gamma + I at the edges of one pass of _STEP
+        panels from `weight_support`'s left end to 0 brackets the root in a
+        panel; bisection in it integrates one short panel per step."""
+        edges = np.arange(round(self.weight_support[0] / _STEP), 1) * _STEP
+        panels = _panel_integrals(self._weight, edges[:-1], edges[1:])
+        at_edges = self.gamma - np.append(np.cumsum(panels[::-1])[::-1], 0.0)
+        if at_edges[0] > 0:
             return -math.inf
+        i = int(np.argmax(at_edges > 0)) - 1
+        lo, hi = edges[i], edges[i + 1]
         while hi - lo >= 1e-13 * max(1.0, abs(hi)):
             mid = 0.5 * (lo + hi)
-            if self.gamma + self._weight_integral(mid) > 0:
+            if at_edges[i] + _panel_integrals(self._weight, edges[i], mid) > 0:
                 hi = mid
             else:
                 lo = mid
-        return 0.5 * (lo + hi)
+        return float(0.5 * (lo + hi))
 
     @_elementwise
     def q(self, r):

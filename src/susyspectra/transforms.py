@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import SampledFunction
 from .coordinates import rho_from_morse_t, rho_from_pt_t
 from .eigensolver import Spectrum
 from .numerics import (QuadratureResult, bessel_j, bessel_j_pair,
@@ -286,25 +285,26 @@ def angular_phase_integral(x: float, m: int, phi_prime: float,
 # ---------------------------------------------------------------------------
 
 
-def _on_solver_grid(state: SampledFunction, rho) -> np.ndarray:
-    """A solver state at the points rho, by sinc interpolation (exact for a
-    sinc-DVR state); zero outside the solved window, where it has
-    decayed."""
-    x0 = float(state.nodes[0])
-    return sinc_interp(x0, float(state.nodes[1]) - x0, state.values, rho)
+def _on_solver_grid(spectrum: Spectrum, rho) -> np.ndarray:
+    """Every state of a spectrum at the points rho, one row each, by sinc
+    interpolation (exact for sinc-DVR states); zero outside the solved
+    grid, where they have decayed."""
+    grid = spectrum.grid
+    return sinc_interp(grid.min, grid.spacing, spectrum.states, rho)
 
 
-def morse_state_on_plan(state: SampledFunction, lam: float,
+def morse_state_on_plan(spectrum: Spectrum, lam: float,
                         plan: HankelPlan) -> np.ndarray:
-    """A level-coordinate eigenfunction as R(t) on the plan's nodes,
-    t = lam e^-rho."""
-    return _on_solver_grid(state, rho_from_morse_t(lam, plan.nodes))
+    """The level-coordinate states of a Morse spectrum as R(t) on the
+    plan's nodes, t = lam e^-rho: one row per state."""
+    return _on_solver_grid(spectrum, rho_from_morse_t(lam, plan.nodes))
 
 
-def pt_state_on_nodes(state: SampledFunction, t_prime_nodes) -> np.ndarray:
-    """A sech-well eigenfunction as U(t') at t' = e^-rho."""
+def pt_state_on_nodes(spectrum: Spectrum, t_prime_nodes) -> np.ndarray:
+    """The states of a sech-well spectrum as U(t') at t' = e^-rho: one row
+    per state."""
     return _on_solver_grid(
-        state, rho_from_pt_t(np.asarray(t_prime_nodes, dtype=float)))
+        spectrum, rho_from_pt_t(np.asarray(t_prime_nodes, dtype=float)))
 
 
 def wavefunction_map(R, m: int, t_prime_nodes,
@@ -382,13 +382,14 @@ def potential_term_map(params_m: MorseParams, params_pt: PTParams, m: int,
     sech-well-side term; residual emitted with a two-resolution trace, the
     plan's and a coarse plan of half its nodes.
 
-    On the fine plan one `_contract` pass serves the term map and every
-    bound state of `spectrum`: its jobs are (m, g) and, per state at its
-    order m_n, (m_n, R_n) and (m_n, g), so the Bessel kernel is built once
-    per block of t' for all of them.  An m above every m_n gets a pass of
-    its own, so the states' contractions never depend on m.  They are kept
-    on the report's `states` for `potential_term_sandwich`; an empty
-    spectrum gives the term map alone."""
+    All bound states R_n of `spectrum` are resampled onto the fine plan in
+    one call.  One `_contract` pass there serves the term map and every
+    state: its jobs are (m, g) and, per state at m_n = round(sqrt(a^2 -
+    E_n)), (m_n, R_n) and (m_n, g), so the Bessel kernel is built once per
+    block of t' for all of them.  An m above every m_n gets a pass of its
+    own, so the states' contractions never depend on m.  They are kept on
+    the report's `states` for `potential_term_sandwich`; an empty spectrum
+    gives the term map alone."""
     tp = np.asarray(t_prime_nodes, dtype=float)
     coarse = make_hankel_plan(plan.t_max, plan.nodes.size // 2)
     rhs = pt_term_values(params_pt, tp)
@@ -399,15 +400,14 @@ def potential_term_map(params_m: MorseParams, params_pt: PTParams, m: int,
     g = morse_term_values(params_m, plan.nodes)
     warned = warned or truncated(g, plan)
     g_core = _weighted(g, plan)
-    jobs = []
-    states = []
+    R = morse_state_on_plan(spectrum, params_m.lam, plan)
     a2 = params_m.a * params_m.a
-    for n, state in enumerate(spectrum.eigenfunctions):
-        energy = float(spectrum.eigenvalues[n])
-        m_n = int(round(math.sqrt(max(a2 - energy, 0.0))))
-        R = morse_state_on_plan(state, params_m.lam, plan)
-        states.append((n, m_n, float(np.sum(g_core * R))))
-        jobs += [(m_n, _weighted(R, plan)), (m_n, g_core)]
+    orders = np.rint(np.sqrt(np.maximum(a2 - spectrum.eigenvalues, 0.0)))
+    orders = orders.astype(int).tolist()
+    direct = R @ g_core
+    jobs = []
+    for m_n, R_n in zip(orders, R):
+        jobs += [(m_n, _weighted(R_n, plan)), (m_n, g_core)]
     if m <= max((k for k, _ in jobs), default=m):
         lhs, *contracted = _contract([(m, g_core)] + jobs, plan, tp)
     else:
@@ -427,9 +427,9 @@ def potential_term_map(params_m: MorseParams, params_pt: PTParams, m: int,
         max_residual=float(np.max(np.abs(residual))),
         refinement=refinement,
         truncation_warned=warned,
-        states=[StateContraction(n, m_n, contracted[2 * i],
-                                 contracted[2 * i + 1], direct)
-                for i, (n, m_n, direct) in enumerate(states)],
+        states=[StateContraction(n, m_n, contracted[2 * n],
+                                 contracted[2 * n + 1], float(direct[n]))
+                for n, m_n in enumerate(orders)],
     )
 
 

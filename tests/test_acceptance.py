@@ -152,12 +152,12 @@ def test_09_wavefunction_connection():
     tp = np.linspace(0.02, 6.0, 1200)
     plan = make_hankel_plan()
     worst = 0.0
+    R = morse_state_on_plan(spec_m, LAM, plan)
+    direct = pt_state_on_nodes(spec_pt, tp)
     for n in (0, 1):
         m = int(round(LAM - 0.5)) - n
-        R = morse_state_on_plan(spec_m.eigenfunctions[n], LAM, plan)
-        mapped = wavefunction_map(R, m, tp, plan)
-        direct = pt_state_on_nodes(spec_pt.eigenfunctions[n], tp)
-        worst = max(worst, normalized_l2_discrepancy(mapped, direct, tp))
+        mapped = wavefunction_map(R[n], m, tp, plan)
+        worst = max(worst, normalized_l2_discrepancy(mapped, direct[n], tp))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-3 and elapsed < 60.0
     assert _verdict(9, "wavefunction-connection", ok,

@@ -7,10 +7,12 @@ from susyspectra.analysis import (energy_shift_check, gamma_sweep,
                                   isospectral_check,
                                   normalized_l2_discrepancy)
 from susyspectra.eigensolver import Spectrum
+from susyspectra.grids import Grid
 
 
 def _spectrum(values, threshold=1e9):
-    return Spectrum(np.asarray(values, dtype=float), [], threshold)
+    grid = Grid(0.0, 1.0, 16)
+    return Spectrum(values, grid, np.zeros((len(values), grid.n)), threshold)
 
 
 def _well_separated(xs):

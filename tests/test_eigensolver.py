@@ -73,7 +73,7 @@ class TestSolveBoundStates:
         grid = Grid(-5.0, 5.0, 201)
         spec = solve_bound_states(lambda x: np.ones_like(x), grid, 0.0)
         assert spec.bound_count == 0
-        assert len(spec.eigenfunctions) == 0
+        assert spec.states.shape == (0, grid.n)
 
     def test_narrow_grid_raises(self):
         p = PTParams(4.0, 1.0)
@@ -83,15 +83,16 @@ class TestSolveBoundStates:
 
     def test_eigenfunctions_orthonormal(self, morse_shifted_spectrum):
         spec = morse_shifted_spectrum
-        h = spec.eigenfunctions[0].nodes[1] - spec.eigenfunctions[0].nodes[0]
-        vecs = np.array([f.values for f in spec.eigenfunctions])
-        gram = h * (vecs @ vecs.T)
+        vecs = spec.states
+        assert vecs.shape == (len(spec), spec.grid.n)
+        gram = spec.grid.spacing * (vecs @ vecs.T)
         assert np.max(np.abs(gram - np.eye(len(spec)))) < 1e-6
 
     def test_boundary_decay(self, pt_shifted_spectrum):
-        for f in pt_shifted_spectrum.eigenfunctions:
-            interior_edge = max(abs(f.values[1]), abs(f.values[-2]))
-            assert interior_edge < 1e-6 * np.max(np.abs(f.values))
+        for f in pt_shifted_spectrum.states:
+            assert f[0] == f[-1] == 0.0
+            interior_edge = max(abs(f[1]), abs(f[-2]))
+            assert interior_edge < 1e-6 * np.max(np.abs(f))
 
     def test_spectral_convergence(self):
         # the sinc-DVR error falls exponentially in 1/h: halving the spacing
@@ -123,14 +124,28 @@ class TestSolveBoundStates:
         monkeypatch.setattr(np.linalg, "eigh", flipped)
         got = solve_bound_states(p.shifted, grid, p.threshold)
         assert got.bound_count == ref.bound_count == 4
-        for f, f_ref in zip(got.eigenfunctions, ref.eigenfunctions):
-            assert np.max(np.abs(f.values - f_ref.values)) < 1e-12
+        assert np.max(np.abs(got.states - ref.states)) < 1e-12
 
     def test_spectrum_invariants(self):
+        grid = Grid(0.0, 1.0, 16)
+        two = np.zeros((2, grid.n))
         with pytest.raises(ValueError):
-            Spectrum(np.array([1.0, 1.0]), [], 5.0)
+            Spectrum(np.array([1.0, 1.0]), grid, two, 5.0)
         with pytest.raises(ValueError):
-            Spectrum(np.array([1.0, 6.0]), [], 5.0)
+            Spectrum(np.array([1.0, 6.0]), grid, two, 5.0)
+        # one state row per level, one column per node of the grid
+        for shape in ((1, grid.n), (3, grid.n), (2, grid.n - 2), (2 * grid.n,),
+                      (grid.n, 2)):
+            with pytest.raises(ValueError, match="shape"):
+                Spectrum(np.array([1.0, 2.0]), grid, np.zeros(shape), 5.0)
+        assert Spectrum(np.array([1.0, 2.0]), grid, two, 5.0).bound_count == 2
+        # no levels: no rows, but still one column per node
+        empty = Spectrum(np.empty(0), grid, np.empty((0, grid.n)))
+        assert empty.bound_count == 0
+        with pytest.raises(ValueError, match="shape"):
+            Spectrum(np.empty(0), grid, np.empty(0))
+        with pytest.raises(ValueError, match="shape"):
+            Spectrum(np.empty(0), grid, np.empty((0, grid.n - 1)))
 
     @pytest.mark.parametrize("kind", ["shifted", "partner", "generalized"])
     def test_default_grid_levels_closed_form(self, kind, request):
@@ -170,10 +185,14 @@ def test_default_grids():
     # the least-bound level of Morse lambda=4.5 has decayed by rho~25, well
     # inside its box; the sech well's needs the whole box
     g = default_grid(MorseParams(4.5, 1.0))
-    assert g.n <= 190
+    # on [-2.12, 25.03], 27.15 / 0.15 is 181.00000000000003 in floating
+    # point: 181 intervals, not 182, keep the spacing at 0.15 (27.15 / 181
+    # rounds to 0.15 + 2e-17)
+    assert g.n == 182
+    assert g.spacing <= DEFAULT_SPACING * (1.0 + 1e-15)
     g2 = default_grid(PTParams(4.0, 1.0))
     assert g2.min == -20.0 and g2.max == 20.0 and g2.n == 268
-    assert max(g.spacing, g2.spacing) <= DEFAULT_SPACING
+    assert g2.spacing <= DEFAULT_SPACING
 
 
 @pytest.mark.parametrize("params", [

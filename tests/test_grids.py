@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from susyspectra.grids import Grid, SampledFunction
+from susyspectra.grids import Grid
 
 
 class TestGrid:
@@ -23,20 +23,3 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(0.0, np.inf, 32)
 
-
-class TestSampledFunction:
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            SampledFunction(np.arange(4.0), np.arange(5.0))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            SampledFunction(np.arange(4.0), np.array([0.0, 1.0, np.nan, 2.0]))
-        with pytest.raises(ValueError):
-            SampledFunction(np.array([0.0, np.inf]), np.zeros(2))
-
-    def test_on_grid(self):
-        g = Grid(0.0, 1.0, 16)
-        f = SampledFunction.on_grid(g, np.zeros(16))
-        assert len(f) == 16
-        assert np.array_equal(f.nodes, g.nodes())

@@ -279,6 +279,17 @@ class TestSincInterp:
         out = sinc_interp(0.0, 0.1, vals, np.array([-1e-9, 1.0 + 1e-9, 2.0]))
         assert np.all(out == 0.0)
         assert sinc_interp(0.0, 0.1, vals, 0.3) == pytest.approx(vals[3])
+        # a stack of rows: one row of results per row of samples
+        stack = np.stack((vals, np.sin(3.0 * xs), -vals))
+        got = sinc_interp(0.0, 0.1, stack, xs)
+        assert got.shape == (3, xs.size)
+        assert np.allclose(got, stack, atol=1e-15)
+        out = sinc_interp(0.0, 0.1, stack, np.array([-1e-9, 1.0 + 1e-9, 2.0]))
+        assert out.shape == (3, 3) and np.all(out == 0.0)
+        at = sinc_interp(0.0, 0.1, stack, 0.3)
+        assert at.shape == (3,)
+        assert np.allclose(at, stack[:, 3], rtol=1e-15, atol=0)
+        assert np.array_equal(sinc_interp(0.0, 0.1, stack, 2.0), np.zeros(3))
 
     def test_one_sine_form_matches_sinc_matrix(self):
         def sinc_matrix(x0, dx, f, x):
@@ -303,3 +314,22 @@ class TestSincInterp:
         assert np.max(np.abs(got - sinc_matrix(x0, dx, f, x))) \
             <= 1e-14 * np.max(np.abs(f))
         assert np.array_equal(got[500:508], f[on])
+
+        # a (k, n) stack gives, row for row, bit for bit what k calls of
+        # one row give: at array x and at scalar x on a node, between
+        # nodes, near an end and outside the range
+        stack = np.stack((f, rng.standard_normal(227), f[::-1], -f))
+        rows = sinc_interp(x0, dx, stack, x)
+        assert rows.shape == (4, x.size)
+        for row, samples in zip(rows, stack, strict=True):
+            assert np.array_equal(row, sinc_interp(x0, dx, samples, x))
+        assert np.array_equal(rows[0], got)
+        for xs in (*nodes[[0, 3, 7]], *near[:3], *ends, x0 + 0.37 * dx,
+                   x0 - 1.0, x0 + 300 * dx):
+            at = sinc_interp(x0, dx, stack, xs)
+            assert at.shape == (4,)
+            assert np.array_equal(
+                at, [sinc_interp(x0, dx, samples, xs) for samples in stack])
+        # any leading shape: (2, 2, n) reads as the rows of the (4, n) stack
+        cube = sinc_interp(x0, dx, stack.reshape(2, 2, 227), x)
+        assert np.array_equal(cube.reshape(4, x.size), rows)

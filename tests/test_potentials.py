@@ -343,7 +343,8 @@ class TestWeightIntegral:
     @pytest.mark.parametrize("well, integral", [
         (MorseParams(0.6, 0.1), lambda r: _morse_integral(0.6, r)),
         (PTParams(0.6, 0.5), lambda r: _pt_integral(0.6, r)[0]),
-    ], ids=["morse", "pt"])
+        (PTParams(0.3, 0.15), lambda r: _pt_integral(0.3, r)[0]),
+    ], ids=["morse", "pt", "pt_weak"])
     def test_rho_min_against_brentq(self, well, integral):
         lo = well.weight_support[0]
         want = scipy.optimize.brentq(lambda r: well.gamma + integral(r),

@@ -12,6 +12,7 @@ import scipy.special
 from susyspectra import transforms
 from susyspectra.analysis import normalized_l2_discrepancy
 from susyspectra.eigensolver import Spectrum
+from susyspectra.grids import Grid
 from susyspectra.numerics import bessel_j, bessel_j_pair
 from susyspectra.potentials import MorseParams, PTParams
 from susyspectra.transforms import (HankelPlan, TruncationWarning,
@@ -25,6 +26,9 @@ from susyspectra.transforms import (HankelPlan, TruncationWarning,
 
 # J1(1) frozen from the ascending series (cross-checked against scipy)
 J1_AT_1 = 0.44005058574493355
+
+# a spectrum without bound states: the term map alone
+_NO_STATES = Spectrum(np.empty(0), Grid(0.0, 1.0, 16), np.empty((0, 16)))
 
 
 class TestAngularPhaseIntegral:
@@ -355,13 +359,12 @@ class TestGaussLegendrePlan:
                                            pt_shifted_spectrum):
         tp = np.linspace(0.02, 6.0, 1200)
         plan = make_hankel_plan()
+        R = morse_state_on_plan(morse_shifted_spectrum, 4.5, plan)
+        direct = pt_state_on_nodes(pt_shifted_spectrum, tp)
+        assert R.shape == (4, plan.nodes.size) and direct.shape == (4, 1200)
         for n in range(4):
-            R = morse_state_on_plan(morse_shifted_spectrum.eigenfunctions[n],
-                                    4.5, plan)
-            mapped = wavefunction_map(R, 4 - n, tp, plan)
-            direct = pt_state_on_nodes(pt_shifted_spectrum.eigenfunctions[n],
-                                       tp)
-            assert normalized_l2_discrepancy(mapped, direct, tp) < 1e-8, n
+            mapped = wavefunction_map(R[n], 4 - n, tp, plan)
+            assert normalized_l2_discrepancy(mapped, direct[n], tp) < 1e-8, n
 
 
 class TestWavefunctionMap:
@@ -375,10 +378,9 @@ class TestWavefunctionMap:
                                             pt_shifted_spectrum):
         plan = make_hankel_plan(40.0, 8192)
         tp = np.linspace(0.02, 6.0, 1200)
-        R = morse_state_on_plan(morse_shifted_spectrum.eigenfunctions[0],
-                                4.5, plan)
+        R = morse_state_on_plan(morse_shifted_spectrum, 4.5, plan)[0]
         mapped = wavefunction_map(R, 4, tp, plan)
-        direct = pt_state_on_nodes(pt_shifted_spectrum.eigenfunctions[0], tp)
+        direct = pt_state_on_nodes(pt_shifted_spectrum, tp)[0]
         assert normalized_l2_discrepancy(mapped, direct, tp) < 1e-3
 
     def test_analytic_ground_state_closed_form(self):
@@ -399,7 +401,7 @@ class TestPotentialTermMap:
         plan = make_hankel_plan(40.0, 4096)
         tp = np.linspace(0.05, 5.0, 200)
         report = potential_term_map(params_m, params_pt, 4, plan, tp,
-                                    Spectrum(np.empty(0)))
+                                    _NO_STATES)
         assert report.max_residual < 1e-8
 
     def test_residual_is_resolution_converged(self):
@@ -408,7 +410,7 @@ class TestPotentialTermMap:
         plan = make_hankel_plan(40.0, 8192)
         tp = np.linspace(0.1, 3.0, 100)
         report = potential_term_map(params_m, params_pt, 4, plan, tp,
-                                    Spectrum(np.empty(0)))
+                                    _NO_STATES)
         (n1, r1), (n2, r2) = report.refinement
         assert n2 == 2 * n1
         assert r1 > 0 and r2 > 0
