@@ -137,7 +137,7 @@ def solve(params: Well, kind: str = "shifted",
     if spec.bound_count < expected:
         n = first + spec.bound_count
         s = math.sqrt(params.threshold)
-        energy = n * (2.0 * s - n)
+        energy = params.levels[n]
         gap = params.threshold - energy
         reason = (f"is not resolved on the grid [{grid.min:g}, {grid.max:g}]"
                   if gap >= _TOL_EDGE else "falls inside the solver's "

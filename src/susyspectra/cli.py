@@ -213,7 +213,7 @@ def run_wavefunction_map(cfg: argparse.Namespace):
     spec_m = solve_morse(params_m, "shifted")
     spec_pt = solve_pt(params_pt, "shifted")
     m = (cfg.order_m if cfg.order_m is not None
-         else int(round(params_m.a)) - n_state)
+         else params_m.hankel_order(n_state))
     plan = make_hankel_plan(cfg.t_max, cfg.plan_n)
     tp = np.linspace(0.02, 6.0, 1200)
     R = morse_state_on_plan(spec_m, params_m.lam, plan)[n_state]
@@ -253,7 +253,7 @@ def run_energy_shift(cfg: argparse.Namespace):
 
 def run_potential_term_map(cfg: argparse.Namespace):
     (params_m, _), (params_pt, _) = cfg.wells
-    m = cfg.order_m if cfg.order_m is not None else int(round(params_m.a))
+    m = cfg.order_m if cfg.order_m is not None else params_m.hankel_order(0)
     plan = make_hankel_plan(cfg.t_max, cfg.plan_n)
     tp = np.linspace(0.01, 8.0, 800)
     spec_m = solve_morse(params_m, "generalized")

@@ -521,23 +521,38 @@ def _panel_integrals(f, lo, hi) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _wynn_epsilon(s: np.ndarray) -> float:
-    """Wynn's epsilon algorithm (iterated Shanks) on a partial-sum sequence."""
-    n = s.size
-    e0 = np.zeros(n + 1)
-    e1 = s.astype(float).copy()
-    best = float(s[-1])
-    for col in range(1, n):
-        d = e1[1:] - e1[:-1]
-        if np.any(d == 0.0):
-            # exact convergence of a diagonal
-            return float(e1[np.argmax(d == 0.0) + 1])
-        e2 = e0[1:n - col + 1] + 1.0 / d
-        e0 = e1
-        e1 = e2
-        if col % 2 == 0 and e1.size:
-            best = float(e1[-1])
-    return best
+_EPSILON_DEPTH = 24
+
+
+class _EpsilonTable:
+    """Wynn's epsilon table (P. Wynn, MTAC 10, 91 (1956)) over a run of
+    partial sums, kept as its newest ascending diagonal.  add(s) builds the
+    diagonal ending at s from the one before, one rhombus step per column:
+    eps_0 = s, eps_{k+1} = prev_{k-1} + 1 / (eps_k - prev_k), prev_{-1} = 0,
+    to at most _EPSILON_DEPTH columns, and returns the deepest even column.
+    A zero difference is exact convergence and ends the diagonal; while its
+    pair is among the last _EPSILON_DEPTH sums, the entry of the lowest
+    such zero, the oldest first, is the estimate."""
+
+    def __init__(self):
+        self.diag: list[float] = []
+        self.zeros: list[tuple[int, int, float]] = []  # (column, pair, entry)
+        self.count = 0
+
+    def add(self, s: float) -> float:
+        prev, diag = self.diag, [s]
+        for k in range(min(len(prev), _EPSILON_DEPTH - 1)):
+            d = diag[k] - prev[k]
+            if d == 0.0:
+                self.zeros.append((k, self.count - 1 - k, diag[k]))
+                break
+            diag.append((prev[k - 1] if k else 0.0) + 1.0 / d)
+        self.diag, self.count = diag, self.count + 1
+        first = self.count - _EPSILON_DEPTH
+        self.zeros = [z for z in self.zeros if z[1] >= first]
+        if self.zeros:
+            return min(self.zeros)[2]
+        return diag[-1] if len(diag) % 2 else diag[-2]
 
 
 def integrate_oscillatory_bessel(g, m: int, p: float, tol: float = 1e-9,
@@ -547,7 +562,9 @@ def integrate_oscillatory_bessel(g, m: int, p: float, tol: float = 1e-9,
     The axis is partitioned at the zeros of J_m(p x) (McMahon approximation);
     each inter-zero block is the sum of its Gauss-Legendre panel integrals,
     whose nodes take g and J_m in one call per block, and the alternating
-    sequence of partial sums is accelerated with Wynn's epsilon algorithm.
+    sequence of partial sums is accelerated with Wynn's epsilon algorithm,
+    one table diagonal per block.  From block 8 on it stops when two
+    successive estimates agree to tol; at max_blocks it accepts 1000 tol.
     Integrands whose envelope decays (or at worst stays bounded) converge;
     anything with a growing envelope raises OscillatoryError.
     """
@@ -559,12 +576,11 @@ def integrate_oscillatory_bessel(g, m: int, p: float, tol: float = 1e-9,
     def f(x):
         return np.asarray(g(x), dtype=float) * bessel_j(m, p * x)
 
-    partials = []
     total = 0.0
     evals = 0
     a = 0.0
-    window = 24
-    last_pair: tuple[float, float] | None = None
+    table = _EpsilonTable()
+    est = delta = math.nan
     for k in range(1, max_blocks + 1):
         b = bessel_j_zero(m, k) / p
         npanels = max(1, int(math.ceil((b - a) * p / 3.0)))
@@ -574,25 +590,19 @@ def integrate_oscillatory_bessel(g, m: int, p: float, tol: float = 1e-9,
         if not math.isfinite(block):
             raise OscillatoryError("block integral is not finite")
         total += block
-        partials.append(total)
         a = b
-        if len(partials) >= 8:
-            tail = np.array(partials[-window:])
-            est1 = _wynn_epsilon(tail)
-            est2 = _wynn_epsilon(tail[:-1])
-            last_pair = (est1, est2)
-            delta = abs(est1 - est2)
-            if math.isfinite(est1) and delta <= tol * max(1.0, abs(est1)):
-                return QuadratureResult(est1, delta, evals)
-    if last_pair is None or not math.isfinite(last_pair[0]):
+        prev_est, est = est, table.add(total)
+        delta = abs(est - prev_est)
+        if (k >= 8 and math.isfinite(est)
+                and delta <= tol * max(1.0, abs(est))):
+            break
+    if max_blocks < 8 or not math.isfinite(est):
         raise OscillatoryError("partial sums failed to alternate or converge")
-    est1, est2 = last_pair
-    delta = abs(est1 - est2)
-    if delta > 1e3 * tol * max(1.0, abs(est1)):
+    if delta > 1e3 * tol * max(1.0, abs(est)):
         raise OscillatoryError(
-            f"oscillatory series not converged: estimate {est1:g}, "
+            f"oscillatory series not converged: estimate {est:g}, "
             f"uncertainty {delta:g}")
-    return QuadratureResult(est1, delta, evals)
+    return QuadratureResult(est, delta, evals)
 
 
 # ---------------------------------------------------------------------------

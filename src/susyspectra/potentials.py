@@ -121,20 +121,26 @@ class Well:
         shifted and generalized wells, where s = sqrt(threshold)."""
         return math.ceil(math.sqrt(self.threshold) - 1e-9)
 
+    @property
+    def levels(self) -> np.ndarray:
+        """The closed-form levels n(2s - n), n = 0 .. level_count - 1."""
+        n = np.arange(self.level_count)
+        return n * (2.0 * math.sqrt(self.threshold) - n)
+
     def default_domain(self) -> tuple[float, float]:
         """The default grid's domain, the same for every kind and every
         gamma: on each side, where the WKB exponent int sqrt(V - E*) drho of
-        the least-bound level E* = n(2s - n), n = level_count - 1, reaches
-        ln(1/_DOMAIN_TOL) beyond its outermost turning point on the shifted
-        well V.  V is sampled on a 0.01 step over `domain_box` and the
-        exponent is its cumulative sum; an edge the box cuts off is the
-        box's, and the eigensolver's edge check then judges it."""
+        the least-bound level E* = levels[-1] reaches ln(1/_DOMAIN_TOL)
+        beyond its outermost turning point on the shifted well V (sampled
+        on a 0.01 step over `domain_box`; the exponent is its cumulative
+        sum).  An edge the box cuts off is the box's, and the eigensolver's
+        edge check then judges it; a well with no level gets the box."""
         h = 0.01
         lo, hi = self.domain_box
+        if not self.level_count:
+            return float(lo), float(hi)
         r = np.linspace(lo, hi, round((hi - lo) / h) + 1)
-        s = math.sqrt(self.threshold)
-        n = self.level_count - 1
-        excess = self.shifted(r) - n * (2.0 * s - n)
+        excess = self.shifted(r) - self.levels[-1]
         allowed = excess <= 0.0
         left = int(np.argmax(allowed))
         right = r.size - 1 - int(np.argmax(allowed[::-1]))
@@ -262,6 +268,12 @@ class MorseParams(Well):
     def a(self) -> float:
         """Shifted-well strength a = lam - 1/2 (continuum sits at a^2)."""
         return self.lam - 0.5
+
+    def hankel_order(self, n: int) -> int:
+        """Bessel order round(a) - n of the map from Morse state n to
+        sech-well state n (a - n at the pairing points mu = lam - 1/2), from
+        a, so no round-off in a computed level can pick it."""
+        return round(self.a) - n
 
     @property
     def weight_support(self) -> tuple[float, float]:

@@ -384,12 +384,12 @@ def potential_term_map(params_m: MorseParams, params_pt: PTParams, m: int,
 
     All bound states R_n of `spectrum` are resampled onto the fine plan in
     one call.  One `_contract` pass there serves the term map and every
-    state: its jobs are (m, g) and, per state at m_n = round(sqrt(a^2 -
-    E_n)), (m_n, R_n) and (m_n, g), so the Bessel kernel is built once per
-    block of t' for all of them.  An m above every m_n gets a pass of its
-    own, so the states' contractions never depend on m.  They are kept on
-    the report's `states` for `potential_term_sandwich`; an empty spectrum
-    gives the term map alone."""
+    state: its jobs are (m, g) and, per state at m_n = hankel_order(n) of
+    params_m, (m_n, R_n) and (m_n, g), so the Bessel kernel is built once
+    per block of t' for all of them.  An m above every m_n gets a pass of
+    its own, so the states' contractions never depend on m.  They are kept
+    on the report's `states` for `potential_term_sandwich`; an empty
+    spectrum gives the term map alone."""
     tp = np.asarray(t_prime_nodes, dtype=float)
     coarse = make_hankel_plan(plan.t_max, plan.nodes.size // 2)
     rhs = pt_term_values(params_pt, tp)
@@ -401,9 +401,7 @@ def potential_term_map(params_m: MorseParams, params_pt: PTParams, m: int,
     warned = warned or truncated(g, plan)
     g_core = _weighted(g, plan)
     R = morse_state_on_plan(spectrum, params_m.lam, plan)
-    a2 = params_m.a * params_m.a
-    orders = np.rint(np.sqrt(np.maximum(a2 - spectrum.eigenvalues, 0.0)))
-    orders = orders.astype(int).tolist()
+    orders = [params_m.hankel_order(n) for n in range(spectrum.bound_count)]
     direct = R @ g_core
     jobs = []
     for m_n, R_n in zip(orders, R):
@@ -456,7 +454,7 @@ def potential_term_sandwich(report: TermMapReport) -> list[SandwichCheck]:
     integral dt' t' Hankel_m[morse term](t') Psi_n(t')   (Hankel route)
     with
     integral dt' t' [sech-well term](t') Psi_n(t')       (direct evaluation)
-    where Psi_n = Hankel_m[R_n] and m_n resolves from the state's energy.
+    where Psi_n = Hankel_m[R_n] and m_n = `MorseParams.hankel_order(n)`.
     Both integrals are trapezoid sums over the report's t'; the
     contractions are those `potential_term_map` kept, so no kernel is
     built here.

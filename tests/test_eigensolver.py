@@ -197,11 +197,15 @@ def test_default_grids():
 
 @pytest.mark.parametrize("params", [
     MorseParams(lam, 1.0) for lam in (0.6, 1.047, 1.5, 3.2, 4.5, 4.55, 12.0)
-] + [PTParams(mu, 1.0) for mu in (0.3, 1.0, 4.0, 8.1)], ids=repr)
+] + [PTParams(mu, 1.0) for mu in (0.3, 1.0, 4.0, 8.1)]
+    # no bound level (s <= 1e-9): the whole box
+    + [MorseParams(0.5 + 5e-10, 1.0), PTParams(5e-10, 1.0)], ids=repr)
 def test_default_domain_in_box_and_gamma_free(params):
     lo, hi = params.default_domain()
     box_lo, box_hi = params.domain_box
     assert box_lo <= lo < hi <= box_hi
+    if not params.level_count:
+        assert (lo, hi) == (box_lo, box_hi)
     # gamma does not move the grid, not even below the negative-tail mass
     low_gamma = type(params)(params.strength, 0.1)
     assert default_grid(low_gamma) == default_grid(params)

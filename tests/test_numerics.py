@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 import scipy.special
 
+from susyspectra import numerics
 from susyspectra.numerics import (_J0_ZEROS, _J1_SQUARED, OscillatoryError,
+                                  QuadratureResult, _EpsilonTable,
                                   _j0_zeros_and_j1_squared, _panel_integrals,
                                   bessel_j, bessel_j_pair, bessel_j_zero,
                                   gauss_legendre,
@@ -242,6 +244,49 @@ class TestPanelIntegrals:
         assert total == 4830
 
 
+def _wynn_epsilon(s: np.ndarray) -> float:
+    """Wynn's epsilon table rebuilt from scratch on a window of partial
+    sums, the form `_EpsilonTable` replaced (the last 24 sums were its
+    window), kept as its oracle."""
+    n = s.size
+    e0 = np.zeros(n + 1)
+    e1 = s.astype(float).copy()
+    best = float(s[-1])
+    for col in range(1, n):
+        d = e1[1:] - e1[:-1]
+        if np.any(d == 0.0):
+            # exact convergence of a diagonal
+            return float(e1[np.argmax(d == 0.0) + 1])
+        e2 = e0[1:n - col + 1] + 1.0 / d
+        e0 = e1
+        e1 = e2
+        if col % 2 == 0 and e1.size:
+            best = float(e1[-1])
+    return best
+
+
+def _alternating(count: int, power: int) -> list[float]:
+    """The first partial sums of sum_k (-1)^k / (k + 1)^power."""
+    return np.cumsum([(-1.0) ** k / (k + 1) ** power
+                      for k in range(count)]).tolist()
+
+
+def _hankel_verify_sums() -> list[float]:
+    """The partial sums one `hankel-verify` integral (order 0, p = 0.5)
+    feeds its epsilon table."""
+    sums = []
+
+    class Recording(_EpsilonTable):
+        def add(self, s):
+            sums.append(s)
+            return super().add(s)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "_EpsilonTable", Recording)
+        hankel_oscillatory(lambda t: 1.0 / np.asarray(t), 0, 0.5, tol=1e-9)
+    return sums
+
+
 class TestOscillatoryBessel:
     def test_unit_over_p_identity(self):
         ones = lambda x: np.ones_like(np.asarray(x, dtype=float))
@@ -251,14 +296,48 @@ class TestOscillatoryBessel:
                 assert abs(p * res.value - 1.0) < 1e-6
 
     def test_zero_integrand(self):
+        # every difference is an exact zero; the run still takes 8 blocks
         zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+        ones = lambda x: np.ones_like(np.asarray(x, dtype=float))
         res = integrate_oscillatory_bessel(zero, 0, 1.0, tol=1e-10)
-        assert res.value == 0.0
+        eight = integrate_oscillatory_bessel(ones, 0, 1.0, tol=1.0,
+                                             max_blocks=8)
+        assert res == QuadratureResult(0.0, 0.0, eight.evaluations)
 
     def test_divergent_envelope_raises(self):
         grow = lambda x: np.exp(np.asarray(x, dtype=float))
         with pytest.raises((OscillatoryError, OverflowError)):
             integrate_oscillatory_bessel(grow, 0, 1.0, tol=1e-8, max_blocks=30)
+
+    @pytest.mark.parametrize("max_blocks, tol, message", [
+        (0, 1e-9, "partial sums failed to alternate or converge"),
+        (7, 1e-9, "partial sums failed to alternate or converge"),
+        # block 9's estimate is 2.8e-6 from block 8's, far above 1000 tol
+        (9, 1e-15, "not converged: estimate 1, uncertainty 2.79067e-06"),
+    ])
+    def test_unsettled_runs_raise(self, max_blocks, tol, message):
+        ones = lambda x: np.ones_like(np.asarray(x, dtype=float))
+        with pytest.raises(OscillatoryError, match=message):
+            integrate_oscillatory_bessel(ones, 0, 1.0, tol=tol,
+                                         max_blocks=max_blocks)
+
+    @pytest.mark.parametrize("sequence", [
+        # longer than the 24-sum depth, and converged to the last bit well
+        # before its end, so zero differences enter and leave the window
+        lambda: _alternating(60, 1),
+        # a tail that repeats exactly
+        lambda: _alternating(12, 2) + _alternating(12, 2)[-1:] * 8,
+        _hankel_verify_sums,
+    ], ids=["alternating_harmonic", "repeated_tail", "hankel_verify"])
+    def test_table_matches_windowed_rebuild(self, sequence):
+        # one block at a time, each estimate is bit for bit the rebuilt
+        # table's on the last 24 sums
+        sums = sequence()
+        table = _EpsilonTable()
+        for k, s in enumerate(sums, start=1):
+            got = np.float64(table.add(s))
+            want = np.float64(_wynn_epsilon(np.array(sums[max(0, k - 24):k])))
+            assert got.tobytes() == want.tobytes(), k
 
 
 class TestSincInterp:

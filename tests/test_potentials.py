@@ -307,6 +307,17 @@ _POINTS = np.array([0.26, -3.0, 0.0, 7.5, -0.05, 0.05, -0.051, 1.7, -12.0,
                     40.0, -1.3, 0.149, 300.0, -300.0, 25.0])
 
 
+@pytest.mark.parametrize("params", [
+    MorseParams(lam, 1.0) for lam in (0.6, 4.5, 5.0, 12.0)
+] + [PTParams(mu, 1.0) for mu in (0.2, 4.0, 10.0)], ids=repr)
+def test_closed_form_levels(params):
+    # n(2s - n) for every n < s, s = lam - 1/2 or mu (a level at s itself
+    # would sit on the threshold s^2)
+    s = params.lam - 0.5 if isinstance(params, MorseParams) else params.mu
+    want = [n * (2.0 * s - n) for n in range(math.ceil(s))]
+    assert params.levels.tolist() == want
+
+
 class TestWeightIntegral:
     @pytest.mark.parametrize("lam", [0.6, 1.05, 4.5, 12.0])
     def test_morse_against_incomplete_gamma(self, lam):

@@ -10,7 +10,7 @@ import pytest
 import scipy.special
 
 from susyspectra import transforms
-from susyspectra.analysis import normalized_l2_discrepancy
+from susyspectra.analysis import normalized_l2_discrepancy, solve
 from susyspectra.eigensolver import Spectrum
 from susyspectra.grids import Grid
 from susyspectra.numerics import bessel_j, bessel_j_pair
@@ -427,6 +427,24 @@ class TestPotentialTermMap:
             g = morse_term_values(params_m, plan.nodes)
             vals[t_max] = hankel(g, plan, tp, 4)
         assert np.max(np.abs(vals[40.0] - vals[80.0])) < 1e-6
+
+    @pytest.mark.parametrize("lam, orders", [
+        # round(a) rounds a half to even: a = 3.5 -> 4, 4.5 -> 4, 5.5 -> 6
+        (4.0, [4, 3, 2, 1]),
+        (5.0, [4, 3, 2, 1, 0]),
+        (6.0, [6, 5, 4, 3, 2, 1]),
+    ])
+    def test_state_orders_at_integer_lambda(self, lam, orders):
+        # every a - n is a half-integer here, so an order taken from the
+        # computed level E_n would be picked by its round-off
+        params_m = MorseParams(lam, 1.0)
+        spectrum = solve(params_m, "generalized")
+        report = potential_term_map(params_m, PTParams(lam - 0.5, 1.0), 4,
+                                    make_hankel_plan(80.0, 64),
+                                    np.linspace(0.1, 3.0, 8), spectrum)
+        assert [st.order for st in report.states] == orders
+        assert [params_m.hankel_order(n) for n in range(len(orders))] \
+            == orders
 
     def test_sandwich_parseval_consistency(self, morse_generalized_spectrum):
         # the Hankel-route scalar must match its single-integral twin;
