@@ -9,17 +9,22 @@ once on each tree, the side that goes first alternating from one seed to
 the next, each run as long as the ``run_seconds`` of A's
 ``BENCHMARK.json``.  Every run starts from a fresh copy of its tree
 without ``__pycache__``, ``.bench_work`` or ``.git``, so both sides import
-against the same (empty) bytecode cache.  Prints each pair's metrics and
-then, per metric, the medians and quartiles of both sides, the change of
-the medians against the spread (interquartile range) of A's runs, and the
-number of pairs in which B beats A.  The direction of "better" also comes
-from A's ``BENCHMARK.json``.
+against the same (empty) bytecode cache.  Prints first the CPUs the runs
+may use and the BLAS/OpenMP thread settings, which the ``transform``
+figures move with, then each pair's metrics and then, per metric, the
+medians and quartiles of both sides, the change of the medians against
+the spread (interquartile range) of A's runs, and the number of pairs in
+which B beats A.  The direction of "better" also comes
+from A's ``BENCHMARK.json``.  A run that exits non-zero stops the script
+with exit code 1, after printing its seed, side, exit code and the tail of
+its stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -28,6 +33,17 @@ import tempfile
 from pathlib import Path
 
 _SKIP = shutil.ignore_patterns("__pycache__", ".bench_work", ".git")
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+_TAIL = 10  # stderr lines shown of a failed run
+
+
+def context_line(environ=os.environ) -> str:
+    """The CPUs this process may run on and the thread settings the runs
+    inherit."""
+    cpus = ",".join(map(str, sorted(os.sched_getaffinity(0))))
+    threads = ", ".join(f"{k}={environ.get(k, 'unset')}"
+                        for k in _THREAD_VARS)
+    return f"cpus {cpus}; {threads}"
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -82,16 +98,16 @@ def summarise(pairs: list[tuple[dict, dict]],
     return lines
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int,
+             seconds: float) -> subprocess.CompletedProcess:
     """One benchmark run on a fresh copy of tree."""
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         copy = Path(tmp) / "tree"
         shutil.copytree(tree, copy, ignore=_SKIP)
-        done = subprocess.run(
+        return subprocess.run(
             [sys.executable, "perfbench/run.py", "--workload", workload,
              "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-            cwd=copy, capture_output=True, text=True, check=True)
-    return parse_result(done.stdout)
+            cwd=copy, capture_output=True, text=True)
 
 
 def load_spec(tree: Path) -> tuple[float, dict[str, str]]:
@@ -109,12 +125,20 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", required=True, type=parse_seeds)
     args = ap.parse_args(argv)
     seconds, better = load_spec(args.dir_a)
+    print(context_line(), flush=True)
     pairs = []
     for i, seed in enumerate(args.seeds):
         order = ("A", "B") if i % 2 == 0 else ("B", "A")
-        got = {side: run_once(args.dir_a if side == "A" else args.dir_b,
-                              args.workload, seed, seconds)
-               for side in order}
+        got = {}
+        for side in order:
+            done = run_once(args.dir_a if side == "A" else args.dir_b,
+                            args.workload, seed, seconds)
+            if done.returncode:
+                tail = done.stderr.strip().splitlines()[-_TAIL:]
+                print(f"seed {seed} side {side}: exit {done.returncode}",
+                      *(f"  {line}" for line in tail), sep="\n")
+                return 1
+            got[side] = parse_result(done.stdout)
         pairs.append((got["A"], got["B"]))
         print(f"seed {seed} ({' then '.join(order)}): "
               + ", ".join(f"{k} {got['A'][k]:.6g} -> {got['B'][k]:.6g}"

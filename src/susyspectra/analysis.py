@@ -41,27 +41,23 @@ class SpectralReport:
 
 def _paired_report(left: np.ndarray, right: np.ndarray, skipped: bool,
                    tolerance: float) -> SpectralReport:
-    if left.size != right.size:
-        pairs = [(float(l), float(r), float(r - l))
-                 for l, r in zip(left, right)]
-        return SpectralReport(
-            pairs=pairs,
-            max_delta=float("inf"),
-            skipped_ground=skipped,
-            tolerance=tolerance,
-            passed=False,
-            details=f"count mismatch: {left.size} vs {right.size} levels",
-        )
-    deltas = right - left
+    """Pair the levels in order, as far as the shorter list goes; lists of
+    different lengths fail with max_delta = inf."""
+    n = min(left.size, right.size)
+    deltas = right[:n] - left[:n]
     pairs = [(float(l), float(r), float(d))
              for l, r, d in zip(left, right, deltas)]
-    max_delta = float(np.max(np.abs(deltas))) if deltas.size else 0.0
+    matched = left.size == right.size
+    max_delta = (float(np.max(np.abs(deltas), initial=0.0)) if matched
+                 else math.inf)
     return SpectralReport(
         pairs=pairs,
         max_delta=max_delta,
         skipped_ground=skipped,
         tolerance=tolerance,
-        passed=max_delta <= tolerance,
+        passed=matched and max_delta <= tolerance,
+        details="" if matched else
+        f"count mismatch: {left.size} vs {right.size} levels",
     )
 
 

@@ -92,18 +92,11 @@ def write_table(path: Path, meta: dict, columns: list[str], rows: list,
         raise UsageError(f"unknown format {fmt!r}")
 
 
-def _base_meta(cfg: argparse.Namespace) -> dict:
-    meta = {"tool": "susyspectra", "version": __version__,
-            "experiment": cfg.experiment}
-    if not cfg.reproducible:
-        meta["timestamp"] = datetime.now(timezone.utc).isoformat()
-    return meta
-
-
 # ---------------------------------------------------------------------------
 # Experiments.  Each runner takes the parsed flags, with `cfg.wells` holding
 # (params, grid) for every family it solves (grid None: the family's
-# default), and returns the table's metadata and rows.
+# default), and returns its own metadata keys and the table's rows; `main`
+# writes the common header and the strengths of the wells around them.
 # ---------------------------------------------------------------------------
 
 
@@ -112,11 +105,9 @@ def run_potential_curve(cfg: argparse.Namespace):
     x = grid.nodes()
     trio = [_traced("{}_" + kind, params)(params, x)
             for kind in ("shifted", "partner", "generalized")]
-    meta = _base_meta(cfg)
-    meta.update(family=params.family, gamma=cfg.gamma,
+    meta = dict(gamma=cfg.gamma,
                 rho_min=_traced("{}_rho_min", params)(params),
                 grid_min=grid.min, grid_max=grid.max, grid_n=grid.n)
-    meta[params.strength_name] = params.strength
     rows = [(i, x[i], trio[0][i], trio[1][i], trio[2][i])
             for i in range(grid.n)]
     return meta, rows
@@ -125,14 +116,11 @@ def run_potential_curve(cfg: argparse.Namespace):
 def run_spectrum(cfg: argparse.Namespace):
     [(params, grid)] = cfg.wells
     spec = _traced("solve_{}", params)(params, cfg.potential, grid)
-    meta = _base_meta(cfg)
-    meta.update(family=params.family, potential=cfg.potential,
-                gamma=cfg.gamma,
+    meta = dict(potential=cfg.potential, gamma=cfg.gamma,
                 rho_min=_traced("{}_rho_min", params)(params),
                 grid_min=grid.min, grid_max=grid.max, grid_n=grid.n,
                 continuum_threshold=spec.continuum_threshold,
                 bound_count=spec.bound_count)
-    meta[params.strength_name] = params.strength
     rows = [(i, e) for i, e in enumerate(spec.eigenvalues)]
     return meta, rows
 
@@ -149,13 +137,11 @@ def run_isospectral(cfg: argparse.Namespace):
     for name, rep in (("partner", rep_partner), ("generalized", rep_gen)):
         for i, (l, r, d) in enumerate(rep.pairs):
             rows.append((name, i, l, r, d))
-    meta = _base_meta(cfg)
-    meta.update(family=params.family, gamma=cfg.gamma,
+    meta = dict(gamma=cfg.gamma,
                 partner_max_delta=rep_partner.max_delta,
                 partner_verdict="pass" if rep_partner.passed else "fail",
                 generalized_max_delta=rep_gen.max_delta,
                 generalized_verdict="pass" if rep_gen.passed else "fail")
-    meta[params.strength_name] = params.strength
     return meta, rows
 
 
@@ -164,9 +150,7 @@ def run_gamma_sweep(cfg: argparse.Namespace):
     base, spectra, reports = gamma_sweep(params.family, params.strength,
                                          cfg.gammas, grid)
     rows = []
-    meta = _base_meta(cfg)
-    meta.update(family=params.family)
-    meta[params.strength_name] = params.strength
+    meta = {}
     for g in sorted(spectra):
         spec = spectra[g]
         rep = reports[g]
@@ -180,14 +164,10 @@ def run_gamma_sweep(cfg: argparse.Namespace):
 
 
 def run_riccati(cfg: argparse.Namespace):
-    rows = []
-    meta = _base_meta(cfg)
-    meta.update(gamma=cfg.gamma)
-    for p, grid in cfg.wells:
-        res = riccati_residual(p.f, p.w_prime, p.w_second, grid)
-        rows.append((p.family, grid.spacing, res))
-        meta[p.strength_name] = p.strength
-    return meta, rows
+    rows = [(p.family, grid.spacing,
+             riccati_residual(p.f, p.w_prime, p.w_second, grid))
+            for p, grid in cfg.wells]
+    return {"gamma": cfg.gamma}, rows
 
 
 def run_hankel_verify(cfg: argparse.Namespace):
@@ -200,8 +180,7 @@ def run_hankel_verify(cfg: argparse.Namespace):
             scaled = p * res.value - 1.0
             worst = max(worst, abs(scaled))
             rows.append((p, order, res.value, scaled))
-    meta = _base_meta(cfg)
-    meta.update(identity="p * integral_0^inf J_order(p t) dt = 1",
+    meta = dict(identity="p * integral_0^inf J_order(p t) dt = 1",
                 max_scaled_error=worst,
                 verdict="pass" if worst < 1e-6 else "fail")
     return meta, rows
@@ -220,12 +199,9 @@ def run_wavefunction_map(cfg: argparse.Namespace):
     mapped = wavefunction_map(R, m, tp, plan)
     direct = pt_state_on_nodes(spec_pt, tp)[n_state]
     disc = normalized_l2_discrepancy(mapped, direct, tp)
-    meta = _base_meta(cfg)
-    meta.update(state=n_state, order_m=m, l2_discrepancy=disc,
+    meta = dict(state=n_state, order_m=m, l2_discrepancy=disc,
                 quarter_turns=m % 4, truncation_warned=truncated(R, plan),
                 plan_n=cfg.plan_n, t_max=cfg.t_max)
-    meta["lambda"] = params_m.lam
-    meta["mu"] = params_pt.mu
     rows = [(i, tp[i], mapped[i], direct[i])
             for i in range(tp.size)]
     return meta, rows
@@ -238,16 +214,12 @@ def run_energy_shift(cfg: argparse.Namespace):
     spec_pt = solve_pt(params_pt, "generalized")
     report = energy_shift_check(spec_m, spec_pt, lam, mu)
     shift = lam - mu - 0.5
-    rows = []
-    for i, (left, right, delta) in enumerate(report.pairs):
-        rows.append((i, left - shift, left, right, delta))
-    meta = _base_meta(cfg)
-    meta.update(gamma=cfg.gamma, shift=shift, max_delta=report.max_delta,
+    rows = [(i, e, *pair) for i, (e, pair)
+            in enumerate(zip(spec_m.eigenvalues, report.pairs))]
+    meta = dict(gamma=cfg.gamma, shift=shift, max_delta=report.max_delta,
                 verdict="pass" if report.passed else "fail",
                 asserted="yes" if abs(shift) < 1e-12 else
                 "no (off the mu = lambda - 1/2 point; data only)")
-    meta["lambda"] = lam
-    meta["mu"] = mu
     return meta, rows
 
 
@@ -260,12 +232,9 @@ def run_potential_term_map(cfg: argparse.Namespace):
     # one kernel pass serves the term map and every state's sandwich
     report = potential_term_map(params_m, params_pt, m, plan, tp, spec_m)
     sandwiches = potential_term_sandwich(report)
-    meta = _base_meta(cfg)
-    meta.update(gamma=cfg.gamma, order_m=m, plan_n=cfg.plan_n,
+    meta = dict(gamma=cfg.gamma, order_m=m, plan_n=cfg.plan_n,
                 t_max=cfg.t_max, max_residual=report.max_residual,
                 truncation_warned=report.truncation_warned)
-    meta["lambda"] = params_m.lam
-    meta["mu"] = params_pt.mu
     for size, res in report.refinement:
         meta[f"refinement_n{size}"] = res
     for chk in sandwiches:
@@ -309,13 +278,23 @@ def _at_least(low: int):
 
 
 def _gamma_list(text: str) -> tuple[float, ...]:
+    parts = [s.strip() for s in text.split(",") if s.strip()]
     try:
-        gammas = tuple(float(s) for s in text.split(",") if s.strip())
+        gammas = tuple(float(s) for s in parts)
     except ValueError:
         gammas = ()
     if not gammas or not all(0.0 < g < math.inf for g in gammas):
         raise argparse.ArgumentTypeError(
             f"must be comma-separated positive finite numbers, got {text!r}")
+    # the table keys each gamma's verdict by its 6-digit form
+    first = {}
+    for i, g in enumerate(gammas):
+        j = first.setdefault(f"{g:g}", i)
+        if j != i:
+            raise argparse.ArgumentTypeError(
+                f"{parts[j]} and {parts[i]} share the verdict key "
+                f"gamma_{g:g}_verdict; give gammas that differ in 6 "
+                "significant digits")
     return gammas
 
 
@@ -377,9 +356,11 @@ EXPERIMENTS = {
         {**_WELL, **_GRID}, lambda p: Grid(*p.riccati_domain)),
     "hankel-verify": Experiment(
         run_hankel_verify, ["p", "order", "value", "scaled_error"]),
+    # it maps the shifted wells, which do not depend on gamma
     "wavefunction-map": Experiment(
         run_wavefunction_map, ["index", "t_prime", "u_mapped", "u_direct"],
-        _BOTH, {**_WELL, "state": Flag(_at_least(0), 0), **_PLAN}),
+        _BOTH, {"lambda": _WELL["lambda"], "mu": _WELL["mu"],
+                "state": Flag(_at_least(0), 0), **_PLAN}),
     "energy-shift": Experiment(
         run_energy_shift,
         ["index", "e_morse", "e_morse_shifted", "e_pt", "delta"],
@@ -462,6 +443,10 @@ def _prepare(cfg: argparse.Namespace, exp: Experiment) -> None:
             setattr(cfg, dest, flag.default)
         else:
             given.add(key)
+    if "gammas" in exp.flags:
+        gamma = min(cfg.gammas)
+    else:  # without --gamma: wells that do not depend on it
+        gamma = getattr(cfg, "gamma", _WELL["gamma"].default)
     cfg.wells = []
     for family, cls in FAMILIES.items():
         if getattr(cfg, "family", None) not in (family, "both"):
@@ -471,7 +456,6 @@ def _prepare(cfg: argparse.Namespace, exp: Experiment) -> None:
                     f"which {cfg.experiment} --family {cfg.family} does not "
                     "solve")
             continue
-        gamma = cfg.gamma if "gamma" in exp.flags else min(cfg.gammas)
         params = cls(getattr(cfg, cls.strength_name), gamma)
         grid = _grid_for(cfg, exp.grid(params)) if exp.grid else None
         cfg.wells.append((params, grid))
@@ -505,7 +489,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     try:
-        meta, rows = exp.run(cfg)
+        own, rows = exp.run(cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -513,6 +497,14 @@ def main(argv=None) -> int:
             ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 3
+    meta = {"tool": "susyspectra", "version": __version__,
+            "experiment": cfg.experiment}
+    if not cfg.reproducible:
+        meta["timestamp"] = datetime.now(timezone.utc).isoformat()
+    if exp.families == _ONE:  # the one well, of the two, that it solves
+        meta["family"] = cfg.family
+    meta.update(own)
+    meta.update((p.strength_name, p.strength) for p, _ in cfg.wells)
     out = Path(cfg.output)
     if out.suffix == "":
         out = out.with_suffix(f".{cfg.format}")

@@ -41,12 +41,15 @@ class TestIsospectralCheck:
         assert rep.max_delta == pytest.approx(1e-3, rel=1e-6)
 
     def test_count_mismatch_fails_with_details(self):
-        a = _spectrum([0.0, 7.0, 12.0])
-        b = _spectrum([0.0, 7.0])
-        rep = isospectral_check(a, b)
-        assert not rep.passed
-        assert "count mismatch" in rep.details
-        assert rep.max_delta == float("inf")
+        # either side longer: pairs as far as the shorter one goes
+        for left, right in (([0.0, 7.0, 12.0], [0.0, 7.5]),
+                            ([0.0, 7.0], [0.0, 7.5, 12.0])):
+            rep = isospectral_check(_spectrum(left), _spectrum(right))
+            assert rep.pairs == [(0.0, 0.0, 0.0), (7.0, 7.5, 0.5)]
+            assert rep.max_delta == float("inf")
+            assert rep.passed is False
+            assert rep.details == (f"count mismatch: {len(left)} vs "
+                                   f"{len(right)} levels")
 
     def test_tolerance_boundary(self):
         a = _spectrum([0.0])
@@ -82,9 +85,14 @@ class TestEnergyShiftCheck:
         assert "shift=1" in rep.details
 
     def test_count_mismatch(self):
-        rep = energy_shift_check(_spectrum([0.0, 7.0]), _spectrum([0.0]),
-                                 4.5, 4.0)
-        assert not rep.passed
+        for left, right in (([0.0, 7.0], [1.0]), ([0.0], [1.0, 8.0])):
+            rep = energy_shift_check(_spectrum(left), _spectrum(right),
+                                     4.5, 3.0)
+            assert rep.pairs == [(1.0, 1.0, 0.0)]  # shift = +1
+            assert rep.max_delta == float("inf")
+            assert rep.passed is False
+            assert rep.details == (f"count mismatch: {len(left)} vs "
+                                   f"{len(right)} levels shift=1")
 
     @given(xs=ascending)
     @settings(max_examples=40, deadline=None)

@@ -74,6 +74,8 @@ UNREAD = [
     ("riccati", ["--family", "morse", "--mu", "3"], "mu"),
     ("hankel-verify", ["--lambda", "-3"], "lambda"),
     ("wavefunction-map", ["--potential", "generalized"], "potential"),
+    # it maps the shifted wells, which do not depend on gamma
+    ("wavefunction-map", ["--gamma", "2"], "gamma"),
     ("energy-shift", ["--order-m", "2"], "order-m"),
     ("potential-term-map", ["--state", "1"], "state"),
 ]
@@ -197,6 +199,19 @@ class TestUsageErrors:
         assert main(["hankel-verify", "--config", str(cfg),
                      "--output", str(out)]) == 2
         assert "reproducible" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("gammas", ["1,1.000001", "1,1"])
+    def test_gammas_sharing_a_verdict_key_refused(self, gammas, tmp_path,
+                                                  capsys, no_solve):
+        # the verdict keys print gamma to 6 digits, so a second gamma with
+        # the same key would silently replace the first one's verdict
+        out = tmp_path / "g.csv"
+        assert main(["gamma-sweep", "--family", "pt", "--gammas", gammas,
+                     "--output", str(out)]) == 2
+        first, second = gammas.split(",")
+        assert (f"{first} and {second} share the verdict key "
+                "gamma_1_verdict") in capsys.readouterr().err
         assert not out.exists()
 
     def test_term_map_smallest_plan(self, tmp_path):
@@ -383,6 +398,55 @@ class TestOutputs:
         box_lo, box_hi = MorseParams.domain_box
         assert box_lo <= seen["grid"].min < seen["grid"].max <= box_hi
 
+    def test_gamma_sweep_default_gammas_keep_their_verdicts(self, tmp_path):
+        out = tmp_path / "g.csv"
+        assert main(["gamma-sweep", "--family", "pt", "--output", str(out),
+                     "--reproducible"]) == 0
+        meta, _, rows = read_csv(out)
+        assert {row[0] for row in rows} == {"0.5", "1", "10"}
+        for g in ("0.5", "1", "10"):
+            assert meta[f"gamma_{g}_verdict"] == "pass"
+
+    def test_energy_shift_prints_the_solved_morse_levels(self, tmp_path):
+        # off the pairing point the shift is nonzero; e_morse is the solved
+        # generalized Morse level, not (E + shift) - shift
+        shift, spectrum = tmp_path / "e.csv", tmp_path / "s.csv"
+        assert main(["energy-shift", "--mu", "3", "--output", str(shift),
+                     "--reproducible"]) == 0
+        assert main(["spectrum", "--family", "morse", "--potential",
+                     "generalized", "--output", str(spectrum),
+                     "--reproducible"]) == 0
+        _, header, rows = read_csv(shift)
+        _, _, levels = read_csv(spectrum)
+        e_morse = [row[header.index("e_morse")] for row in rows]
+        assert e_morse == [energy for _, energy in levels[:len(e_morse)]]
+        assert len(e_morse) == 3  # the sech well at mu = 3 holds three
+
+    def test_header_names_exactly_the_solved_wells(self, monkeypatch,
+                                                   tmp_path):
+        # main writes the common header and the strength of every well
+        # the run solves, and no other
+        monkeypatch.syspath_prepend(str(_ROOT / "scripts"))
+        runs = importlib.import_module("run_all_experiments").RUNS
+        strengths = {"morse": {"lambda"}, "pt": {"mu"},
+                     "both": {"lambda", "mu"}}
+        for name, argv in runs:
+            out = tmp_path / f"{name}.json"
+            assert main(argv + ["--output", str(out), "--format", "json",
+                                "--reproducible"]) == 0
+            meta = json.loads(out.read_text())["meta"]
+            common = {k: meta[k] for k in ("tool", "version", "experiment")}
+            assert common == {"tool": "susyspectra",
+                              "version": cli.__version__,
+                              "experiment": argv[0]}
+            if argv[0] == "hankel-verify":
+                want = set()
+            elif "--family" in argv:
+                want = strengths[argv[argv.index("--family") + 1]]
+            else:
+                want = strengths["both"]
+            assert {"lambda", "mu"} & set(meta) == want, name
+
     @pytest.mark.parametrize("flags, truncation_warned, quarter_turns", [
         ([], "false", "0"),
         (["--state", "1"], "false", "3"),
@@ -509,30 +573,3 @@ def test_diff_tables_script(monkeypatch, tmp_path, capsys):
         "  column v: 1/2 differ, max abs 3e-10, max rel 1e-10"]
     monkeypatch.setattr(sys, "argv", ["diff_tables.py", str(a), str(a)])
     assert diff_tables.main() == 0
-
-
-def test_bench_pairs_summary(monkeypatch):
-    # canned last lines of perfbench/run.py: B is faster in two of three
-    # pairs, equal in digits, and the summary counts wins per direction
-    monkeypatch.syspath_prepend(str(_ROOT / "scripts"))
-    bench_pairs = importlib.import_module("bench_pairs")
-    assert bench_pairs.parse_seeds("1-3,7") == [1, 2, 3, 7]
-
-    def line(wall, digits, correct=True):
-        return ("# noise\n" + json.dumps({
-            "correct": correct, "attempted": 4, "failed": 0,
-            "metrics": {"wall_s": {"value": wall, "unit": "s"},
-                        "digits": {"value": digits, "unit": "digits"}}}))
-
-    pairs = [(bench_pairs.parse_result(line(a, 8.0)),
-              bench_pairs.parse_result(line(b, 8.0, ok)))
-             for a, b, ok in ((1.0, 0.8, True), (1.2, 0.9, True),
-                              (0.9, 1.0, False))]
-    out = bench_pairs.summarise(pairs, {"wall_s": "lower",
-                                        "digits": "higher"})
-    assert out == [
-        "digits: A median 8 [8, 8], B median 8 [8, 8], change +0.0%, "
-        "|shift| 0 vs A IQR 0, B better in 0/3",
-        "wall_s: A median 1 [0.95, 1.1], B median 0.9 [0.85, 0.95], "
-        "change -10.0%, |shift| 0.1 vs A IQR 0.15, B better in 2/3",
-        "correct: 2/3 pairs on both sides"]
