@@ -16,7 +16,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
@@ -467,9 +467,11 @@ def _prepare(cfg: argparse.Namespace, exp: Experiment) -> None:
 
 
 def _grid_for(cfg: argparse.Namespace, default: Grid) -> Grid:
-    return Grid(default.min if cfg.grid_min is None else cfg.grid_min,
-                default.max if cfg.grid_max is None else cfg.grid_max,
-                default.n if cfg.grid_n is None else cfg.grid_n)
+    """The default grid with any of --grid-min/--grid-max/--grid-n in place
+    of its fields; it keeps its stretch."""
+    given = {"min": cfg.grid_min, "max": cfg.grid_max, "n": cfg.grid_n}
+    return replace(default, **{name: value for name, value in given.items()
+                               if value is not None})
 
 
 def main(argv=None) -> int:

@@ -356,7 +356,11 @@ FAMILIES = {cls.family: cls for cls in (MorseParams, PTParams)}
 
 def riccati_residual(f, w_prime, w_second, grid: Grid) -> float:
     """max |f' + f^2 - W'^2 - W''| over interior nodes, with f' from a
-    five-point central-difference stencil at the grid spacing."""
+    five-point central-difference stencil at the spacing of a uniform
+    grid."""
+    if grid.stretch:
+        raise ValueError("riccati_residual needs a uniform grid; got one "
+                         f"with stretch {grid.stretch:g}")
     if grid.n < 3:
         raise ValueError("riccati_residual needs at least 3 nodes")
     x = grid.nodes()

@@ -286,11 +286,15 @@ def angular_phase_integral(x: float, m: int, phi_prime: float,
 
 
 def _on_solver_grid(spectrum: Spectrum, rho) -> np.ndarray:
-    """Every state of a spectrum at the points rho, one row each, by sinc
-    interpolation (exact for sinc-DVR states); zero outside the solved
-    grid, where they have decayed."""
+    """Every state of a spectrum at the points rho, one row each: sqrt(J) psi
+    sinc-interpolated in x (exact for sinc-DVR states), divided by sqrt(J)
+    at x(rho); zero outside the solved grid, where they have decayed."""
     grid = spectrum.grid
-    return sinc_interp(grid.min, grid.spacing, spectrum.states, rho)
+    x = grid.to_x(rho)
+    root = np.sqrt(grid.jacobian(grid.x_nodes()))
+    values = sinc_interp(grid.x_bounds[0], grid.spacing,
+                         spectrum.states * root, x)
+    return values / np.sqrt(grid.jacobian(x))
 
 
 def morse_state_on_plan(spectrum: Spectrum, lam: float,

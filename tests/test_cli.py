@@ -243,10 +243,11 @@ class TestNumericalFailures:
     # each solve returns one level fewer than the closed form holds: the
     # level n(2s - n) named in the message, just below the threshold s^2.
     # A level within the solver's 1e-3 near-threshold cut (gap 4e-4) is
-    # named as cut; one 0.0025 below is named as not resolved on the grid.
+    # named as cut; one 0.0025 below is named as not resolved on the grid,
+    # whose end nodes lie one x-spacing beyond the box [-20, 20].
     @pytest.mark.parametrize("argv, missing, reason", [
         (["--family", "pt", "--mu", "4.05"], "E = n(2s - n) = 16.4 (n=4",
-         "is not resolved on the grid [-20, 20]"),
+         "is not resolved on the grid [-20.453, 20.453]"),
         (["--family", "pt", "--mu", "3.02"], "E = n(2s - n) = 9.12 (n=3",
          "near-threshold cut"),
         (["--family", "morse", "--lambda", "4.52", "--potential", "partner"],

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from susyspectra.eigensolver import default_grid
 from susyspectra.grids import Grid
+from susyspectra.potentials import MorseParams, PTParams
 
 
 class TestGrid:
@@ -22,4 +24,37 @@ class TestGrid:
             Grid(2.0, 1.0, 32)
         with pytest.raises(ValueError):
             Grid(0.0, np.inf, 32)
+        with pytest.raises(ValueError, match="stretch"):
+            Grid(0.0, 1.0, 32, stretch=1.0)
+        with pytest.raises(ValueError, match="stretch"):
+            Grid(0.0, 1.0, 32, stretch=-0.1)
 
+    def test_stretch_zero_is_uniform(self):
+        g = Grid(-2.0, 25.0, 401, stretch=0.0)
+        assert np.array_equal(g.nodes(), np.linspace(-2.0, 25.0, 401))
+        assert np.array_equal(g.x_nodes(), g.nodes())
+        assert g.spacing == (25.0 - (-2.0)) / 400
+        assert np.array_equal(g.weights(), np.full(401, g.spacing))
+
+    @pytest.mark.parametrize("params", [MorseParams(4.5, 1.0),
+                                        PTParams(4.0, 1.0)], ids=repr)
+    def test_inverse_map_round_trips(self, params):
+        # x(rho) by Newton to 1e-13 relative over the default domain, and
+        # the end nodes land on min and max
+        g = default_grid(params)
+        rho = np.linspace(*params.default_domain(), 2001)
+        x = g.to_x(rho)
+        np.testing.assert_allclose(g.to_rho(x), rho, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(g.to_x(g.to_rho(x)), x, rtol=1e-13,
+                                   atol=0)
+        nodes = g.nodes()
+        assert nodes[0] == g.min and nodes[-1] == g.max
+        np.testing.assert_allclose(g.to_rho(g.x_nodes()), nodes, rtol=1e-13)
+        assert np.all(np.diff(nodes) > 0)
+
+    def test_weights_integrate(self):
+        # sum w_i f(rho_i) of a smooth, decayed integrand is its integral:
+        # int sech^2 = 2
+        g = Grid(-30.0, 30.0, 161, stretch=0.25)
+        total = np.sum(g.weights() / np.cosh(g.nodes()) ** 2)
+        assert abs(total - 2.0) < 1e-12

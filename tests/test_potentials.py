@@ -256,6 +256,13 @@ class TestRiccati:
                                p.w_second, grid)
         assert res > 1e-2
 
+    def test_stretched_grid_refused(self):
+        # the stencil's spacing would be the x-spacing, not the rho-spacing
+        p = MorseParams(2.5, 1.0)
+        grid = Grid(-1.0, 6.0, 2001, stretch=0.25)
+        with pytest.raises(ValueError, match="uniform grid.*stretch 0.25"):
+            riccati_residual(p.f, p.w_prime, p.w_second, grid)
+
     # the table this replaced read back the integral by cubic Hermite
     # interpolation, which held the sech-well residual at 2.8e-8 (mu = 3)
     @pytest.mark.parametrize("well", [

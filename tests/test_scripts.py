@@ -42,6 +42,29 @@ def test_diff_tables_reports_identical_and_edited(tmp_path):
                              "max abs 0.5, max rel 0.0667\n")
 
 
+def test_convergence_study_rows_for_both_grids(monkeypatch, tmp_path):
+    # one row per family, spacing and stretch; the stretched grid at the
+    # default x-spacing is the default grid, with fewer nodes than the
+    # uniform one at the same spacing
+    monkeypatch.syspath_prepend(str(_ROOT / "scripts"))
+    study = importlib.import_module("convergence_study")
+    out = tmp_path / "conv.csv"
+    monkeypatch.setattr(sys, "argv", ["convergence_study.py", "--out",
+                                      str(out)])
+    study.main()
+    header, *lines = out.read_text().splitlines()
+    assert header == "family,stretch,n_nodes,h,status,max_abs_error,seconds"
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert len(rows) == 2 * 2 * len(study.SPACINGS)
+    at_default = {(r["family"], r["stretch"]): r for r in rows
+                  if abs(float(r["h"]) - 0.13) < 1e-3}
+    assert {key: r["n_nodes"] for key, r in at_default.items()} == {
+        ("morse", "0"): "212", ("morse", "0.25"): "124",
+        ("pt", "0"): "311", ("pt", "0.25"): "193"}
+    for r in at_default.values():
+        assert r["status"] == "ok" and float(r["max_abs_error"]) < 1e-12
+
+
 def _bench_pairs(monkeypatch):
     monkeypatch.syspath_prepend(str(_ROOT / "scripts"))
     return importlib.import_module("bench_pairs")

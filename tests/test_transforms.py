@@ -31,6 +31,25 @@ J1_AT_1 = 0.44005058574493355
 _NO_STATES = Spectrum(np.empty(0), Grid(0.0, 1.0, 16), np.empty((0, 16)))
 
 
+# Bound fixed before the first run: the resampled ground state within 1e-9
+# (max norm) of the normalised closed form e^-W at points between nodes.
+@pytest.mark.parametrize("params, log_mass", [
+    (MorseParams(4.5, 1.0), math.lgamma(8.0) - 8.0 * math.log(9.0)),
+    (PTParams(4.0, 1.0), 0.5 * math.log(math.pi) + math.lgamma(4.0)
+     - math.lgamma(4.5)),
+], ids=["morse", "pt"])
+def test_resampled_ground_state_is_closed_form(params, log_mass):
+    # int e^-2W: (2 lam)^(1 - 2 lam) Gamma(2 lam - 1) for Morse,
+    # B(1/2, mu) for the sech well
+    spec = solve(params, "shifted")
+    grid = spec.grid
+    x = grid.x_nodes()
+    rho = grid.to_rho(0.5 * (x[1:-2] + x[2:-1]))
+    got = transforms._on_solver_grid(spec, rho)[0]
+    want = np.exp(-params.w(rho) - 0.5 * log_mass)
+    assert np.max(np.abs(got - want)) <= 1e-9
+
+
 class TestAngularPhaseIntegral:
     def test_trivial_cases(self):
         assert angular_phase_integral(0.0, 0, 0.7) == pytest.approx(
