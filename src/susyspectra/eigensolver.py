@@ -11,11 +11,12 @@ decaying tails (124 Morse and 193 sech-well nodes at the verification
 point, where every level at gamma = 1 comes out to 1.4e-10 or better).
 Its outermost interior nodes sit on `Well.default_domain`: out to where the
 least-bound closed-form level has decayed by the WKB factor 1e-9 past its
-turning points, within the family's box.  States are kept only if they sit
-below the continuum
-threshold and actually decay at the walls; with no Dirichlet node pinning
-the edges, the edge value of a DVR state is its true tail, so the decay
-check sees whether the domain is wide enough.
+turning points, within the family's box, or past it where the box would
+leave that level too little decay for the edge check.  States are kept
+only if they sit below the continuum threshold and actually decay at the
+walls; with no Dirichlet node pinning the edges, the edge value of a DVR
+state is its true tail, so the decay check sees whether the domain is wide
+enough.
 """
 
 from __future__ import annotations
@@ -95,8 +96,9 @@ def discretize(potential, grid: Grid) -> np.ndarray:
     matrix at the x-spacing, the kinetic part
     S [(W_i + W_j) T_ij / 2 + delta_ij W''_i / 2] S is the exact symmetric
     form of -(1/J) d/dx (1/J) d/dx acting on sqrt(J) psi (W'' = d^2W/dx^2).
-    On a uniform grid (J = 1) it is T itself, and V(rho_i) goes on the
-    diagonal."""
+    On a uniform grid (stretch 0) J = 1, the scaling is by exactly 1.0 and
+    the W'' term exactly 0.0, so the matrix is T bit for bit; V(rho_i) goes
+    on the diagonal."""
     x = grid.interior()
     v = np.asarray(potential(x), dtype=float)
     if v.shape != x.shape:
@@ -105,17 +107,16 @@ def discretize(potential, grid: Grid) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         bad = x[~np.isfinite(v)][0]
         raise ValueError(f"potential is not finite at node rho={bad:.6g}")
+    xi = grid.x_nodes()[1:-1]
+    jac = grid.jacobian(xi)
+    d1 = grid.stretch * np.sinh(xi / MAP_SCALE) / MAP_SCALE
+    d2 = grid.stretch * np.cosh(xi / MAP_SCALE) / MAP_SCALE ** 2
+    s = 1.0 / np.sqrt(jac)
+    coef = np.outer(s / jac, s)  # W_i S_i S_j
     matrix = sinc_kinetic(x.size, grid.spacing)
-    if grid.stretch:
-        xi = grid.x_nodes()[1:-1]
-        jac = grid.jacobian(xi)
-        d1 = grid.stretch * np.sinh(xi / MAP_SCALE) / MAP_SCALE
-        d2 = grid.stretch * np.cosh(xi / MAP_SCALE) / MAP_SCALE ** 2
-        s = 1.0 / np.sqrt(jac)
-        coef = np.outer(s / jac, s)  # W_i S_i S_j
-        matrix *= 0.5 * (coef + coef.T)
-        # W'' = (2 J'^2 - J J'') / J^3, times S_i^2 = 1/J
-        matrix.flat[::x.size + 1] += 0.5 * (2.0 * d1 * d1 - jac * d2) / jac ** 4
+    matrix *= 0.5 * (coef + coef.T)
+    # W'' = (2 J'^2 - J J'') / J^3, times S_i^2 = 1/J
+    matrix.flat[::x.size + 1] += 0.5 * (2.0 * d1 * d1 - jac * d2) / jac ** 4
     matrix.flat[::x.size + 1] += v
     return matrix
 
@@ -154,7 +155,7 @@ def solve_bound_states(potential, grid: Grid, threshold: float) -> Spectrum:
 
 
 def _grid_at_spacing(lo: float, hi: float, spacing: float,
-                     stretch: float = 0.0) -> Grid:
+                     stretch: float) -> Grid:
     """Grid of the given stretch whose outermost interior nodes sit on lo
     and hi, with x-spacing at most `spacing`, to rounding (15.66 / 0.13
     must not gain an interval from floating-point noise); its end nodes lie

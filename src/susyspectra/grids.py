@@ -70,15 +70,11 @@ class Grid:
 
     def to_rho(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if not self.stretch:
-            return x
         return x + self.stretch * (MAP_SCALE * np.sinh(x / MAP_SCALE) - x)
 
     def jacobian(self, x) -> np.ndarray:
         """J = drho/dx at x."""
         x = np.asarray(x, dtype=float)
-        if not self.stretch:
-            return np.ones_like(x)
         return 1.0 - self.stretch + self.stretch * np.cosh(x / MAP_SCALE)
 
     def to_x(self, rho) -> np.ndarray:

@@ -51,6 +51,11 @@ _STEP = 0.1
 # Decay of the least-bound level at the edges of the default domain, as
 # the WKB factor exp(-int sqrt(V - E) drho) from its turning points.
 _DOMAIN_TOL = 1e-9
+# The least decay a box-clipped edge may leave, a decade under the
+# eigensolver's 1e-6 edge check, and how far past the box, as a multiple of
+# it, an edge may move to reach that.
+_REACH_TOL = 1e-7
+_REACH = 2.0
 
 
 class SingularConfigurationError(ValueError):
@@ -75,6 +80,15 @@ def _elementwise(method):
     return wrapper
 
 
+def _edge_steps(exponent: np.ndarray, box: int) -> int:
+    """Steps from a turning point to the domain edge on one side, given the
+    running WKB exponent along that side and the steps to the box edge."""
+    steps = min(int(np.searchsorted(exponent, math.log(1.0 / _DOMAIN_TOL))),
+                box)
+    reach = int(np.searchsorted(exponent, math.log(1.0 / _REACH_TOL)))
+    return reach if steps < reach < exponent.size else steps
+
+
 # ---------------------------------------------------------------------------
 # Generic family
 # ---------------------------------------------------------------------------
@@ -87,8 +101,9 @@ class Well:
     declares:
 
     * the class attributes `family` (CLI name), `label` (for messages),
-      `strength_name` (its flag), `domain_box` (the interval every default
-      domain is clipped to) and `riccati_domain` (lo, hi, nodes);
+      `strength_name` (its flag), `domain_box` (the interval a default
+      domain is clipped to, unless its least-bound level needs more reach;
+      see `default_domain`) and `riccati_domain` (lo, hi, nodes);
     * the attributes `strength` and `weight_support`, the (lo, hi) outside
       which psi0^2 is below double precision, so that its running integral
       has saturated there;
@@ -132,22 +147,31 @@ class Well:
         gamma: on each side, where the WKB exponent int sqrt(V - E*) drho of
         the least-bound level E* = levels[-1] reaches ln(1/_DOMAIN_TOL)
         beyond its outermost turning point on the shifted well V (sampled
-        on a 0.01 step over `domain_box`; the exponent is its cumulative
-        sum).  An edge the box cuts off is the box's, and the eigensolver's
-        edge check then judges it; a well with no level gets the box."""
+        on a 0.01 step; the exponent is its cumulative sum), clipped to
+        `domain_box`.  Where the box would cut an edge off before the
+        exponent reaches ln(1/_REACH_TOL), the edge moves out to where it
+        does, if that lies within _REACH times the box; otherwise it stays
+        on the box and the eigensolver's edge check judges it.  A well with
+        no level gets the box."""
         h = 0.01
-        lo, hi = self.domain_box
+        box_lo, box_hi = self.domain_box
         if not self.level_count:
-            return float(lo), float(hi)
-        r = np.linspace(lo, hi, round((hi - lo) / h) + 1)
-        excess = self.shifted(r) - self.levels[-1]
-        allowed = excess <= 0.0
-        left = int(np.argmax(allowed))
-        right = r.size - 1 - int(np.argmax(allowed[::-1]))
-        kappa = h * np.sqrt(np.maximum(excess, 0.0))
-        target = math.log(1.0 / _DOMAIN_TOL)
-        left -= int(np.searchsorted(np.cumsum(kappa[left::-1]), target))
-        right += int(np.searchsorted(np.cumsum(kappa[right:]), target))
+            return float(box_lo), float(box_hi)
+        # the reach is sampled only when the box leaves too little decay
+        for reach in (1.0, _REACH):
+            lo, hi = reach * box_lo, reach * box_hi
+            r = np.linspace(lo, hi, round((hi - lo) / h) + 1)
+            excess = self.shifted(r) - self.levels[-1]
+            allowed = excess <= 0.0
+            left = int(np.argmax(allowed))
+            right = r.size - 1 - int(np.argmax(allowed[::-1]))
+            kappa = h * np.sqrt(np.maximum(excess, 0.0))
+            decay_l = np.cumsum(kappa[left::-1])
+            decay_r = np.cumsum(kappa[right:])
+            if min(decay_l[-1], decay_r[-1]) >= math.log(1.0 / _REACH_TOL):
+                break
+        left -= _edge_steps(decay_l, left - round((box_lo - lo) / h))
+        right += _edge_steps(decay_r, round((box_hi - lo) / h) - right)
         return float(r[max(left, 0)]), float(r[min(right, r.size - 1)])
 
     @_elementwise

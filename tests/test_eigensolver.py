@@ -1,4 +1,5 @@
 import importlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -229,7 +230,13 @@ def test_default_grids():
 def test_default_domain_in_box_and_gamma_free(params):
     lo, hi = params.default_domain()
     box_lo, box_hi = params.domain_box
-    assert box_lo <= lo < hi <= box_hi
+    if params in (MorseParams(1.047, 1.0), MorseParams(12.0, 1.0)):
+        # their least-bound levels (kappa* = 0.45, 0.5) decay by less than
+        # 1e-7 at the box's right edge, so the domain reaches past it, to
+        # within twice the box
+        assert box_lo <= lo < box_hi < hi <= 2.0 * box_hi
+    else:
+        assert box_lo <= lo < hi <= box_hi
     if not params.level_count:
         assert (lo, hi) == (box_lo, box_hi)
     # gamma does not move the grid, not even below the negative-tail mass
@@ -250,23 +257,31 @@ def test_morse_left_wall_closed_form(lam, kind):
 
 # Bounds, fixed before the first run: shifted and partner levels within
 # 1e-5, generalized within 1e-4 of n(2s - n), and never worse than on the
-# uniform grid of spacing 0.15 with its ends on the same domain (+1e-12 for
-# round-off), the default grid before the stretch.  A gamma below the
-# negative-tail mass is singular on the default grid.  One point misses
-# 1e-4: sech mu = 9, gamma = 0.5 reads 1.6e-4 (1.4e-3 on the uniform grid).
-# Its gamma is 1.67 times the tail mass, inside the corner within 2.5 times
-# of it where the default grids miss the closed form (ROADMAP item 2), so
-# it is held to the uniform grid's error only.
-_NEAR_TAIL_MISS = ("pt", 9.0, 0.5)
+# default grid before the stretch (+1e-12 for round-off).  That reference is
+# uniform at spacing 0.15 with its end nodes on the domain, not one spacing
+# beyond as `_grid_at_spacing` places them, because that is where the
+# uniform default grid had them.  A gamma below the negative-tail mass is
+# singular on the default grid.
+def _level_cases():
+    for family, strength in (("morse", 2.5), ("morse", 4.5),
+                             ("morse", 11.5), ("pt", 3.0), ("pt", 4.0),
+                             ("pt", 9.0)):
+        for kind, gamma in (("shifted", 1.0), ("partner", 1.0),
+                            ("generalized", 0.5), ("generalized", 1.0),
+                            ("generalized", 10.0)):
+            marks = ()
+            if (family, strength, kind, gamma) == ("pt", 9.0, "generalized",
+                                                   0.5):
+                marks = pytest.mark.xfail(strict=True, reason=(
+                    "reads 1.6e-4 (1.4e-3 on the uniform grid): gamma is "
+                    "1.67 times the negative-tail mass, in the corner where "
+                    "the default grids miss the closed form (ROADMAP item 2)"))
+            yield pytest.param(family, strength, kind, gamma, marks=marks,
+                               id=f"{family}-{strength}-{kind}-{gamma}")
 
 
-@pytest.mark.parametrize("kind, gamma", [
-    ("shifted", 1.0), ("partner", 1.0), ("generalized", 0.5),
-    ("generalized", 1.0), ("generalized", 10.0)])
-@pytest.mark.parametrize("family, strength", [
-    ("morse", 2.5), ("morse", 4.5), ("morse", 11.5),
-    ("pt", 3.0), ("pt", 4.0), ("pt", 9.0)])
-def test_stretched_default_grid_levels(family, strength, gamma, kind):
+@pytest.mark.parametrize("family, strength, kind, gamma", _level_cases())
+def test_stretched_default_grid_levels(family, strength, kind, gamma):
     params = (MorseParams if family == "morse" else PTParams)(strength, gamma)
     tail_mass = -params._weight_integral(-np.inf)
     if kind == "generalized" and gamma < tail_mass:
@@ -276,18 +291,43 @@ def test_stretched_default_grid_levels(family, strength, gamma, kind):
     skip = 1 if kind == "partner" else 0
     want = params.levels[skip:]
     err = np.max(np.abs(solve(params, kind).eigenvalues - want))
-    uniform = _grid_at_spacing_uniform(*params.default_domain(), 0.15)
+    lo, hi = params.default_domain()
+    uniform = Grid(lo, hi, math.ceil(round((hi - lo) / 0.15, 9)) + 1)
     err_uniform = np.max(np.abs(solve(params, kind, uniform).eigenvalues
                                 - want))
     assert err <= err_uniform + 1e-12
-    if kind != "generalized":
-        assert err <= 1e-5
-    elif (family, strength, gamma) != _NEAR_TAIL_MISS:
-        assert err <= 1e-4
+    assert err <= (1e-4 if kind == "generalized" else 1e-5)
 
 
-def _grid_at_spacing_uniform(lo, hi, spacing):
-    return Grid(lo, hi, int(np.ceil(round((hi - lo) / spacing, 9))) + 1)
+# Strengths of ROADMAP item 2's sweep at gamma = 1 (240 per family, evenly
+# spaced over Morse lambda in [0.613, 12] and sech mu in [0.213, 10]) whose
+# least-bound level (kappa* 0.4 to 0.75) decays by only 1e-6 to 1e-5 at the
+# box's edge.  The uniform default grids solved them; a stretched grid with
+# its outermost interior nodes on the box refuses them at the edge check,
+# so their domains reach past the box.  Bound fixed before the first run.
+_PAST_THE_BOX = [
+    ("morse", 0.8988661087866109), ("morse", 1.9470418410041843),
+    ("morse", 2.9475732217573225), ("morse", 3.9481046025104605),
+    ("morse", 4.948635983263598), ("morse", 5.949167364016738),
+    ("morse", 6.949698744769876), ("morse", 6.99734309623431),
+    ("morse", 7.997874476987448), ("morse", 8.998405857740586),
+    ("morse", 9.998937238493724), ("morse", 10.999468619246862),
+    ("morse", 12.0),
+    ("pt", 0.6224979079497908), ("pt", 0.6634476987447699),
+    ("pt", 1.687192468619247), ("pt", 2.669987447698745),
+    ("pt", 2.7109372384937243), ("pt", 3.693732217573222),
+    ("pt", 4.717476987447699), ("pt", 5.700271966527197),
+    ("pt", 5.741221757322176), ("pt", 6.7240167364016745),
+    ("pt", 7.747761506276151), ("pt", 8.730556485355649),
+    ("pt", 9.754301255230125)]
+
+
+@pytest.mark.parametrize("family, strength", _PAST_THE_BOX)
+def test_box_clipped_strengths_solve(family, strength):
+    params = (MorseParams if family == "morse" else PTParams)(strength, 1.0)
+    assert params.default_domain()[1] > params.domain_box[1]
+    levels = solve(params, "shifted").eigenvalues
+    np.testing.assert_allclose(levels, params.levels, rtol=0, atol=1e-8)
 
 
 # Outcome of every scan point of seeds 1-10 (seven points per seed, Morse
