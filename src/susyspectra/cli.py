@@ -73,23 +73,58 @@ def _fmt_value(v):
     return str(v)
 
 
+def _column_text(values) -> list[str]:
+    """`_fmt_value` of every value of a column, by one formatter chosen
+    from the values' types: floats alone take the float format, ints or
+    strings alone `str`, and any other mix `_fmt_value` itself."""
+    kinds = set(map(type, values))
+    if kinds <= {float, np.float64}:
+        return list(map("{:.12g}".format, values))
+    if kinds <= {int, np.int64} or kinds <= {str}:
+        return list(map(str, values))
+    return list(map(_fmt_value, values))
+
+
+def _json_block(opening: str, closing: str, items: list[str]) -> str:
+    """A JSON object or array of already indented items, at indent 2, as
+    json.dumps(indent=2) lays it out."""
+    if not items:
+        return opening + closing
+    return opening + "\n" + ",\n".join(items) + "\n  " + closing
+
+
 def write_table(path: Path, meta: dict, columns: list[str], rows: list,
                 fmt: str) -> None:
+    """Write meta and rows, each value as `_fmt_value` text.  CSV: a
+    "# key: value" line per meta item, the header, one line per row.  JSON:
+    {"meta": {key: value}, "rows": [{column: value}]}, byte for byte as
+    json.dumps(indent=2, sort_keys=True) writes it, strings escaped to
+    ASCII.  Every row holds one value per column."""
+    if fmt not in ("csv", "json"):
+        raise UsageError(f"unknown format {fmt!r}")
+    for row in rows:
+        if len(row) != len(columns):
+            raise ValueError(f"row {row!r} does not match columns {columns}")
+    texts = ([_column_text(col) for col in zip(*rows)] if rows
+             else [[] for _ in columns])
     if fmt == "csv":
         lines = [f"# {k}: {_fmt_value(v)}" for k, v in meta.items()]
         lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt_value(v) for v in row))
+        lines += map(",".join, zip(*texts))
         path.write_text("\n".join(lines) + "\n")
-    elif fmt == "json":
-        payload = {
-            "meta": {k: _fmt_value(v) for k, v in meta.items()},
-            "rows": [dict(zip(columns, (_fmt_value(v) for v in row)))
-                     for row in rows],
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        raise UsageError(f"unknown format {fmt!r}")
+        return
+    quote = json.encoder.encode_basestring_ascii
+    meta_items = [f"    {quote(k)}: {quote(_fmt_value(meta[k]))}"
+                  for k in sorted(meta)]
+    # a repeated column keeps its last value, as in a dict
+    index = {c: i for i, c in enumerate(columns)}
+    fields = [[f"      {quote(c)}: {quote(t)}" for t in texts[index[c]]]
+              for c in sorted(index)]
+    row_items = ["    {\n" + ",\n".join(row) + "\n    }"
+                 for row in zip(*fields)]
+    path.write_text("{\n  \"meta\": " + _json_block("{", "}", meta_items)
+                    + ",\n  \"rows\": " + _json_block("[", "]", row_items)
+                    + "\n}\n")
 
 
 # ---------------------------------------------------------------------------

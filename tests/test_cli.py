@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -536,6 +537,71 @@ def test_script_and_benchmark_argvs_are_accepted(monkeypatch, tmp_path):
               for op in bench.scan_ops(1)]
     for argv, allowed in cases:
         assert main(argv) in allowed, " ".join(argv)
+
+
+def _reference_write_table(path, meta, columns, rows, fmt):
+    """The per-value writer that `cli.write_table` replaced: `_fmt_value`
+    on every value, the JSON text by json.dumps."""
+    fmt_value = cli._fmt_value
+    if fmt == "csv":
+        lines = [f"# {k}: {fmt_value(v)}" for k, v in meta.items()]
+        lines.append(",".join(columns))
+        for row in rows:
+            lines.append(",".join(fmt_value(v) for v in row))
+        path.write_text("\n".join(lines) + "\n")
+    else:
+        payload = {
+            "meta": {k: fmt_value(v) for k, v in meta.items()},
+            "rows": [dict(zip(columns, (fmt_value(v) for v in row)))
+                     for row in rows],
+        }
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _assert_writers_agree(tmp_path, meta, columns, rows):
+    for fmt in ("csv", "json"):
+        new, old = tmp_path / f"new.{fmt}", tmp_path / f"old.{fmt}"
+        cli.write_table(new, meta, columns, rows, fmt)
+        _reference_write_table(old, meta, columns, rows, fmt)
+        assert new.read_bytes() == old.read_bytes(), fmt
+
+
+def test_writer_bytes_match_reference_on_every_table(monkeypatch, tmp_path):
+    # every table of scripts/run_all_experiments.py, in CSV and in JSON
+    monkeypatch.syspath_prepend(str(_ROOT / "scripts"))
+    runs = importlib.import_module("run_all_experiments").RUNS
+    tables = []
+    monkeypatch.setattr(cli, "write_table",
+                        lambda path, *table: tables.append(table[:3]))
+    for name, argv in runs:
+        assert main(argv + ["--output", str(tmp_path / name),
+                            "--reproducible"]) == 0, name
+    monkeypatch.undo()
+    assert len(tables) == len(runs)
+    for meta, columns, rows in tables:
+        _assert_writers_agree(tmp_path, meta, columns, rows)
+
+
+@pytest.mark.parametrize("meta, columns, rows", [
+    ({}, ["a", "b"], []),
+    ({"k": 1}, [], []),
+    ({"note": 'say "hi"\\ \u00e9\n\t\u2713', "flag": True, "nan": math.nan},
+     ["name", "x"], [("caf\u00e9 \"q\"", 1.5), ("a\\b,c", -0.0)]),
+    ({}, ["mixed", "ints", "floats"],
+     [(True, np.int64(3), np.float64(math.inf)),
+      (2.5, 7, -math.inf),
+      (np.float32(0.1), np.int32(-4), 1e-300),
+      ("s", 0, np.float64(math.nan))]),
+    ({"b": 2, "a": 1}, ["z", "a", "z"], [(1, 2, 3), (4, 5, 6)]),
+], ids=["empty_rows", "empty_columns", "escapes", "mixed", "repeated"])
+def test_writer_bytes_match_reference_edge_cases(tmp_path, meta, columns,
+                                                 rows):
+    _assert_writers_agree(tmp_path, meta, columns, rows)
+
+
+def test_writer_refuses_a_ragged_row(tmp_path):
+    with pytest.raises(ValueError, match="does not match"):
+        cli.write_table(tmp_path / "t.csv", {}, ["a", "b"], [(1,)], "csv")
 
 
 def test_import_starts_no_thread_pool():

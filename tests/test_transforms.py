@@ -171,9 +171,9 @@ class TestOrderRecurrence:
                                          morse_generalized_spectrum):
         # four states at orders 4, 3, 2, 1 share one kernel pass: orders 4
         # and 3 are built together, by one bessel_j_pair call per block of
-        # t', and nothing else is built; the coarse refinement plan, of
-        # half the nodes, is counted apart
-        plan = make_hankel_plan(40.0, 512)
+        # kernel points, and nothing else is built; the coarse refinement
+        # plan, of half the nodes, is counted apart
+        plan = make_hankel_plan(40.0, 2048)
         calls = _count_kernel_builds(monkeypatch, plan.nodes.size)
         tp = np.linspace(0.01, 8.0, 800)
         report = potential_term_map(
@@ -181,14 +181,18 @@ class TestOrderRecurrence:
             morse_generalized_spectrum)
         checks = potential_term_sandwich(report)
         assert [chk.order for chk in checks] == [4, 3, 2, 1]
-        blocks = _blocks(plan.nodes.size, tp.size)
+        blocks = _blocks(plan, tp)
         assert blocks == 2
         assert sorted(calls) == [(plan.nodes.size, 4, 3)] * blocks
 
 
-def _blocks(nodes: int, tp: int) -> int:
-    """Kernel blocks of a _contract pass: ceil(nodes * tp / budget)."""
-    return -(-nodes * tp // transforms._BLOCK_ELEMENTS)
+def _blocks(plan, tp) -> int:
+    """Kernel blocks of a _contract pass over tp: ceil(nodes * points /
+    budget), the points being the Chebyshev points where the pass
+    interpolates and tp itself where it does not."""
+    cheb = transforms._chebyshev_interpolant(plan, tp)
+    points = tp.size if cheb is None else cheb[0].size
+    return -(-plan.nodes.size * points // transforms._BLOCK_ELEMENTS)
 
 
 def _count_kernel_builds(monkeypatch, nodes: int | None = None) -> list:
@@ -231,7 +235,7 @@ class TestKernelBlocks:
     def test_term_map_same_on_any_worker_count(self, monkeypatch,
                                                morse_generalized_spectrum):
         plan = make_hankel_plan(40.0, 2048)
-        assert _blocks(plan.nodes.size, self.TP.size) == 7
+        assert _blocks(plan, self.TP) == 2
         reports = []
         for _ in self.executors(monkeypatch):
             reports.append(potential_term_map(
@@ -245,9 +249,9 @@ class TestKernelBlocks:
                 assert np.array_equal(st.term, st_ref.term)
 
     def test_hankel_same_on_any_worker_count(self, monkeypatch):
-        plan = make_hankel_plan(40.0, 256)
+        plan = make_hankel_plan(40.0, 4096)
         tp = np.linspace(0.02, 6.0, 1200)
-        assert _blocks(plan.nodes.size, tp.size) == 2
+        assert _blocks(plan, tp) == 3
         g = plan.nodes ** 3 * np.exp(-plan.nodes)
         outs = [hankel(g, plan, tp, 3) for _ in self.executors(monkeypatch)]
         for out in outs[1:]:
@@ -255,7 +259,8 @@ class TestKernelBlocks:
 
     def test_block_error_reaches_the_caller(self, monkeypatch):
         # the third block's kernel build fails on a pool thread
-        plan = make_hankel_plan(40.0, 1024)
+        plan = make_hankel_plan(40.0, 4096)
+        assert _blocks(plan, self.TP) == 4
         pool = ThreadPoolExecutor(2)
         monkeypatch.setattr(transforms, "_executor", lambda: pool)
         builds = itertools.count()
@@ -278,6 +283,115 @@ class TestKernelBlocks:
         assert [o.shape for o in out] == [(0,), (0,)]
 
 
+# bessel_j's absolute accuracy over 0 <= x <= 400 (its docstring)
+_J_TOL = 1e-13
+
+
+def _interpolation_bound(plan, tp, core) -> float:
+    """What the Chebyshev pass may be off by: 2^-53 sum |c| from its degree,
+    plus bessel_j's _J_TOL at each point carried by the barycentric matrix,
+    whose rows sum in magnitude to at most the Lebesgue constant
+    2/pi log(N + 1) + 1 of the Chebyshev points.  Zero on the direct path."""
+    cheb = transforms._chebyshev_interpolant(plan, tp)
+    if cheb is None:
+        return 0.0
+    lebesgue = 2.0 / math.pi * math.log(cheb[0].size) + 1.0
+    return (2.0 ** -53 + lebesgue * _J_TOL) * np.sum(np.abs(core))
+
+
+class TestChebyshevContraction:
+    """Past a few hundred t' the kernel is built at Chebyshev points only;
+    the contraction stays within the interpolation bound, plus bessel_j's
+    tolerance, of the direct sum and of scipy's J_m."""
+
+    ORDERS = list(range(7))
+
+    @staticmethod
+    def check(plan, tp, orders, sample=slice(None)):
+        rng = np.random.default_rng(11)
+        jobs = [(k, plan.weights * rng.standard_normal(plan.nodes.size))
+                for k in orders]
+        got = transforms._contract(jobs, plan, tp)
+        x = plan.nodes[:, None] * tp[None, sample]
+        for (k, core), out in zip(jobs, got):
+            total = np.sum(np.abs(core))
+            bound = _interpolation_bound(plan, tp, core)
+            direct = core @ bessel_j(k, x)
+            exact = core @ scipy.special.jv(k, x)
+            assert (np.max(np.abs(out[sample] - direct))
+                    <= bound + _J_TOL * total), k
+            assert (np.max(np.abs(out[sample] - exact))
+                    <= bound + _J_TOL * total), k
+            zero = tp == 0.0
+            if k == 0:
+                np.testing.assert_allclose(out[zero], np.sum(core),
+                                           rtol=1e-14)
+            else:
+                assert np.all(out[zero] == 0.0)
+        return got
+
+    # x = t t' stays within bessel_j's stated range, 400
+    @pytest.mark.parametrize("t_max", [5.0, 40.0, 80.0])
+    @pytest.mark.parametrize("n", [16, 64, 256, 2048, 4096])
+    def test_plans(self, n, t_max):
+        # every 8th t' and both ends, 0 among them, are compared
+        plan = make_hankel_plan(t_max, n)
+        tp = np.linspace(0.0, 4.0, 401)
+        assert transforms._chebyshev_interpolant(plan, tp) is not None
+        self.check(plan, tp, self.ORDERS, slice(None, None, 8))
+        self.check(plan, tp, [300], slice(None, None, 8))
+
+    @pytest.mark.parametrize("tp, path", [
+        (np.array([1.3]), "direct"),
+        (np.array([0.0, 2.5]), "direct"),
+        (np.random.default_rng(5).uniform(0.0, 6.0, 500), "chebyshev"),
+        (np.linspace(-6.0, -0.5, 400), "chebyshev"),
+        (np.linspace(-3.0, 3.0, 401), "chebyshev"),
+        (np.linspace(0.0, 10.0, 200), "direct"),
+    ], ids=["one", "two", "unsorted", "negative", "zero_inside", "wide"])
+    def test_t_prime_shapes(self, tp, path):
+        plan = make_hankel_plan(40.0, 256)
+        cheb = transforms._chebyshev_interpolant(plan, tp)
+        assert (cheb is None) == (path == "direct")
+        self.check(plan, tp, self.ORDERS)
+
+    def test_points_at_the_cli_sizes(self):
+        # term map: 800 t' in [0.01, 8]; wavefunction map: 1200 in
+        # [0.02, 6]; both at t_max = 40
+        plan = make_hankel_plan(40.0, 256)
+        sizes = [transforms._chebyshev_interpolant(plan, tp)[0].size
+                 for tp in (np.linspace(0.01, 8.0, 800),
+                            np.linspace(0.02, 6.0, 1200))]
+        assert sizes == [226, 180]
+
+    def test_ends_are_exact(self):
+        tp = np.linspace(0.01, 8.0, 800)
+        points, matrix = transforms._chebyshev_interpolant(
+            make_hankel_plan(40.0, 256), tp)
+        assert (points[0], points[-1]) == (8.0, 0.01)
+        assert matrix[0, -1] == 1.0 and matrix[-1, 0] == 1.0
+        assert np.count_nonzero(matrix[[0, -1]]) == 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t_prime_refused(self, monkeypatch, bad):
+        # refused before any kernel is built
+        def never(*args):
+            raise AssertionError("kernel built")
+
+        monkeypatch.setattr(transforms, "bessel_j", never)
+        monkeypatch.setattr(transforms, "bessel_j_pair", never)
+        plan = make_hankel_plan(40.0, 64)
+        g = np.exp(-plan.nodes)
+        tp = np.linspace(0.0, 6.0, 800)
+        tp[400] = bad
+        with pytest.raises(ValueError, match="t' must be finite"):
+            hankel(g, plan, tp, 2)
+        with pytest.raises(ValueError, match="t' must be finite"):
+            hankel(g, plan, bad, 0)
+        with pytest.raises(ValueError, match="t' must be finite"):
+            wavefunction_map(g, 1, tp, plan)
+
+
 class TestFusedTermMap:
     """The fine-plan term map and every state's contractions come from one
     kernel pass."""
@@ -295,8 +409,9 @@ class TestFusedTermMap:
         # map and all four states
         calls = _count_kernel_builds(monkeypatch)
         self.run(4, morse_generalized_spectrum, make_hankel_plan(40.0, 2048))
-        coarse, fine = (_blocks(n, self.TP.size) for n in (1024, 2048))
-        assert (coarse, fine) == (4, 7)
+        coarse, fine = (_blocks(make_hankel_plan(40.0, n), self.TP)
+                        for n in (1024, 2048))
+        assert (coarse, fine) == (1, 2)
         assert sorted(calls) == [(1024, 4)] * coarse + [(2048, 4, 3)] * fine
 
     def test_default_order_matches_standalone_bitwise(
