@@ -10,11 +10,12 @@ the next, each run as long as the ``run_seconds`` of A's
 ``BENCHMARK.json``.  Every run starts from a fresh copy of its tree
 without ``__pycache__``, ``.bench_work`` or ``.git``, so both sides import
 against the same (empty) bytecode cache.  Prints first the CPUs the runs
-may use and the BLAS/OpenMP thread settings, which the ``transform``
-figures move with, then each pair's metrics and then, per metric, the
-medians and quartiles of both sides, the change of the medians against
-the spread (interquartile range) of A's runs, and the number of pairs in
-which B beats A.  The direction of "better" also comes
+may use and the BLAS/OpenMP thread settings they inherit (on 2 CPUs the
+``transform`` figures read the same, within run-to-run spread, at
+``OPENBLAS_NUM_THREADS=1`` and unset), then each pair's metrics and then,
+per metric, the medians and quartiles of both sides, the change of the
+medians against the spread (interquartile range) of A's runs, and the
+number of pairs in which B beats A.  The direction of "better" also comes
 from A's ``BENCHMARK.json``.  A run that exits non-zero stops the script
 with exit code 1, after printing its seed, side, exit code and the tail of
 its stderr.

@@ -16,9 +16,7 @@ as `quarter_turns` = m % 4.  Bound-state comparisons are phase-blind.
 
 from __future__ import annotations
 
-import functools
 import math
-import os
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -27,9 +25,8 @@ import numpy as np
 
 from .coordinates import rho_from_morse_t, rho_from_pt_t
 from .eigensolver import Spectrum
-from .numerics import (QuadratureResult, bessel_j, bessel_j_pair,
-                       gauss_legendre, integrate_oscillatory_bessel,
-                       sinc_interp)
+from .numerics import (QuadratureResult, bessel_j, gauss_legendre,
+                       integrate_oscillatory_bessel, sinc_interp)
 from .numerics import cubic_interp  # noqa: F401  (retired; see numerics)
 from .potentials import MorseParams, PTParams
 
@@ -60,12 +57,6 @@ DEFAULT_PLAN_N = 256
 DEFAULT_T_MAX = 40.0
 MIN_PLAN_N = 16
 _DECAY_TOL = 1e-8
-# The element budget (nodes x t') of a kernel block, 2 MB per array, so
-# that one block's arrays stay near a core's L2 cache; at most
-# _MAX_WORKERS blocks are in flight, as many elements as one 2048 x 512
-# block.
-_BLOCK_ELEMENTS = 1 << 18
-_MAX_WORKERS = 4
 
 
 class TruncationWarning(UserWarning):
@@ -107,10 +98,12 @@ def make_hankel_plan(t_max: float = DEFAULT_T_MAX,
     eigenstates themselves) and fails at 64; the default of 256 leaves a
     margin of more than two.  Building the plan is O(n) above 100 nodes
     (`gauss_legendre`), about 0.3 ms at 2048, so a fresh plan per call
-    costs next to nothing.  A transform's kernel is n by the t' it is
-    built at: at most the N + 1 Chebyshev points of `_contract`, with N
-    set by t_max times the half-width of the t' range (226 points for t'
-    in [0.01, 8] at t_max = 40), however many t' are asked for."""
+    costs next to nothing.  A transform's kernel is built on at most the
+    Chebyshev points of `_contract` in each axis, whatever n and however
+    many t' are asked for: in t', N + 1 points with N set by t_max times
+    the half-width of the t' range; in t, as many from max |t'| times
+    t_max / 2 (226 x 226 for t' in [0.01, 8] at t_max = 40).  A plan of
+    fewer nodes than that keeps its nodes."""
     if n < MIN_PLAN_N:
         raise ValueError(f"plan needs at least {MIN_PLAN_N} nodes")
     x, w = gauss_legendre(n)
@@ -156,19 +149,18 @@ def _weighted(g, plan: HankelPlan) -> np.ndarray:
 def _kernels_down(top: int, bottom: int, x: np.ndarray):
     """(k, J_k(x)) for k = top, top - 1, ..., bottom.
 
-    A single order is built by bessel_j.  Otherwise bessel_j_pair builds
-    J_top and J_{top-1} together, J_top bit for bit as bessel_j builds it;
-    every lower order follows from the downward recurrence
-    J_{k-1}(x) = (2k/x) J_k(x) - J_{k+1}(x) (Abramowitz & Stegun 9.1.27),
-    stable in that direction, written over the buffer of J_{k+1}, which is
-    dropped by then.  Where x = 0 the recurrence takes 2/x as 0, which gives
-    J_k(0) = -J_{k+2}(0) = 0 for k > 0, and J_0(0) = 1 is set.  Once the top
-    two orders are built, x itself is overwritten by 2/x."""
-    if top == bottom:
-        yield top, bessel_j(top, x)
-        return
-    upper, lower = bessel_j_pair(top, x)
+    The top order, and the one below it when there are more, are built by
+    one bessel_j call each; every lower order follows from the downward
+    recurrence J_{k-1}(x) = (2k/x) J_k(x) - J_{k+1}(x) (Abramowitz & Stegun
+    9.1.27), stable in that direction, written over the buffer of J_{k+1},
+    which is dropped by then.  Where x = 0 the recurrence takes 2/x as 0,
+    which gives J_k(0) = -J_{k+2}(0) = 0 for k > 0, and J_0(0) = 1 is set.
+    Once the top two orders are built, x itself is overwritten by 2/x."""
+    upper = bessel_j(top, x)
     yield top, upper
+    if top == bottom:
+        return
+    lower = bessel_j(top - 1, x)
     yield top - 1, lower
     zero = x == 0.0
     two_over_x = np.divide(2.0, x, out=x, where=~zero)
@@ -182,67 +174,53 @@ def _kernels_down(top: int, bottom: int, x: np.ndarray):
         yield k - 1, lower
 
 
-@functools.cache
-def _executor():
-    """The thread pool of the kernel blocks, made at first use: one worker
-    per CPU this process may run on, at most _MAX_WORKERS; None on one
-    CPU."""
-    try:
-        workers = min(len(os.sched_getaffinity(0)), _MAX_WORKERS)
-    except AttributeError:  # no sched_getaffinity on this platform
-        workers = min(os.cpu_count() or 1, _MAX_WORKERS)
-    if workers < 2:
-        return None
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(workers, thread_name_prefix="susyspectra-kernel")
-
-
 # Bernstein-ellipse parameters over which _chebyshev_degree minimises its
 # bound; any rho > 1 gives a valid bound, the grid only sharpens it
 _RHO = 1.0 + np.logspace(-4.0, 2.0, 601)
 
 
-def _chebyshev_degree(t_max: float, half_width: float) -> int:
+def _chebyshev_degree(exp_type: float, half_width: float) -> int:
     """The smallest degree N at which Chebyshev interpolation of
-    H(t') = sum_i c_i J_m(t_i t'), t_i <= t_max, on an interval of
+    H(s) = sum_i c_i J_m(s u_i), |u_i| <= exp_type, on an interval of
     half-length `half_width` is within 2^-53 sum |c_i| of H.
 
-    H is entire of exponential type t_max in t': |J_m(z)| <= e^|Im z| for
-    integer m, so on the Bernstein ellipse E_rho of the interval |H| is at
-    most sum |c_i| e^(t_max L (rho - 1/rho) / 2), L = half_width, and the
-    degree-N interpolant in the Chebyshev points of the second kind is off
-    by at most 4 rho^-N / (rho - 1) times that bound (Trefethen,
+    H is entire of exponential type `exp_type` in s: |J_m(z)| <= e^|Im z|
+    for integer m, so on the Bernstein ellipse E_rho of the interval |H| is
+    at most sum |c_i| e^(exp_type L (rho - 1/rho) / 2), L = half_width, and
+    the degree-N interpolant in the Chebyshev points of the second kind is
+    off by at most 4 rho^-N / (rho - 1) times that bound (Trefethen,
     Approximation Theory and Approximation Practice, Thm 8.2).  N is the
     least, over the _RHO grid, that brings this to 2^-53; at least 1."""
     need = (np.log(4.0 / (_RHO - 1.0))
-            + 0.5 * t_max * half_width * (_RHO - 1.0 / _RHO)
+            + 0.5 * exp_type * half_width * (_RHO - 1.0 / _RHO)
             + 53.0 * math.log(2.0)) / np.log(_RHO)
     return max(1, math.ceil(float(np.min(need))))
 
 
-def _chebyshev_interpolant(plan: HankelPlan, tp: np.ndarray):
-    """(points, matrix) that take a transform at the t' of tp from its
-    values at fewer points, or None where tp itself is as few.
+def _chebyshev_interpolant(a: float, b: float, exp_type: float,
+                           targets: np.ndarray):
+    """(points, matrix) that take a function of exponential type
+    `exp_type` on [a, b] to the 1-D array `targets` from its values at
+    fewer points, or None where the targets themselves are as few.
 
     The points are the N + 1 Chebyshev points of the second kind on
-    [min t', max t'], N from `_chebyshev_degree` at the plan's t_max, with
-    the end points set to exactly min t' and max t'; the matrix, of shape
-    (tp.size, N + 1), is the barycentric formula of Berrut & Trefethen
+    [a, b], N = `_chebyshev_degree(exp_type, (b - a) / 2)`, from b down to
+    a, with the end points set to exactly b and a; the matrix, of shape
+    (targets.size, N + 1), is the barycentric formula of Berrut & Trefethen
     (SIAM Rev. 46, 501 (2004)) with weights (-1)^j, halved at the ends.  A
-    t' equal to a point takes that point's value exactly.  None when
-    N + 1 >= tp.size or every t' is the same."""
-    a, b = float(tp.min()), float(tp.max())
+    target equal to a point takes that point's value exactly.  None when
+    a == b or N + 1 >= targets.size."""
     if a == b:
         return None
-    n = _chebyshev_degree(plan.t_max, 0.5 * (b - a))
-    if n + 1 >= tp.size:
+    n = _chebyshev_degree(exp_type, 0.5 * (b - a))
+    if n + 1 >= targets.size:
         return None
     j = np.arange(n + 1)
     points = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * j / n)
     points[0], points[-1] = b, a
     weights = np.where(j % 2, -1.0, 1.0)
     weights[[0, -1]] *= 0.5
-    diff = tp[:, None] - points[None, :]
+    diff = targets[:, None] - points[None, :]
     exact = diff == 0.0
     diff[exact] = 1.0
     matrix = weights / diff
@@ -256,66 +234,61 @@ def _contract(jobs, plan: HankelPlan, tp: np.ndarray) -> list[np.ndarray]:
     """sum_i core_i J_order(t_i t') at the t' of the 1-D array tp, for each
     (order, core) job.
 
-    The sum is entire in t' and of exponential type t_max, so unless tp is
-    as few, the kernel is built only at the N + 1 Chebyshev points of
-    `_chebyshev_interpolant` on [min t', max t'], and each job's values
-    there are carried to tp by one barycentric matrix.  N is the least
-    degree whose interpolation bound is 2^-53 sum |core_i|, below the
-    rounding of `bessel_j`: 226 points for 800 t' in [0.01, 8] and 180 for
-    1200 t' in [0.02, 6], at t_max = 40.  A t' equal to an end or a point
-    takes that point's value, and t' = 0 takes sum_i core_i at order 0 and
-    0 above it, as J_k(0) = delta_k0.  Every t' must be finite.
+    The sum is entire in t' of exponential type t_max, and J_order(t t')
+    is entire in t of exponential type max |t'|, so the kernel is built on
+    Chebyshev points of both axes, each chosen by `_chebyshev_interpolant`
+    at a bound of 2^-53 sum |core_i|, below the rounding of `bessel_j`:
+    - in t', the points p_j on [min t', max t'] (tp itself where it is as
+      few), whose values are carried to tp by one barycentric matrix;
+    - in t, the points s_k on [0, t_max] at the type max |p_j| (the plan's
+      nodes where they are as few), onto which each job's core moves by
+      the barycentric matrix L of the plan's nodes, core @ L.  A product
+      per job, like the contraction, keeps a job's result the same bit for
+      bit whichever jobs share its pass; one stacked product rounds
+      differently for one job than for several.
+    A moved core sums in magnitude to at most Lambda sum |core_i|, Lambda
+    the Lebesgue constant of the points in t, so the pass is within
+    2^-53 (1 + Lambda) sum |core_i| of the direct sum.  One kernel J(s_k p_j) serves the
+    pass: 226 x 226 for 800 t' in
+    [0.01, 8] and 180 x 180 for 1200 t' in [0.02, 6], at t_max = 40, on
+    the calling thread.  A t' equal to an end or a point takes that
+    point's value, and t' = 0 takes sum_i core_i (of the plan's cores) at
+    order 0 and 0 above it, as J_k(0) = delta_k0.  Every t' must be
+    finite.
 
-    The kernel points are split into ceil(nodes * points / _BLOCK_ELEMENTS)
-    blocks of equal width (to one column), so a block's kernel holds at
-    most 2^18 elements and the rounding's one column.
-    The blocks run on the `_executor` pool (one block, or one CPU, runs in
-    the calling thread), and each writes only its own columns of the
-    results.  The boundaries depend only on the plan's size and tp, so every
-    result is the same whatever the worker count.
-
-    Per block, one pass of _kernels_down serves every job: the kernel is
-    built at the highest order of the jobs and the one below it, and by
-    recurrence at every lower order down to the lowest, gaps included.
-    Each job is contracted with the kernel at its own order by its own
-    vector-matrix product.  `hankel` passes one job; `potential_term_map`
-    passes the term map's and every bound state's jobs to a single pass
-    when the term map's order is not above the states'.  A job's result is
-    the same whichever jobs share its pass, up to rounding when the pass
-    reaches its order by recurrence rather than directly, as long as the
-    top order's kernel has not underflowed where a lower order's has not:
-    the recurrence gets nothing back from J_top = 0, and J_300(x) is 0 for
-    every x < 10."""
+    One pass of _kernels_down serves every job: the kernel is built at the
+    highest order of the jobs and the one below it, and by recurrence at
+    every lower order down to the lowest, gaps included.  Each job is
+    contracted with the kernel at its own order by its own vector-matrix
+    product.  `hankel` passes one job; `potential_term_map` passes the term
+    map's and every bound state's jobs to a single pass when the term map's
+    order is not above the states'.  A job's result is the same whichever
+    jobs share its pass, up to rounding when the pass reaches its order by
+    recurrence rather than directly, as long as the top order's kernel has
+    not underflowed where a lower order's has not: the recurrence gets
+    nothing back from J_top = 0, and J_300(x) is 0 for every x < 10."""
     if not np.all(np.isfinite(tp)):
         raise ValueError("t' must be finite")
     if not jobs or not tp.size:
         return [np.empty(tp.size) for _ in jobs]
-    cheb = _chebyshev_interpolant(plan, tp)
+    cheb = _chebyshev_interpolant(float(tp.min()), float(tp.max()),
+                                  plan.t_max, tp)
     points = tp if cheb is None else cheb[0]
-    outs = [np.empty(points.size) for _ in jobs]
+    nodes, cores = plan.nodes, [core for _, core in jobs]
+    t_cheb = _chebyshev_interpolant(0.0, plan.t_max,
+                                    float(np.max(np.abs(points))), nodes)
+    if t_cheb is not None:
+        nodes, cores = t_cheb[0], [core @ t_cheb[1] for core in cores]
     orders = [order for order, _ in jobs]
-    blocks = min(points.size,
-                 -(-plan.nodes.size * points.size // _BLOCK_ELEMENTS))
-    edges = [points.size * b // blocks for b in range(blocks + 1)]
-
-    def block(lo: int, hi: int) -> None:
-        x = plan.nodes[:, None] * points[None, lo:hi]
-        for order, kernel in _kernels_down(max(orders), min(orders), x):
-            for out, (k, core) in zip(outs, jobs):
-                if k == order:
-                    out[lo:hi] = core @ kernel
-
-    pool = _executor() if blocks > 1 else None
-    if pool is None:
-        for lo, hi in zip(edges, edges[1:]):
-            block(lo, hi)
-    else:
-        # a block's exception is raised again here, in the caller
-        list(pool.map(block, edges[:-1], edges[1:]))
-    if cheb is None:
-        return outs
+    outs = [None] * len(jobs)
+    x = nodes[:, None] * points[None, :]
+    for order, kernel in _kernels_down(max(orders), min(orders), x):
+        for i, k in enumerate(orders):
+            if k == order:
+                outs[i] = cores[i] @ kernel
+    if cheb is not None:
+        outs = [cheb[1] @ out for out in outs]
     zero = tp == 0.0
-    outs = [cheb[1] @ out for out in outs]
     for out, (k, core) in zip(outs, jobs):
         out[zero] = np.sum(core) if k == 0 else 0.0
     return outs
@@ -326,10 +299,11 @@ def hankel(g, plan: HankelPlan, t_prime, order: int):
     J_order(t_i t'), of the values g on the plan's nodes, at t_prime
     (scalar or array of finite values).
 
-    Where t_prime holds more t' than the N + 1 Chebyshev points of
-    `_contract`, the kernel is built at those points only, and the
-    transform interpolated from them to within 2^-53 sum_i |w_i t_i g_i|
-    of the direct sum.
+    The kernel is built at the Chebyshev points of `_contract` in t and
+    t' where they are fewer than the plan's nodes and the t' asked for,
+    and the transform interpolated in both to within 2^-53 (1 + Lambda)
+    sum_i |w_i t_i g_i| of the direct sum, Lambda <= 2/pi log(N + 1) + 1
+    (about 4.5) the Lebesgue constant of the N + 1 points in t.
 
     Emits TruncationWarning when `truncated(g, plan)`: g is still alive at
     t_max, so the truncated integral misses its tail.
@@ -473,9 +447,9 @@ def potential_term_map(params_m: MorseParams, params_pt: PTParams, m: int,
     All bound states R_n of `spectrum` are resampled onto the fine plan in
     one call.  One `_contract` pass there serves the term map and every
     state: its jobs are (m, g) and, per state at m_n = hankel_order(n) of
-    params_m, (m_n, R_n) and (m_n, g), so the Bessel kernel is built once
-    per block of t' for all of them.  An m above every m_n gets a pass of
-    its own, so the states' contractions never depend on m.  They are kept
+    params_m, (m_n, R_n) and (m_n, g), so one Bessel kernel serves all of
+    them.  An m above every m_n gets a pass of its own, so the states'
+    contractions never depend on m.  They are kept
     on the report's `states` for `potential_term_sandwich`; an empty
     spectrum gives the term map alone."""
     tp = np.asarray(t_prime_nodes, dtype=float)

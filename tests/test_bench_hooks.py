@@ -90,3 +90,22 @@ def test_traced_term_map_records_its_layers(tracing, tmp_path):
         assert name in recorded, name
     (term_map,) = [s for s in tracer.spans if s.name == "transforms.term_map"]
     assert math.isfinite(term_map.counts["max_residual"])
+
+
+def test_traced_kernel_builds_count_every_element(tracing, tmp_path):
+    # every Bessel kernel of the transforms is one bessel_j call, on the
+    # calling thread, so the tracer sees each build: the coarse plan's term
+    # map builds order 4, the fine pass orders 4 and 3, each on the
+    # 226 x 226 Chebyshev points of t and t'
+    tracer = tracing.Tracer()
+    patched = tracing.install(tracer)
+    try:
+        out = tmp_path / "term_map.json"
+        assert cli.main(["potential-term-map", "--plan-n", "2048",
+                         "--output", str(out), "--format", "json",
+                         "--reproducible"]) == 0
+    finally:
+        tracing.uninstall(patched)
+    builds = [s.counts["elements"] for s in tracer.spans
+              if s.name == "numerics.bessel_j"]
+    assert builds == [226 * 226] * 3

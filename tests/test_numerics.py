@@ -9,7 +9,7 @@ from susyspectra import numerics
 from susyspectra.numerics import (_J0_ZEROS, _J1_SQUARED, OscillatoryError,
                                   QuadratureResult, _EpsilonTable,
                                   _j0_zeros_and_j1_squared, _panel_integrals,
-                                  bessel_j, bessel_j_pair, bessel_j_zero,
+                                  bessel_j, bessel_j_zero,
                                   gauss_legendre,
                                   integrate_oscillatory_bessel, sinc_interp)
 from susyspectra.transforms import hankel_oscillatory
@@ -48,8 +48,10 @@ class TestBesselJ:
         assert abs(bessel_j(0, J0_FIRST_ZERO)) < 1e-10
 
     def test_against_scipy(self):
-        # up to 400 every band of the asymptotic expansion is covered
-        x = np.linspace(1e-6, 400.0, 56001)
+        # up to 400 every band of the asymptotic expansion is covered; the
+        # kernels of a t_max = 80 term map reach 640
+        x = np.concatenate([np.linspace(1e-6, 400.0, 56001),
+                            np.linspace(400.0, 1000.0, 24001)[1:]])
         for m in range(0, 11):
             err = np.max(np.abs(bessel_j(m, x) - scipy.special.jv(m, x)))
             assert err < 1e-12, f"m={m}: {err}"
@@ -74,41 +76,10 @@ class TestBesselJ:
         # correction falls below the leading term; both sides of that edge
         # and of m + 10 are in the sample
         edges = np.array([m + 10.0, 0.5 * m * m])
-        x = np.concatenate([np.linspace(1e-6, 400.0, 8001),
+        x = np.concatenate([np.linspace(1e-6, 1000.0, 20001),
                             np.nextafter(edges, 0.0), edges])
         err = np.max(np.abs(bessel_j(m, x) - scipy.special.jv(m, x)))
         assert err < 1e-12, err
-
-    def test_pair_matches_single_orders(self):
-        # bessel_j_pair splits x once, at order m's bands: J_m must be
-        # bessel_j's bit for bit (the fused term map equals a lone hankel),
-        # and J_{m-1} within 1e-14 of bessel_j's, on each side of every
-        # band edge of both orders below 400
-        orders = np.arange(0, 301)
-        edges = np.concatenate(([1.0, 3.0, 6.0, 10.0, 18.0, 30.0, 60.0],
-                                orders + 7.0, orders + 8.0, orders + 9.0,
-                                orders + 10.0, 0.5 * orders ** 2))
-        edges = edges[edges <= 400.0]
-        x = np.concatenate([np.linspace(0.0, 400.0, 2001),
-                            np.nextafter(edges, 0.0), edges])
-        below = bessel_j(0, x)
-        for m in range(1, 301):
-            upper, lower = bessel_j_pair(m, x)
-            err = np.max(np.abs(lower - below))
-            assert err < 1e-14, (m, err)
-            below = bessel_j(m, x)
-            assert np.array_equal(upper, below), m
-
-    def test_pair_negative_argument_and_order(self):
-        x = np.linspace(-30.0, 30.0, 601)
-        for m in (1, 2, 5):
-            upper, lower = bessel_j_pair(m, x)
-            assert np.array_equal(upper, bessel_j(m, x))
-            assert np.max(np.abs(lower - bessel_j(m - 1, x))) < 1e-14
-        with pytest.raises(ValueError):
-            bessel_j_pair(0, x)
-        with pytest.raises(ValueError):
-            bessel_j_pair(3, np.array([1.0, np.nan]))
 
     def test_three_term_recurrence(self):
         x = np.linspace(0.5, 30.0, 901)
@@ -294,6 +265,17 @@ class TestOscillatoryBessel:
             for nu in (0, 1, 2):
                 res = integrate_oscillatory_bessel(ones, nu, p, tol=1e-9)
                 assert abs(p * res.value - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("m", [-1, -2, -3])
+    def test_negative_order_reflection(self, m):
+        # J_-m = (-1)^m J_m has the zeros of J_|m|, so the blocks are the
+        # same and the value is (-1)^m times that at |m|
+        assert bessel_j_zero(m, 3) == bessel_j_zero(-m, 3)
+        g = lambda t: 1.0 / np.asarray(t)
+        tol = 1e-9
+        got = hankel_oscillatory(g, m, 1.0, tol=tol)
+        ref = hankel_oscillatory(g, -m, 1.0, tol=tol)
+        assert abs(got.value - (-1) ** m * ref.value) <= tol
 
     def test_zero_integrand(self):
         # every difference is an exact zero; the run still takes 8 blocks

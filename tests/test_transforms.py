@@ -1,8 +1,7 @@
-import itertools
 import math
+import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +12,7 @@ from susyspectra import transforms
 from susyspectra.analysis import normalized_l2_discrepancy, solve
 from susyspectra.eigensolver import Spectrum
 from susyspectra.grids import Grid
-from susyspectra.numerics import bessel_j, bessel_j_pair
+from susyspectra.numerics import bessel_j
 from susyspectra.potentials import MorseParams, PTParams
 from susyspectra.transforms import (HankelPlan, TruncationWarning,
                                     angular_phase_integral, hankel,
@@ -169,112 +168,82 @@ class TestOrderRecurrence:
 
     def test_two_kernel_builds_per_chunk(self, monkeypatch,
                                          morse_generalized_spectrum):
-        # four states at orders 4, 3, 2, 1 share one kernel pass: orders 4
-        # and 3 are built together, by one bessel_j_pair call per block of
-        # kernel points, and nothing else is built; the coarse refinement
-        # plan, of half the nodes, is counted apart
+        # four states at orders 4, 3, 2, 1 share one kernel pass on the
+        # fine plan: orders 4 and 3 are built directly, by one bessel_j call
+        # each, and the rest by recurrence; the coarse refinement plan's
+        # term map builds order 4 before them
         plan = make_hankel_plan(40.0, 2048)
-        calls = _count_kernel_builds(monkeypatch, plan.nodes.size)
+        calls = _count_kernel_builds(monkeypatch)
         tp = np.linspace(0.01, 8.0, 800)
         report = potential_term_map(
             MorseParams(4.5, 1.0), PTParams(4.0, 1.0), 4, plan, tp,
             morse_generalized_spectrum)
         checks = potential_term_sandwich(report)
         assert [chk.order for chk in checks] == [4, 3, 2, 1]
-        blocks = _blocks(plan, tp)
-        assert blocks == 2
-        assert sorted(calls) == [(plan.nodes.size, 4, 3)] * blocks
+        assert [m for m, _ in calls[1:]] == [4, 3]
 
 
-def _blocks(plan, tp) -> int:
-    """Kernel blocks of a _contract pass over tp: ceil(nodes * points /
-    budget), the points being the Chebyshev points where the pass
-    interpolates and tp itself where it does not."""
-    cheb = transforms._chebyshev_interpolant(plan, tp)
-    points = tp.size if cheb is None else cheb[0].size
-    return -(-plan.nodes.size * points // transforms._BLOCK_ELEMENTS)
-
-
-def _count_kernel_builds(monkeypatch, nodes: int | None = None) -> list:
-    """Record (nodes, orders...) for each kernel build on a plan of `nodes`
-    nodes (every plan if None): one order per bessel_j call, two per
-    bessel_j_pair call.  The blocks may run on pool threads in any order,
-    so compare the records sorted."""
+def _count_kernel_builds(monkeypatch) -> list:
+    """Record (order, kernel shape) for each bessel_j call of a transform,
+    in call order, and check that each is made on the calling thread."""
     calls = []
+    caller = threading.get_ident()
 
     def single(m, x):
-        if nodes in (None, x.shape[0]):
-            calls.append((x.shape[0], m))
+        assert threading.get_ident() == caller
+        calls.append((m, x.shape))
         return bessel_j(m, x)
 
-    def pair(m, x):
-        if nodes in (None, x.shape[0]):
-            calls.append((x.shape[0], m, m - 1))
-        return bessel_j_pair(m, x)
-
     monkeypatch.setattr(transforms, "bessel_j", single)
-    monkeypatch.setattr(transforms, "bessel_j_pair", pair)
     return calls
 
 
-class TestKernelBlocks:
-    """_contract's blocks of t' run on a thread pool; the results do not
-    depend on it."""
+def _t_prime_interpolant(plan, tp):
+    """(points, matrix) of _contract's t' axis over tp, or None."""
+    return transforms._chebyshev_interpolant(float(tp.min()), float(tp.max()),
+                                             plan.t_max, tp)
+
+
+class TestOneKernelPerPass:
+    """A pass builds one kernel, on Chebyshev points of both t and t', on
+    the calling thread (the term map's are pinned in TestFusedTermMap)."""
 
     TP = np.linspace(0.01, 8.0, 800)
 
-    @staticmethod
-    def executors(monkeypatch):
-        # serial, a pool of three and the module's own pool
-        pool = ThreadPoolExecutor(3)
-        for make in (lambda: None, lambda: pool, transforms._executor):
-            monkeypatch.setattr(transforms, "_executor", make)
-            yield
-        pool.shutdown()
+    def test_wavefunction_map_kernel(self, monkeypatch,
+                                     morse_shifted_spectrum):
+        plan = make_hankel_plan()
+        R = morse_state_on_plan(morse_shifted_spectrum, 4.5, plan)[0]
+        calls = _count_kernel_builds(monkeypatch)
+        wavefunction_map(R, 4, np.linspace(0.02, 6.0, 1200), plan)
+        assert calls == [(4, (180, 180))]
 
-    def test_term_map_same_on_any_worker_count(self, monkeypatch,
-                                               morse_generalized_spectrum):
+    def test_small_plan_keeps_its_nodes(self, monkeypatch):
+        # 64 nodes are fewer than the 226 points in t: the kernel is built
+        # at the plan's nodes, and the pass is the direct sum interpolated
+        # in t' alone
+        plan = make_hankel_plan(40.0, 64)
+        calls = _count_kernel_builds(monkeypatch)
+        core = plan.weights * np.exp(-plan.nodes)
+        out = transforms._contract([(2, core)], plan, self.TP)[0]
+        assert calls == [(2, (64, 226))]
+        ref = core @ scipy.special.jv(2, plan.nodes[:, None] * self.TP)
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.sum(np.abs(core))
+
+    @pytest.mark.parametrize("tp", [
+        np.concatenate(([0.0], np.linspace(0.01, 8.0, 799))),
+        np.array([0.0, 2.5]),
+    ], ids=["chebyshev", "direct"])
+    def test_zero_takes_the_plan_sum(self, tp):
+        # the points in t carry moved cores; t' = 0 takes the sum of the
+        # plan's own cores
         plan = make_hankel_plan(40.0, 2048)
-        assert _blocks(plan, self.TP) == 2
-        reports = []
-        for _ in self.executors(monkeypatch):
-            reports.append(potential_term_map(
-                MorseParams(4.5, 1.0), PTParams(4.0, 1.0), 4, plan, self.TP,
-                morse_generalized_spectrum))
-        for report in reports[1:]:
-            assert np.array_equal(report.lhs, reports[0].lhs)
-            for st, st_ref in zip(report.states, reports[0].states,
-                                  strict=True):
-                assert np.array_equal(st.psi, st_ref.psi)
-                assert np.array_equal(st.term, st_ref.term)
-
-    def test_hankel_same_on_any_worker_count(self, monkeypatch):
-        plan = make_hankel_plan(40.0, 4096)
-        tp = np.linspace(0.02, 6.0, 1200)
-        assert _blocks(plan, tp) == 3
-        g = plan.nodes ** 3 * np.exp(-plan.nodes)
-        outs = [hankel(g, plan, tp, 3) for _ in self.executors(monkeypatch)]
-        for out in outs[1:]:
-            assert np.array_equal(out, outs[0])
-
-    def test_block_error_reaches_the_caller(self, monkeypatch):
-        # the third block's kernel build fails on a pool thread
-        plan = make_hankel_plan(40.0, 4096)
-        assert _blocks(plan, self.TP) == 4
-        pool = ThreadPoolExecutor(2)
-        monkeypatch.setattr(transforms, "_executor", lambda: pool)
-        builds = itertools.count()
-
-        def failing(m, x):
-            if next(builds) == 2:
-                raise FloatingPointError("kernel build failed")
-            return bessel_j_pair(m, x)
-
-        monkeypatch.setattr(transforms, "bessel_j_pair", failing)
-        jobs = [(k, plan.weights) for k in (2, 1)]
-        with pytest.raises(FloatingPointError, match="kernel build failed"):
-            transforms._contract(jobs, plan, self.TP)
-        pool.shutdown()
+        assert transforms._chebyshev_interpolant(
+            0.0, plan.t_max, float(np.max(tp)), plan.nodes) is not None
+        core = plan.weights * plan.nodes * np.exp(-plan.nodes)
+        out = transforms._contract([(0, core), (1, core)], plan, tp)
+        assert out[0][0] == pytest.approx(np.sum(core), rel=1e-14)
+        assert out[1][0] == 0.0
 
     def test_no_t_prime(self):
         plan = make_hankel_plan(40.0, 64)
@@ -292,7 +261,7 @@ def _interpolation_bound(plan, tp, core) -> float:
     plus bessel_j's _J_TOL at each point carried by the barycentric matrix,
     whose rows sum in magnitude to at most the Lebesgue constant
     2/pi log(N + 1) + 1 of the Chebyshev points.  Zero on the direct path."""
-    cheb = transforms._chebyshev_interpolant(plan, tp)
+    cheb = _t_prime_interpolant(plan, tp)
     if cheb is None:
         return 0.0
     lebesgue = 2.0 / math.pi * math.log(cheb[0].size) + 1.0
@@ -337,7 +306,7 @@ class TestChebyshevContraction:
         # every 8th t' and both ends, 0 among them, are compared
         plan = make_hankel_plan(t_max, n)
         tp = np.linspace(0.0, 4.0, 401)
-        assert transforms._chebyshev_interpolant(plan, tp) is not None
+        assert _t_prime_interpolant(plan, tp) is not None
         self.check(plan, tp, self.ORDERS, slice(None, None, 8))
         self.check(plan, tp, [300], slice(None, None, 8))
 
@@ -351,7 +320,7 @@ class TestChebyshevContraction:
     ], ids=["one", "two", "unsorted", "negative", "zero_inside", "wide"])
     def test_t_prime_shapes(self, tp, path):
         plan = make_hankel_plan(40.0, 256)
-        cheb = transforms._chebyshev_interpolant(plan, tp)
+        cheb = _t_prime_interpolant(plan, tp)
         assert (cheb is None) == (path == "direct")
         self.check(plan, tp, self.ORDERS)
 
@@ -359,15 +328,15 @@ class TestChebyshevContraction:
         # term map: 800 t' in [0.01, 8]; wavefunction map: 1200 in
         # [0.02, 6]; both at t_max = 40
         plan = make_hankel_plan(40.0, 256)
-        sizes = [transforms._chebyshev_interpolant(plan, tp)[0].size
+        sizes = [_t_prime_interpolant(plan, tp)[0].size
                  for tp in (np.linspace(0.01, 8.0, 800),
                             np.linspace(0.02, 6.0, 1200))]
         assert sizes == [226, 180]
 
     def test_ends_are_exact(self):
         tp = np.linspace(0.01, 8.0, 800)
-        points, matrix = transforms._chebyshev_interpolant(
-            make_hankel_plan(40.0, 256), tp)
+        points, matrix = _t_prime_interpolant(make_hankel_plan(40.0, 256),
+                                              tp)
         assert (points[0], points[-1]) == (8.0, 0.01)
         assert matrix[0, -1] == 1.0 and matrix[-1, 0] == 1.0
         assert np.count_nonzero(matrix[[0, -1]]) == 2
@@ -379,7 +348,6 @@ class TestChebyshevContraction:
             raise AssertionError("kernel built")
 
         monkeypatch.setattr(transforms, "bessel_j", never)
-        monkeypatch.setattr(transforms, "bessel_j_pair", never)
         plan = make_hankel_plan(40.0, 64)
         g = np.exp(-plan.nodes)
         tp = np.linspace(0.0, 6.0, 800)
@@ -404,15 +372,12 @@ class TestFusedTermMap:
 
     def test_bessel_calls_per_plan(self, monkeypatch,
                                    morse_generalized_spectrum):
-        # the coarse plan's term map builds order 4 once per block; the fine
-        # plan builds orders 4 and 3 together once per block for the term
-        # map and all four states
+        # the coarse plan's term map builds order 4 once; the fine plan
+        # builds orders 4 and 3 once each for the term map and all four
+        # states; every kernel is 226 x 226
         calls = _count_kernel_builds(monkeypatch)
         self.run(4, morse_generalized_spectrum, make_hankel_plan(40.0, 2048))
-        coarse, fine = (_blocks(make_hankel_plan(40.0, n), self.TP)
-                        for n in (1024, 2048))
-        assert (coarse, fine) == (1, 2)
-        assert sorted(calls) == [(1024, 4)] * coarse + [(2048, 4, 3)] * fine
+        assert calls == [(4, (226, 226))] + [(4, (226, 226)), (3, (226, 226))]
 
     def test_default_order_matches_standalone_bitwise(
             self, morse_generalized_spectrum):
