@@ -15,8 +15,11 @@ may use and the BLAS/OpenMP thread settings they inherit (on 2 CPUs the
 ``OPENBLAS_NUM_THREADS=1`` and unset), then each pair's metrics and then,
 per metric, the medians and quartiles of both sides, the change of the
 medians against the spread (interquartile range) of A's runs, and the
-number of pairs in which B beats A.  The direction of "better" also comes
-from A's ``BENCHMARK.json``.  A run that exits non-zero stops the script
+number of pairs in which B beats A, and last one verdict per metric: "gain
+resolved" with at least 10 pairs, B better in at least 9 of 10 and the
+change of the medians larger than A's interquartile range, "unresolved"
+otherwise.  The direction of "better" also comes from A's
+``BENCHMARK.json``.  A run that exits non-zero stops the script
 with exit code 1, after printing its seed, side, exit code and the tail of
 its stderr.
 """
@@ -36,6 +39,7 @@ from pathlib import Path
 _SKIP = shutil.ignore_patterns("__pycache__", ".bench_work", ".git")
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 _TAIL = 10  # stderr lines shown of a failed run
+_MIN_PAIRS = 10  # fewest pairs that can resolve a gain
 
 
 def context_line(environ=os.environ) -> str:
@@ -73,21 +77,28 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def _compare(pairs: list[tuple[dict, dict]], name: str, better: str):
+    """(A quartiles, B quartiles, wins) of one metric over the pairs; a
+    pair counts as a win when B is strictly better than A."""
+    a = [p[0][name] for p in pairs]
+    b = [p[1][name] for p in pairs]
+    sign = -1.0 if better == "lower" else 1.0
+    wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
+    return quartiles(a), quartiles(b), wins
+
+
+def _metrics(pairs: list[tuple[dict, dict]]) -> list[str]:
+    return [name for name in sorted(pairs[0][0]) if name != "correct"]
+
+
 def summarise(pairs: list[tuple[dict, dict]],
               better: dict[str, str]) -> list[str]:
     """Per-metric summary lines of (A, B) result pairs.  better maps a
-    metric to "lower" or "higher"; a pair counts as a win when B is
-    strictly better than A."""
+    metric to "lower" or "higher"."""
     lines = []
-    for name in sorted(pairs[0][0]):
-        if name == "correct":
-            continue
-        a = [p[0][name] for p in pairs]
-        b = [p[1][name] for p in pairs]
-        sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
-        wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
-        a1, am, a3 = quartiles(a)
-        b1, bm, b3 = quartiles(b)
+    for name in _metrics(pairs):
+        (a1, am, a3), (b1, bm, b3), wins = _compare(
+            pairs, name, better.get(name, "lower"))
         change = (bm - am) / abs(am) if am else 0.0
         lines.append(
             f"{name}: A median {am:.6g} [{a1:.6g}, {a3:.6g}], "
@@ -96,6 +107,23 @@ def summarise(pairs: list[tuple[dict, dict]],
             f"{a3 - a1:.3g}, B better in {wins}/{len(pairs)}")
     correct = sum(p[0]["correct"] and p[1]["correct"] for p in pairs)
     lines.append(f"correct: {correct}/{len(pairs)} pairs on both sides")
+    return lines
+
+
+def verdicts(pairs: list[tuple[dict, dict]],
+             better: dict[str, str]) -> list[str]:
+    """One line per metric: "gain resolved" when there are at least
+    _MIN_PAIRS pairs, B is better in at least 9 of 10 of them and the
+    medians differ by more than A's interquartile range; "unresolved"
+    otherwise."""
+    lines = []
+    for name in _metrics(pairs):
+        (a1, am, a3), (_, bm, _), wins = _compare(
+            pairs, name, better.get(name, "lower"))
+        resolved = (len(pairs) >= _MIN_PAIRS and 10 * wins >= 9 * len(pairs)
+                    and abs(bm - am) > a3 - a1)
+        lines.append(f"{name} verdict: "
+                     + ("gain resolved" if resolved else "unresolved"))
     return lines
 
 
@@ -145,7 +173,7 @@ def main(argv=None) -> int:
               + ", ".join(f"{k} {got['A'][k]:.6g} -> {got['B'][k]:.6g}"
                           for k in sorted(got["A"]) if k != "correct"),
               flush=True)
-    for line in summarise(pairs, better):
+    for line in summarise(pairs, better) + verdicts(pairs, better):
         print(line)
     return 0
 

@@ -337,10 +337,13 @@ _WELL = {"lambda": Flag(float, 4.5), "mu": Flag(float, 4.0),
          "gamma": Flag(float, 1.0)}
 _GRID = {"grid-min": Flag(float), "grid-max": Flag(float),
          "grid-n": Flag(int)}
-_PLAN = {"order-m": Flag(_at_least(0)),
+# bessel_j holds to |x| <= 1000 and orders up to 300; the largest t' of
+# either transform experiment is 8, so t_max reaches x = 1000 at 125
+_PLAN = {"order-m": Flag(_bounded(int, lambda v: 0 <= v <= 300,
+                                  "between 0 and 300")),
          "plan-n": Flag(_at_least(MIN_PLAN_N), DEFAULT_PLAN_N),
-         "t-max": Flag(_bounded(float, lambda v: 0.0 < v < math.inf,
-                                "positive and finite"), DEFAULT_T_MAX)}
+         "t-max": Flag(_bounded(float, lambda v: 0.0 < v <= 125.0,
+                                "positive and at most 125"), DEFAULT_T_MAX)}
 _OUTPUT = {"output": Flag(str, "out"),
            "format": Flag(str, "csv", ("csv", "json")),
            "reproducible": Flag(bool, False)}
@@ -503,10 +506,11 @@ def _prepare(cfg: argparse.Namespace, exp: Experiment) -> None:
 
 def _grid_for(cfg: argparse.Namespace, default: Grid) -> Grid:
     """The default grid with any of --grid-min/--grid-max/--grid-n in place
-    of its fields; it keeps its stretch."""
+    of its fields; it keeps its stretch.  Without them it is the default
+    grid itself, whose x-bounds its own checks have already inverted."""
     given = {"min": cfg.grid_min, "max": cfg.grid_max, "n": cfg.grid_n}
-    return replace(default, **{name: value for name, value in given.items()
-                               if value is not None})
+    given = {name: value for name, value in given.items() if value is not None}
+    return replace(default, **given) if given else default
 
 
 def main(argv=None) -> int:

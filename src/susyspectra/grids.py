@@ -40,6 +40,12 @@ class Grid:
             raise ValueError("grid bounds must be finite")
         if not 0.0 <= self.stretch < 1.0:
             raise ValueError("grid stretch must lie in [0, 1)")
+        with np.errstate(over="ignore", invalid="ignore"):
+            reached = np.isfinite(self.x_bounds).all()
+        if not reached:
+            raise ValueError(f"grid bounds [{self.min:g}, {self.max:g}] "
+                             f"are out of reach of the map at stretch "
+                             f"{self.stretch:g}")
 
     @cached_property
     def x_bounds(self) -> tuple[float, float]:
@@ -69,12 +75,17 @@ class Grid:
         return self.jacobian(self.x_nodes()) * self.spacing
 
     def to_rho(self, x) -> np.ndarray:
+        """rho(x); x itself at stretch 0, where sinh(x/a) may overflow."""
         x = np.asarray(x, dtype=float)
+        if not self.stretch:
+            return x
         return x + self.stretch * (MAP_SCALE * np.sinh(x / MAP_SCALE) - x)
 
     def jacobian(self, x) -> np.ndarray:
-        """J = drho/dx at x."""
+        """J = drho/dx at x; 1 at stretch 0, where cosh(x/a) may overflow."""
         x = np.asarray(x, dtype=float)
+        if not self.stretch:
+            return np.ones_like(x)
         return 1.0 - self.stretch + self.stretch * np.cosh(x / MAP_SCALE)
 
     def to_x(self, rho) -> np.ndarray:

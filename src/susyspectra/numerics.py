@@ -61,12 +61,6 @@ class QuadratureResult:
 # keeps the leading term alone (errors of order 1 from m = 13 at x = m + 10).
 _SERIES_X = 10.0
 _ASYM_X = 18.0
-# Both expansions are summed separately on each band of x split at these
-# points, so that an argument stops after the few terms its own band needs
-# instead of as many as the worst argument of the batch: small x for the
-# ascending series, large x for the asymptotic expansion.
-_SERIES_BANDS = (1.0, 3.0, 6.0)
-_ASYM_BANDS = (30.0, 60.0)
 
 
 def _bessel_series(m: int, x: np.ndarray) -> np.ndarray:
@@ -174,9 +168,9 @@ def _bessel_asymptotic(m: int, x: np.ndarray, x_min: float) -> np.ndarray:
 
 def _bands(m: int, x: np.ndarray):
     """(method, x_min, sel) for each non-empty band of x >= 0 at order m:
-    "series" below min(m + 8, 10), split at _SERIES_BANDS; "miller" up to
-    max(18, m + 10, m^2 / 2), split at 18 * 2^k; "asymptotic" from there,
-    split at _ASYM_BANDS.  x_min is the band's lower edge."""
+    one "series" band below min(m + 8, 10); "miller" up to
+    max(18, m + 10, m^2 / 2), split at 18 * 2^k; one "asymptotic" band
+    from there.  x_min is the band's lower edge."""
     series_x = min(m + 8.0, _SERIES_X)
     asym_x = max(_ASYM_X, m + 10.0, 0.5 * m * m)
     # the recurrence starts above its band's largest x and grows by up to
@@ -185,9 +179,7 @@ def _bands(m: int, x: np.ndarray):
     recur = []
     while _ASYM_X * 2.0 ** len(recur) < asym_x:
         recur.append(_ASYM_X * 2.0 ** len(recur))
-    lowers = ([0.0] + [e for e in _SERIES_BANDS if e < series_x]
-              + [series_x] + recur + [asym_x]
-              + [e for e in _ASYM_BANDS if e > asym_x])
+    lowers = [0.0, series_x] + recur + [asym_x]
     band = np.searchsorted(lowers[1:], x, side="right")
     for b, lower in enumerate(lowers):
         sel = band == b
@@ -202,14 +194,13 @@ def bessel_j(m: int, x):
     """Cylindrical Bessel function J_m for integer order.
 
     Negative orders are reduced with J_{-m}(x) = (-1)^m J_m(x).  Small x
-    takes the ascending series, summed separately on the bands split at
-    _SERIES_BANDS; the transition band takes the normalized downward
-    recurrence; large x takes Hankel's asymptotic expansion, whose length
-    is fixed per band of _ASYM_BANDS by the band's smallest x and whose
-    scalar coefficients are summed by Horner's rule in 1/(8x)^2; it starts
-    at max(18, m + 10, m^2 / 2).  Accurate to roughly 1e-13 absolute over
-    0 <= |x| <= 1000 for orders up to 300 (within 2.7e-14 of SciPy's jv
-    past 400).  Accepts scalars or arrays.
+    takes the ascending series; the transition band takes the normalized
+    downward recurrence; large x, from max(18, m + 10, m^2 / 2), takes
+    Hankel's asymptotic expansion, whose length is fixed by that edge and
+    whose scalar coefficients are summed by Horner's rule in 1/(8x)^2.
+    Accurate to roughly 1e-13 absolute over 0 <= |x| <= 1000 for orders up
+    to 300 (within 2.7e-14 of SciPy's jv past 400).  Accepts scalars or
+    arrays.
     """
     if m != int(m):
         raise ValueError("order must be an integer")

@@ -152,10 +152,9 @@ def _kernels_down(top: int, bottom: int, x: np.ndarray):
     The top order, and the one below it when there are more, are built by
     one bessel_j call each; every lower order follows from the downward
     recurrence J_{k-1}(x) = (2k/x) J_k(x) - J_{k+1}(x) (Abramowitz & Stegun
-    9.1.27), stable in that direction, written over the buffer of J_{k+1},
-    which is dropped by then.  Where x = 0 the recurrence takes 2/x as 0,
-    which gives J_k(0) = -J_{k+2}(0) = 0 for k > 0, and J_0(0) = 1 is set.
-    Once the top two orders are built, x itself is overwritten by 2/x."""
+    9.1.27), stable in that direction.  Where x = 0 the recurrence takes
+    2/x as 0, which gives J_k(0) = -J_{k+2}(0) = 0 for k > 0, and
+    J_0(0) = 1 is set.  x itself is left as it is."""
     upper = bessel_j(top, x)
     yield top, upper
     if top == bottom:
@@ -163,12 +162,9 @@ def _kernels_down(top: int, bottom: int, x: np.ndarray):
     lower = bessel_j(top - 1, x)
     yield top - 1, lower
     zero = x == 0.0
-    two_over_x = np.divide(2.0, x, out=x, where=~zero)
-    scratch = np.empty_like(x)
+    two_over_x = np.divide(2.0, x, out=np.zeros_like(x), where=~zero)
     for k in range(top - 1, bottom, -1):
-        np.multiply(two_over_x, lower, out=scratch)
-        scratch *= k
-        upper, lower = lower, np.subtract(scratch, upper, out=upper)
+        upper, lower = lower, two_over_x * lower * k - upper
         if k == 1:
             lower[zero] = 1.0
         yield k - 1, lower
@@ -179,7 +175,7 @@ def _kernels_down(top: int, bottom: int, x: np.ndarray):
 _RHO = 1.0 + np.logspace(-4.0, 2.0, 601)
 
 
-def _chebyshev_degree(exp_type: float, half_width: float) -> int:
+def _chebyshev_degree(exp_type: float, half_width: float) -> float:
     """The smallest degree N at which Chebyshev interpolation of
     H(s) = sum_i c_i J_m(s u_i), |u_i| <= exp_type, on an interval of
     half-length `half_width` is within 2^-53 sum |c_i| of H.
@@ -190,11 +186,13 @@ def _chebyshev_degree(exp_type: float, half_width: float) -> int:
     the degree-N interpolant in the Chebyshev points of the second kind is
     off by at most 4 rho^-N / (rho - 1) times that bound (Trefethen,
     Approximation Theory and Approximation Practice, Thm 8.2).  N is the
-    least, over the _RHO grid, that brings this to 2^-53; at least 1."""
+    least, over the _RHO grid, that brings this to 2^-53; at least 1, and
+    inf where no finite degree does."""
     need = (np.log(4.0 / (_RHO - 1.0))
             + 0.5 * exp_type * half_width * (_RHO - 1.0 / _RHO)
             + 53.0 * math.log(2.0)) / np.log(_RHO)
-    return max(1, math.ceil(float(np.min(need))))
+    least = float(np.min(need))
+    return max(1, math.ceil(least)) if math.isfinite(least) else math.inf
 
 
 def _chebyshev_interpolant(a: float, b: float, exp_type: float,
@@ -209,7 +207,7 @@ def _chebyshev_interpolant(a: float, b: float, exp_type: float,
     (targets.size, N + 1), is the barycentric formula of Berrut & Trefethen
     (SIAM Rev. 46, 501 (2004)) with weights (-1)^j, halved at the ends.  A
     target equal to a point takes that point's value exactly.  None when
-    a == b or N + 1 >= targets.size."""
+    a == b or N + 1 >= targets.size (N not finite included)."""
     if a == b:
         return None
     n = _chebyshev_degree(exp_type, 0.5 * (b - a))

@@ -137,6 +137,11 @@ class TestUsageErrors:
         ["potential-term-map", "--t-max", "-3"],
         ["wavefunction-map", "--order-m", "-1"],
         ["potential-term-map", "--order-m", "-1"],
+        ["wavefunction-map", "--t-max", "1e308"],
+        ["wavefunction-map", "--t-max", "1e200"],
+        ["potential-term-map", "--t-max", "125.001"],
+        ["wavefunction-map", "--order-m", "100000"],
+        ["potential-term-map", "--order-m", "301"],
     ], ids=lambda argv: " ".join(argv))
     def test_transform_flag_bounds(self, argv, tmp_path, capsys, no_solve):
         # out-of-bound transform flags are usage errors, found before any
@@ -150,6 +155,7 @@ class TestUsageErrors:
         ["spectrum", "--grid-n", "2"],
         ["spectrum", "--grid-min", "5", "--grid-max", "1"],
         ["spectrum", "--grid-max", "inf"],
+        ["potential-curve", "--family", "pt", "--grid-max", "1e308"],
         ["riccati", "--family", "both", "--grid-n", "3"],
         ["spectrum", "--family", "morse", "--lambda", "inf"],
         ["spectrum", "--family", "pt", "--mu", "inf"],
@@ -167,6 +173,23 @@ class TestUsageErrors:
         assert main(argv + ["--output", str(out)]) == 2
         assert "error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["wavefunction-map", "--t-max", "125"],
+        ["wavefunction-map", "--order-m", "300"],
+        ["potential-term-map", "--t-max", "125"],
+        ["potential-term-map", "--order-m", "300"],
+        # uniform grids past rho = 4 * 710, where sinh(rho / 4) overflows
+        ["riccati", "--family", "both", "--grid-max", "3000"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_flags_at_their_bounds_run(self, argv, tmp_path):
+        # every number of the table is finite
+        out = tmp_path / "x.json"
+        assert main(argv + ["--output", str(out), "--format", "json"]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        values = [float(v) for row in rows for k, v in row.items()
+                  if k != "family"]
+        assert rows and np.all(np.isfinite(values))
 
     @pytest.mark.parametrize("experiment, flags, refused", UNREAD,
                              ids=lambda v: " ".join(v) if isinstance(

@@ -28,6 +28,17 @@ class TestGrid:
             Grid(0.0, 1.0, 32, stretch=1.0)
         with pytest.raises(ValueError, match="stretch"):
             Grid(0.0, 1.0, 32, stretch=-0.1)
+        # x(1e308) at stretch 0.25 overflows the map
+        with pytest.raises(ValueError, match="out of reach"):
+            Grid(-5.0, 1e308, 101, stretch=0.25)
+
+    def test_far_uniform_grid_is_linspace(self):
+        # at stretch 0 the map is not evaluated, so sinh(x/a) cannot
+        # overflow past |x| = 4 * 710
+        for hi in (1e4, 2900.0):
+            g = Grid(-5.0, hi, 10001)
+            assert np.array_equal(g.nodes(), np.linspace(-5.0, hi, 10001))
+            assert np.array_equal(g.weights(), np.full(10001, g.spacing))
 
     def test_stretch_zero_is_uniform(self):
         g = Grid(-2.0, 25.0, 401, stretch=0.0)

@@ -58,10 +58,10 @@ class TestBesselJ:
 
     @pytest.mark.parametrize("m", range(0, 11))
     def test_band_edges_against_scipy(self, m):
-        # each side of every edge where the method or the length of the
-        # expansion changes: the series bands, the series/recurrence and
-        # recurrence/asymptotic switches (at 10 and 18, or at m + 8 and
-        # m + 10), and the asymptotic bands
+        # each side of every edge where the method changes (series to
+        # recurrence at 10 or m + 8, recurrence to asymptotic at 18 or
+        # m + 10), and of 1, 3, 6, 30 and 60, inside the series and
+        # asymptotic bands
         edges = np.array([1.0, 3.0, 6.0, 10.0, 18.0, 30.0, 60.0,
                           m + 8.0, m + 10.0])
         x = np.concatenate([np.nextafter(edges, 0.0), edges,
@@ -73,13 +73,31 @@ class TestBesselJ:
     @pytest.mark.parametrize("m", [11, 12, 13, 14, 15, 20, 30, 60, 300])
     def test_high_orders_against_scipy(self, m):
         # Hankel's expansion starts no lower than m^2 / 2, where its first
-        # correction falls below the leading term; both sides of that edge
-        # and of m + 10 are in the sample
-        edges = np.array([m + 10.0, 0.5 * m * m])
+        # correction falls below the leading term; both sides of that edge,
+        # of m + 10 and of the recurrence's edges at 18 * 2^k below it are
+        # in the sample
+        recur = 18.0 * 2.0 ** np.arange(16)
+        edges = np.concatenate([[m + 10.0, 0.5 * m * m],
+                                recur[recur < 0.5 * m * m]])
         x = np.concatenate([np.linspace(1e-6, 1000.0, 20001),
                             np.nextafter(edges, 0.0), edges])
         err = np.max(np.abs(bessel_j(m, x) - scipy.special.jv(m, x)))
         assert err < 1e-12, err
+
+    @pytest.mark.parametrize("m", [0, 4, 6])
+    def test_one_call_per_method(self, m, monkeypatch):
+        # below order 7 the series, the recurrence and the asymptotic
+        # expansion each take one band: one call each
+        calls = []
+        for name in ("_bessel_series", "_bessel_miller",
+                     "_bessel_asymptotic"):
+            def counted(*args, _name=name, _f=getattr(numerics, name)):
+                calls.append(_name)
+                return _f(*args)
+            monkeypatch.setattr(numerics, name, counted)
+        bessel_j(m, np.linspace(0.0, 320.0, 5001))
+        assert sorted(calls) == ["_bessel_asymptotic", "_bessel_miller",
+                                 "_bessel_series"]
 
     def test_three_term_recurrence(self):
         x = np.linspace(0.5, 30.0, 901)

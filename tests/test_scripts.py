@@ -118,6 +118,33 @@ def test_bench_pairs_counts_strict_wins_in_each_direction(monkeypatch):
         "B better in 0/2", "B better in 0/2"]
 
 
+def test_bench_pairs_verdicts(monkeypatch):
+    # A's wall_s steps by 0.01 (IQR 0.045 over 10 pairs): a gain is resolved
+    # only with 10 pairs or more, 9 in 10 of them won, and a shift of the
+    # medians above that IQR
+    bench_pairs = _bench_pairs(monkeypatch)
+    better = {"wall_s": "lower", "digits": "higher"}
+
+    def verdict(shift, losses=0, count=10):
+        a = [1.0 + 0.01 * i for i in range(count)]
+        b = [x + 0.001 if i < losses else x - shift for i, x in enumerate(a)]
+        pairs = [({"wall_s": x, "digits": 9.0, "correct": True},
+                  {"wall_s": y, "digits": 9.0 + shift, "correct": True})
+                 for x, y in zip(a, b)]
+        lines = bench_pairs.verdicts(pairs, better)
+        assert lines[0].startswith("digits verdict: ")
+        return [line.split(": ", 1)[1] for line in lines]
+
+    assert verdict(0.1) == ["gain resolved", "gain resolved"]
+    assert verdict(0.1, losses=1) == ["gain resolved", "gain resolved"]
+    assert verdict(0.1, losses=2)[1] == "unresolved"
+    # digits: A reads 9 in every pair, so its IQR is 0
+    assert verdict(0.01) == ["gain resolved", "unresolved"]
+    assert verdict(0.1, count=4) == ["unresolved", "unresolved"]
+    assert verdict(0.2, count=20, losses=2) == ["gain resolved"] * 2
+    assert verdict(0.2, count=20, losses=3)[1] == "unresolved"
+
+
 def test_bench_pairs_context_line(monkeypatch):
     bench_pairs = _bench_pairs(monkeypatch)
     line = bench_pairs.context_line({"OPENBLAS_NUM_THREADS": "1"})

@@ -166,6 +166,20 @@ class TestOrderRecurrence:
             else:
                 assert out[0] == 0.0
 
+    def test_leaves_x_as_it_is(self):
+        # the recurrence forms 2/x in an array of its own, and each kernel
+        # it yields stays as it was yielded
+        x = np.outer(np.linspace(0.0, 40.0, 64), np.linspace(0.0, 8.0, 48))
+        before = x.copy()
+        kernels = [(k, kernel, kernel.copy())
+                   for k, kernel in transforms._kernels_down(4, 1, x)]
+        assert np.array_equal(x, before)
+        assert [k for k, _, _ in kernels] == [4, 3, 2, 1]
+        for k, kernel, copy in kernels:
+            assert np.array_equal(kernel, copy)
+            np.testing.assert_allclose(kernel, scipy.special.jv(k, x),
+                                       rtol=0, atol=1e-13)
+
     def test_two_kernel_builds_per_chunk(self, monkeypatch,
                                          morse_generalized_spectrum):
         # four states at orders 4, 3, 2, 1 share one kernel pass on the
@@ -340,6 +354,14 @@ class TestChebyshevContraction:
         assert (points[0], points[-1]) == (8.0, 0.01)
         assert matrix[0, -1] == 1.0 and matrix[-1, 0] == 1.0
         assert np.count_nonzero(matrix[[0, -1]]) == 2
+
+    def test_no_finite_degree_takes_the_direct_path(self):
+        # at type 1e308 the bound overflows and no finite degree meets it:
+        # the targets are used as they are
+        tp = np.linspace(0.0, 8.0, 800)
+        assert transforms._chebyshev_degree(1e308, 4.0) == math.inf
+        assert transforms._chebyshev_interpolant(0.0, 8.0, 1e308,
+                                                 tp) is None
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_t_prime_refused(self, monkeypatch, bad):
