@@ -367,7 +367,8 @@ class PTParams(Well):
 
     @_elementwise
     def w_second(self, r):
-        return self.mu / np.cosh(r)**2
+        with np.errstate(over="ignore"):
+            return self.mu / np.cosh(r)**2
 
 
 FAMILIES = {cls.family: cls for cls in (MorseParams, PTParams)}

@@ -98,12 +98,13 @@ def make_hankel_plan(t_max: float = DEFAULT_T_MAX,
     eigenstates themselves) and fails at 64; the default of 256 leaves a
     margin of more than two.  Building the plan is O(n) above 100 nodes
     (`gauss_legendre`), about 0.3 ms at 2048, so a fresh plan per call
-    costs next to nothing.  A transform's kernel is built on at most the
-    Chebyshev points of `_contract` in each axis, whatever n and however
-    many t' are asked for: in t', N + 1 points with N set by t_max times
-    the half-width of the t' range; in t, as many from max |t'| times
-    t_max / 2 (226 x 226 for t' in [0.01, 8] at t_max = 40).  A plan of
-    fewer nodes than that keeps its nodes."""
+    costs next to nothing.  A transform's kernel is built on the Chebyshev
+    points of `_contract`, whatever n: in t, N + 1 points with N set by
+    max |t'| times t_max / 2, onto which the plan's nodes move; in t', as
+    many from t_max times the half-width of the t' range, where they are
+    fewer than the t' asked for (226 x 226 for t' in [0.01, 8] at
+    t_max = 40).  The points do not depend on n, so plans of any size on
+    one t_max share a kernel."""
     if n < MIN_PLAN_N:
         raise ValueError(f"plan needs at least {MIN_PLAN_N} nodes")
     x, w = gauss_legendre(n)
@@ -174,8 +175,11 @@ def _kernels_down(top: int, bottom: int, x: np.ndarray):
 # bound; any rho > 1 gives a valid bound, the grid only sharpens it
 _RHO = 1.0 + np.logspace(-4.0, 2.0, 601)
 
+# bessel_j's stated range, |x| <= 1000: the largest t t' a transform takes
+_X_MAX = 1000.0
 
-def _chebyshev_degree(exp_type: float, half_width: float) -> float:
+
+def _chebyshev_degree(exp_type: float, half_width: float) -> int:
     """The smallest degree N at which Chebyshev interpolation of
     H(s) = sum_i c_i J_m(s u_i), |u_i| <= exp_type, on an interval of
     half-length `half_width` is within 2^-53 sum |c_i| of H.
@@ -186,36 +190,33 @@ def _chebyshev_degree(exp_type: float, half_width: float) -> float:
     the degree-N interpolant in the Chebyshev points of the second kind is
     off by at most 4 rho^-N / (rho - 1) times that bound (Trefethen,
     Approximation Theory and Approximation Practice, Thm 8.2).  N is the
-    least, over the _RHO grid, that brings this to 2^-53; at least 1, and
-    inf where no finite degree does."""
+    least, over the _RHO grid, that brings this to 2^-53; at least 1.
+    `_contract` keeps exp_type * half_width within _X_MAX, so N is finite
+    (about 550 at that bound)."""
     need = (np.log(4.0 / (_RHO - 1.0))
             + 0.5 * exp_type * half_width * (_RHO - 1.0 / _RHO)
             + 53.0 * math.log(2.0)) / np.log(_RHO)
-    least = float(np.min(need))
-    return max(1, math.ceil(least)) if math.isfinite(least) else math.inf
+    return max(1, math.ceil(float(np.min(need))))
 
 
-def _chebyshev_interpolant(a: float, b: float, exp_type: float,
-                           targets: np.ndarray):
-    """(points, matrix) that take a function of exponential type
-    `exp_type` on [a, b] to the 1-D array `targets` from its values at
-    fewer points, or None where the targets themselves are as few.
-
-    The points are the N + 1 Chebyshev points of the second kind on
-    [a, b], N = `_chebyshev_degree(exp_type, (b - a) / 2)`, from b down to
-    a, with the end points set to exactly b and a; the matrix, of shape
-    (targets.size, N + 1), is the barycentric formula of Berrut & Trefethen
-    (SIAM Rev. 46, 501 (2004)) with weights (-1)^j, halved at the ends.  A
-    target equal to a point takes that point's value exactly.  None when
-    a == b or N + 1 >= targets.size (N not finite included)."""
-    if a == b:
-        return None
+def _chebyshev_points(a: float, b: float, exp_type: float) -> np.ndarray:
+    """The N + 1 Chebyshev points of the second kind on [a, b], a < b,
+    N = `_chebyshev_degree(exp_type, (b - a) / 2)`, from b down to a, with
+    the end points set to exactly b and a."""
     n = _chebyshev_degree(exp_type, 0.5 * (b - a))
-    if n + 1 >= targets.size:
-        return None
     j = np.arange(n + 1)
     points = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * j / n)
     points[0], points[-1] = b, a
+    return points
+
+
+def _barycentric(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The matrix, of shape (targets.size, points.size), that takes values
+    at the Chebyshev `points` to the 1-D array `targets`: the barycentric
+    formula of Berrut & Trefethen (SIAM Rev. 46, 501 (2004)) with weights
+    (-1)^j, halved at the ends.  A target equal to a point takes that
+    point's value exactly."""
+    j = np.arange(points.size)
     weights = np.where(j % 2, -1.0, 1.0)
     weights[[0, -1]] *= 0.5
     diff = targets[:, None] - points[None, :]
@@ -225,59 +226,93 @@ def _chebyshev_interpolant(a: float, b: float, exp_type: float,
     matrix /= matrix.sum(axis=1, keepdims=True)
     hits = exact.any(axis=1)
     matrix[hits] = exact[hits]
-    return points, matrix
+    return matrix
 
 
-def _contract(jobs, plan: HankelPlan, tp: np.ndarray) -> list[np.ndarray]:
+def _chebyshev_interpolant(a: float, b: float, exp_type: float,
+                           targets: np.ndarray):
+    """(points, matrix) that take a function of exponential type
+    `exp_type` on [a, b] to the 1-D array `targets` from its values at
+    fewer points, `_chebyshev_points(a, b, exp_type)` and their
+    `_barycentric` matrix; None when a == b or the targets themselves are
+    as few."""
+    if a == b:
+        return None
+    points = _chebyshev_points(a, b, exp_type)
+    if points.size >= targets.size:
+        return None
+    return points, _barycentric(points, targets)
+
+
+def _contract(jobs, tp: np.ndarray) -> list[np.ndarray]:
     """sum_i core_i J_order(t_i t') at the t' of the 1-D array tp, for each
-    (order, core) job.
+    (order, plan, core) job, t_i the nodes of the job's plan.  The plans
+    may differ in their nodes but share one t_max.
 
     The sum is entire in t' of exponential type t_max, and J_order(t t')
     is entire in t of exponential type max |t'|, so the kernel is built on
-    Chebyshev points of both axes, each chosen by `_chebyshev_interpolant`
-    at a bound of 2^-53 sum |core_i|, below the rounding of `bessel_j`:
+    Chebyshev points of both axes, each of a degree `_chebyshev_degree`
+    chooses at a bound of 2^-53 sum |core_i|, below the rounding of
+    `bessel_j`:
     - in t', the points p_j on [min t', max t'] (tp itself where it is as
       few), whose values are carried to tp by one barycentric matrix;
-    - in t, the points s_k on [0, t_max] at the type max |p_j| (the plan's
-      nodes where they are as few), onto which each job's core moves by
-      the barycentric matrix L of the plan's nodes, core @ L.  A product
-      per job, like the contraction, keeps a job's result the same bit for
-      bit whichever jobs share its pass; one stacked product rounds
+    - in t, the points s_k on [0, t_max] at the type max |t'|, onto which
+      each job's core moves by the barycentric matrix L of its plan's
+      nodes, core @ L, whatever the number of nodes.  A product per job,
+      like the contraction, keeps a job's result the same bit for bit
+      whichever jobs share its pass; one stacked product rounds
       differently for one job than for several.
     A moved core sums in magnitude to at most Lambda sum |core_i|, Lambda
     the Lebesgue constant of the points in t, so the pass is within
-    2^-53 (1 + Lambda) sum |core_i| of the direct sum.  One kernel J(s_k p_j) serves the
-    pass: 226 x 226 for 800 t' in
-    [0.01, 8] and 180 x 180 for 1200 t' in [0.02, 6], at t_max = 40, on
-    the calling thread.  A t' equal to an end or a point takes that
-    point's value, and t' = 0 takes sum_i core_i (of the plan's cores) at
-    order 0 and 0 above it, as J_k(0) = delta_k0.  Every t' must be
-    finite.
+    2^-53 (1 + Lambda) sum |core_i| of the direct sum.  The points depend
+    on t_max and the t' range only, so one kernel J(s_k p_j) serves every
+    job and plan of the pass: 226 x 226 for 800 t' in [0.01, 8] and
+    180 x 180 for 1200 t' in [0.02, 6], at t_max = 40, on the calling
+    thread.  A t' equal to an end or a point takes that point's value, and
+    t' = 0 takes sum_i core_i (of the plan's cores) at order 0 and 0 above
+    it, as J_k(0) = delta_k0.
+
+    Every t' must be finite, and t_max max |t'| at most 1000 (_X_MAX), the
+    range of `bessel_j`; both are checked, NaN-safely, before any kernel
+    or matrix is built.  The bound also caps the points at about 550 per
+    axis.
 
     One pass of _kernels_down serves every job: the kernel is built at the
     highest order of the jobs and the one below it, and by recurrence at
     every lower order down to the lowest, gaps included.  Each job is
     contracted with the kernel at its own order by its own vector-matrix
-    product.  `hankel` passes one job; `potential_term_map` passes the term
-    map's and every bound state's jobs to a single pass when the term map's
-    order is not above the states'.  A job's result is the same whichever
-    jobs share its pass, up to rounding when the pass reaches its order by
-    recurrence rather than directly, as long as the top order's kernel has
-    not underflowed where a lower order's has not: the recurrence gets
-    nothing back from J_top = 0, and J_300(x) is 0 for every x < 10."""
+    product.  `hankel` passes one job; `potential_term_map` passes both
+    plans' term maps and every bound state's jobs to a single pass when
+    the term map's order is not above the states'.  A job's result is the
+    same whichever jobs share its pass, up to rounding when the pass
+    reaches its order by recurrence rather than directly, as long as the
+    top order's kernel has not underflowed where a lower order's has not:
+    the recurrence gets nothing back from J_top = 0, and J_300(x) is 0 for
+    every x < 10."""
     if not np.all(np.isfinite(tp)):
         raise ValueError("t' must be finite")
     if not jobs or not tp.size:
         return [np.empty(tp.size) for _ in jobs]
-    cheb = _chebyshev_interpolant(float(tp.min()), float(tp.max()),
-                                  plan.t_max, tp)
+    t_max = jobs[0][1].t_max
+    reach = float(np.max(np.abs(tp)))
+    if not t_max * reach <= _X_MAX:
+        raise ValueError(f"t_max * max|t'| = {t_max * reach:g} exceeds "
+                         f"{_X_MAX:g}, the range of bessel_j")
+    if any(plan.t_max != t_max for _, plan, _ in jobs):
+        raise ValueError("the plans of one pass must share t_max")
+    cheb = _chebyshev_interpolant(float(tp.min()), float(tp.max()), t_max,
+                                  tp)
     points = tp if cheb is None else cheb[0]
-    nodes, cores = plan.nodes, [core for _, core in jobs]
-    t_cheb = _chebyshev_interpolant(0.0, plan.t_max,
-                                    float(np.max(np.abs(points))), nodes)
-    if t_cheb is not None:
-        nodes, cores = t_cheb[0], [core @ t_cheb[1] for core in cores]
-    orders = [order for order, _ in jobs]
+    nodes = _chebyshev_points(0.0, t_max, reach)
+    cores = [None] * len(jobs)
+    for plan in {id(plan): plan for _, plan, _ in jobs}.values():
+        # one plan's matrix is built, used and dropped before the next's
+        matrix = _barycentric(nodes, plan.nodes)
+        for i, (_, job_plan, core) in enumerate(jobs):
+            if job_plan is plan:
+                cores[i] = core @ matrix
+        del matrix
+    orders = [order for order, _, _ in jobs]
     outs = [None] * len(jobs)
     x = nodes[:, None] * points[None, :]
     for order, kernel in _kernels_down(max(orders), min(orders), x):
@@ -287,7 +322,7 @@ def _contract(jobs, plan: HankelPlan, tp: np.ndarray) -> list[np.ndarray]:
     if cheb is not None:
         outs = [cheb[1] @ out for out in outs]
     zero = tp == 0.0
-    for out, (k, core) in zip(outs, jobs):
+    for out, (k, _, core) in zip(outs, jobs):
         out[zero] = np.sum(core) if k == 0 else 0.0
     return outs
 
@@ -295,13 +330,14 @@ def _contract(jobs, plan: HankelPlan, tp: np.ndarray) -> list[np.ndarray]:
 def hankel(g, plan: HankelPlan, t_prime, order: int):
     """Truncated order-`order` Hankel transform, sum_i w_i t_i g_i
     J_order(t_i t'), of the values g on the plan's nodes, at t_prime
-    (scalar or array of finite values).
+    (scalar or array of finite values, t_max |t'| <= 1000).
 
-    The kernel is built at the Chebyshev points of `_contract` in t and
-    t' where they are fewer than the plan's nodes and the t' asked for,
-    and the transform interpolated in both to within 2^-53 (1 + Lambda)
-    sum_i |w_i t_i g_i| of the direct sum, Lambda <= 2/pi log(N + 1) + 1
-    (about 4.5) the Lebesgue constant of the N + 1 points in t.
+    The kernel is built at the Chebyshev points of `_contract` in t, onto
+    which the plan's nodes move however many they are, and in t' where
+    they are fewer than the t' asked for; the transform is within
+    2^-53 (1 + Lambda) sum_i |w_i t_i g_i| of the direct sum,
+    Lambda <= 2/pi log(N + 1) + 1 (about 4.5) the Lebesgue constant of
+    the N + 1 points in t.
 
     Emits TruncationWarning when `truncated(g, plan)`: g is still alive at
     t_max, so the truncated integral misses its tail.
@@ -310,7 +346,7 @@ def hankel(g, plan: HankelPlan, t_prime, order: int):
         raise ValueError("order must be >= 0")
     core = _weighted(g, plan)
     tp = np.asarray(t_prime, dtype=float)
-    out = _contract([(order, core)], plan, np.atleast_1d(tp))[0]
+    out = _contract([(order, plan, core)], np.atleast_1d(tp))[0]
     return float(out[0]) if tp.ndim == 0 else out
 
 
@@ -443,37 +479,41 @@ def potential_term_map(params_m: MorseParams, params_pt: PTParams, m: int,
     plan's and a coarse plan of half its nodes.
 
     All bound states R_n of `spectrum` are resampled onto the fine plan in
-    one call.  One `_contract` pass there serves the term map and every
-    state: its jobs are (m, g) and, per state at m_n = hankel_order(n) of
-    params_m, (m_n, R_n) and (m_n, g), so one Bessel kernel serves all of
-    them.  An m above every m_n gets a pass of its own, so the states'
-    contractions never depend on m.  They are kept
-    on the report's `states` for `potential_term_sandwich`; an empty
-    spectrum gives the term map alone."""
+    one call.  One `_contract` pass serves both plans' term maps and every
+    state: its jobs are (m, g) on the coarse plan and on the fine plan
+    and, per state at m_n = hankel_order(n) of params_m, (m_n, R_n) and
+    (m_n, g) on the fine plan.  Both plans move onto the same Chebyshev
+    points in t, so one Bessel kernel serves all of them, and the coarse
+    term map is bit for bit a lone `hankel` of its plan whenever m is the
+    pass's top order.  An m above every m_n gets a pass of its own, so the
+    states' contractions never depend on m.  They are kept on the
+    report's `states` for `potential_term_sandwich`; an empty spectrum
+    gives the term map alone."""
     tp = np.asarray(t_prime_nodes, dtype=float)
     coarse = make_hankel_plan(plan.t_max, plan.nodes.size // 2)
     rhs = pt_term_values(params_pt, tp)
-    g = morse_term_values(params_m, coarse.nodes)
-    warned = truncated(g, coarse)
-    lhs = hankel(g, coarse, tp, m)
-    refinement = [(coarse.nodes.size, float(np.max(np.abs(lhs - rhs))))]
+    g_coarse = morse_term_values(params_m, coarse.nodes)
     g = morse_term_values(params_m, plan.nodes)
-    warned = warned or truncated(g, plan)
+    warned = truncated(g_coarse, coarse) or truncated(g, plan)
+    coarse_core = _weighted(g_coarse, coarse)
     g_core = _weighted(g, plan)
+    maps = [(m, coarse, coarse_core), (m, plan, g_core)]
     R = morse_state_on_plan(spectrum, params_m.lam, plan)
     orders = [params_m.hankel_order(n) for n in range(spectrum.bound_count)]
     direct = R @ g_core
     jobs = []
     for m_n, R_n in zip(orders, R):
-        jobs += [(m_n, _weighted(R_n, plan)), (m_n, g_core)]
-    if m <= max((k for k, _ in jobs), default=m):
-        lhs, *contracted = _contract([(m, g_core)] + jobs, plan, tp)
+        jobs += [(m_n, plan, _weighted(R_n, plan)), (m_n, plan, g_core)]
+    if m <= max(orders, default=m):
+        lhs_coarse, lhs, *contracted = _contract(maps + jobs, tp)
     else:
         # a pass started at m would take the states' kernels by recurrence
         # from J_m, which underflows where theirs does not (for x < 10 at
-        # m = 300), so the term map takes a pass of its own
-        lhs = _contract([(m, g_core)], plan, tp)[0]
-        contracted = _contract(jobs, plan, tp)
+        # m = 300), so the term maps take a pass of their own
+        lhs_coarse, lhs = _contract(maps, tp)
+        contracted = _contract(jobs, tp)
+    refinement = [(coarse.nodes.size,
+                   float(np.max(np.abs(lhs_coarse - rhs))))]
     residual = lhs - rhs
     refinement.append((plan.nodes.size, float(np.max(np.abs(residual)))))
     return TermMapReport(

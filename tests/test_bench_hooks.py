@@ -94,9 +94,9 @@ def test_traced_term_map_records_its_layers(tracing, tmp_path):
 
 def test_traced_kernel_builds_count_every_element(tracing, tmp_path):
     # every Bessel kernel of the transforms is one bessel_j call, on the
-    # calling thread, so the tracer sees each build: the coarse plan's term
-    # map builds order 4, the fine pass orders 4 and 3, each on the
-    # 226 x 226 Chebyshev points of t and t'
+    # calling thread, so the tracer sees each build: the one pass of both
+    # plans builds orders 4 and 3, each on the 226 x 226 Chebyshev points
+    # of t and t'
     tracer = tracing.Tracer()
     patched = tracing.install(tracer)
     try:
@@ -108,4 +108,4 @@ def test_traced_kernel_builds_count_every_element(tracing, tmp_path):
         tracing.uninstall(patched)
     builds = [s.counts["elements"] for s in tracer.spans
               if s.name == "numerics.bessel_j"]
-    assert builds == [226 * 226] * 3
+    assert builds == [226 * 226] * 2

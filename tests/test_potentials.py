@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,15 @@ class TestPT:
         p1 = PTParams(1.0, 1.0)
         x = np.linspace(-5, 5, 41)
         assert np.allclose(p1.partner(x), 1.0, atol=1e-14)
+
+    def test_w_second_far_out_is_silent(self):
+        # cosh(rho)**2 overflows past |rho| ~ 355; mu / inf = 0 is the right
+        # value, and no RuntimeWarning reaches the caller
+        p = PTParams(4.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = p.w_second(np.array([-800.0, 800.0]))
+        assert np.array_equal(got, [0.0, 0.0])
 
     def test_q_values(self):
         for mu, gamma in ((1.0, 1.0), (4.0, 0.5), (2.0, 3.0)):

@@ -153,11 +153,11 @@ class TestOrderRecurrence:
         plan = make_hankel_plan(40.0, 2048)
         tp = np.concatenate(([0.0], np.linspace(0.01, 8.0, 799)))
         rng = np.random.default_rng(7)
-        jobs = [(k, plan.weights * rng.standard_normal(plan.nodes.size))
+        jobs = [(k, plan, plan.weights * rng.standard_normal(plan.nodes.size))
                 for k in orders]
-        got = transforms._contract(jobs, plan, tp)
+        got = transforms._contract(jobs, tp)
         x = plan.nodes[:, None] * tp[None, :]
-        for (k, core), out in zip(jobs, got):
+        for (k, _, core), out in zip(jobs, got):
             ref = core @ scipy.special.jv(k, x)
             err = np.max(np.abs(out - ref))
             assert err < 1e-13 * np.max(np.abs(ref)), (k, err)
@@ -182,10 +182,10 @@ class TestOrderRecurrence:
 
     def test_two_kernel_builds_per_chunk(self, monkeypatch,
                                          morse_generalized_spectrum):
-        # four states at orders 4, 3, 2, 1 share one kernel pass on the
-        # fine plan: orders 4 and 3 are built directly, by one bessel_j call
-        # each, and the rest by recurrence; the coarse refinement plan's
-        # term map builds order 4 before them
+        # four states at orders 4, 3, 2, 1 share one kernel pass with both
+        # plans' term maps: orders 4 and 3 are built directly, by one
+        # bessel_j call each, and the rest by recurrence; no coarse build
+        # comes before them
         plan = make_hankel_plan(40.0, 2048)
         calls = _count_kernel_builds(monkeypatch)
         tp = np.linspace(0.01, 8.0, 800)
@@ -194,7 +194,7 @@ class TestOrderRecurrence:
             morse_generalized_spectrum)
         checks = potential_term_sandwich(report)
         assert [chk.order for chk in checks] == [4, 3, 2, 1]
-        assert [m for m, _ in calls[1:]] == [4, 3]
+        assert [m for m, _ in calls] == [4, 3]
 
 
 def _count_kernel_builds(monkeypatch) -> list:
@@ -232,15 +232,14 @@ class TestOneKernelPerPass:
         wavefunction_map(R, 4, np.linspace(0.02, 6.0, 1200), plan)
         assert calls == [(4, (180, 180))]
 
-    def test_small_plan_keeps_its_nodes(self, monkeypatch):
-        # 64 nodes are fewer than the 226 points in t: the kernel is built
-        # at the plan's nodes, and the pass is the direct sum interpolated
-        # in t' alone
+    def test_small_plan_moves_onto_the_points(self, monkeypatch):
+        # 64 nodes are fewer than the 226 points in t, and move onto them
+        # all the same: the kernel is the one a large plan's pass builds
         plan = make_hankel_plan(40.0, 64)
         calls = _count_kernel_builds(monkeypatch)
         core = plan.weights * np.exp(-plan.nodes)
-        out = transforms._contract([(2, core)], plan, self.TP)[0]
-        assert calls == [(2, (64, 226))]
+        out = transforms._contract([(2, plan, core)], self.TP)[0]
+        assert calls == [(2, (226, 226))]
         ref = core @ scipy.special.jv(2, plan.nodes[:, None] * self.TP)
         assert np.max(np.abs(out - ref)) <= 1e-14 * np.sum(np.abs(core))
 
@@ -255,14 +254,14 @@ class TestOneKernelPerPass:
         assert transforms._chebyshev_interpolant(
             0.0, plan.t_max, float(np.max(tp)), plan.nodes) is not None
         core = plan.weights * plan.nodes * np.exp(-plan.nodes)
-        out = transforms._contract([(0, core), (1, core)], plan, tp)
+        out = transforms._contract([(0, plan, core), (1, plan, core)], tp)
         assert out[0][0] == pytest.approx(np.sum(core), rel=1e-14)
         assert out[1][0] == 0.0
 
     def test_no_t_prime(self):
         plan = make_hankel_plan(40.0, 64)
-        out = transforms._contract([(2, plan.weights), (0, plan.weights)],
-                                   plan, np.empty(0))
+        out = transforms._contract([(2, plan, plan.weights),
+                                    (0, plan, plan.weights)], np.empty(0))
         assert [o.shape for o in out] == [(0,), (0,)]
 
 
@@ -292,11 +291,11 @@ class TestChebyshevContraction:
     @staticmethod
     def check(plan, tp, orders, sample=slice(None)):
         rng = np.random.default_rng(11)
-        jobs = [(k, plan.weights * rng.standard_normal(plan.nodes.size))
+        jobs = [(k, plan, plan.weights * rng.standard_normal(plan.nodes.size))
                 for k in orders]
-        got = transforms._contract(jobs, plan, tp)
+        got = transforms._contract(jobs, tp)
         x = plan.nodes[:, None] * tp[None, sample]
-        for (k, core), out in zip(jobs, got):
+        for (k, _, core), out in zip(jobs, got):
             total = np.sum(np.abs(core))
             bound = _interpolation_bound(plan, tp, core)
             direct = core @ bessel_j(k, x)
@@ -355,13 +354,38 @@ class TestChebyshevContraction:
         assert matrix[0, -1] == 1.0 and matrix[-1, 0] == 1.0
         assert np.count_nonzero(matrix[[0, -1]]) == 2
 
-    def test_no_finite_degree_takes_the_direct_path(self):
-        # at type 1e308 the bound overflows and no finite degree meets it:
-        # the targets are used as they are
-        tp = np.linspace(0.0, 8.0, 800)
-        assert transforms._chebyshev_degree(1e308, 4.0) == math.inf
-        assert transforms._chebyshev_interpolant(0.0, 8.0, 1e308,
-                                                 tp) is None
+    @pytest.mark.parametrize("t_max, top", [
+        (125.0, np.nextafter(8.0, 9.0)), (np.nextafter(125.0, 126.0), 8.0),
+        (40.0, 1e200), (1e308, 8.0), (math.nan, 8.0)],
+        ids=["t_prime", "t_max", "huge_t_prime", "huge_t_max", "nan_t_max"])
+    def test_past_the_range_refused(self, monkeypatch, t_max, top):
+        # t_max max|t'| above 1000, bessel_j's range, is refused before any
+        # kernel is built; NaN is refused, not let through
+        def never(*args):
+            raise AssertionError("kernel built")
+
+        monkeypatch.setattr(transforms, "bessel_j", never)
+        plan = HankelPlan(t_max, np.array([1.0, 2.0]), np.array([0.5, 0.5]))
+        tp = np.linspace(0.0, top, 800)
+        with pytest.raises(ValueError, match="range of bessel_j"):
+            transforms._contract([(0, plan, plan.weights)], tp)
+        with pytest.raises(ValueError, match="range of bessel_j"):
+            hankel(np.zeros(2), plan, tp, 3)
+
+    def test_plans_share_t_max(self):
+        a, b = make_hankel_plan(40.0, 64), make_hankel_plan(20.0, 64)
+        with pytest.raises(ValueError, match="share t_max"):
+            transforms._contract([(0, a, a.weights), (0, b, b.weights)],
+                                 np.linspace(0.0, 8.0, 800))
+
+    def test_range_bound_itself_runs(self):
+        # t_max max|t'| = 1000 exactly is inside the range; the t points
+        # stay a few hundred
+        plan = make_hankel_plan(125.0, 64)
+        tp = np.linspace(0.01, 8.0, 800)
+        self.check(plan, tp, [0, 4], slice(None, None, 40))
+        assert _t_prime_interpolant(plan, tp)[0].size < 600
+        assert transforms._chebyshev_points(0.0, 125.0, 8.0).size < 600
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_t_prime_refused(self, monkeypatch, bad):
@@ -394,12 +418,40 @@ class TestFusedTermMap:
 
     def test_bessel_calls_per_plan(self, monkeypatch,
                                    morse_generalized_spectrum):
-        # the coarse plan's term map builds order 4 once; the fine plan
-        # builds orders 4 and 3 once each for the term map and all four
-        # states; every kernel is 226 x 226
+        # one pass builds orders 4 and 3 once each for both plans' term
+        # maps and all four states; every kernel is 226 x 226
         calls = _count_kernel_builds(monkeypatch)
         self.run(4, morse_generalized_spectrum, make_hankel_plan(40.0, 2048))
-        assert calls == [(4, (226, 226))] + [(4, (226, 226)), (3, (226, 226))]
+        assert calls == [(4, (226, 226)), (3, (226, 226))]
+
+    @pytest.mark.parametrize("n", [2048, 256])
+    def test_coarse_residual_is_a_lone_hankel(self, n,
+                                              morse_generalized_spectrum):
+        # the coarse plan's term map shares the fine plan's pass, on the
+        # same points in t, and its refinement residual is bit for bit that
+        # of a lone transform on the coarse plan (128 nodes at n = 256, the
+        # default, fewer than the 226 points)
+        report = self.run(4, morse_generalized_spectrum,
+                          make_hankel_plan(40.0, n))
+        coarse = make_hankel_plan(40.0, n // 2)
+        lone = hankel(morse_term_values(MorseParams(4.5, 1.0), coarse.nodes),
+                      coarse, self.TP, 4)
+        rhs = pt_term_values(PTParams(4.0, 1.0), self.TP)
+        assert report.refinement[0] == (n // 2,
+                                        float(np.max(np.abs(lone - rhs))))
+
+    def test_past_the_range_refused(self, monkeypatch,
+                                    morse_generalized_spectrum):
+        # t_max max|t'| just above 1000 is refused before any kernel
+        def never(*args):
+            raise AssertionError("kernel built")
+
+        monkeypatch.setattr(transforms, "bessel_j", never)
+        plan = make_hankel_plan(np.nextafter(125.0, 126.0), 64)
+        with pytest.raises(ValueError, match="range of bessel_j"):
+            self.run(4, morse_generalized_spectrum, plan)
+        with pytest.raises(ValueError, match="range of bessel_j"):
+            self.run(6, morse_generalized_spectrum, plan)
 
     def test_default_order_matches_standalone_bitwise(
             self, morse_generalized_spectrum):
