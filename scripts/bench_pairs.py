@@ -12,7 +12,8 @@ without ``__pycache__``, ``.bench_work`` or ``.git``, so both sides import
 against the same (empty) bytecode cache.  Prints first the CPUs the runs
 may use and the BLAS/OpenMP thread settings they inherit (on 2 CPUs the
 ``transform`` figures read the same, within run-to-run spread, at
-``OPENBLAS_NUM_THREADS=1`` and unset), then each pair's metrics and then,
+``OPENBLAS_NUM_THREADS=1`` and unset) and whether
+``PYTHONDONTWRITEBYTECODE`` is set, then each pair's metrics and then,
 per metric, the medians and quartiles of both sides, the change of the
 medians against the spread (interquartile range) of A's runs, and the
 number of pairs in which B beats A, and last one verdict per metric: "gain
@@ -43,12 +44,15 @@ _MIN_PAIRS = 10  # fewest pairs that can resolve a gain
 
 
 def context_line(environ=os.environ) -> str:
-    """The CPUs this process may run on and the thread settings the runs
-    inherit."""
+    """The CPUs this process may run on, the thread settings the runs
+    inherit and PYTHONDONTWRITEBYTECODE: set, the import probe behind
+    ``setup_s`` compiles every source file on each import (~30 ms of
+    ~120 ms on a 2-CPU machine)."""
     cpus = ",".join(map(str, sorted(os.sched_getaffinity(0))))
     threads = ", ".join(f"{k}={environ.get(k, 'unset')}"
                         for k in _THREAD_VARS)
-    return f"cpus {cpus}; {threads}"
+    bytecode = environ.get("PYTHONDONTWRITEBYTECODE", "unset")
+    return f"cpus {cpus}; {threads}; PYTHONDONTWRITEBYTECODE={bytecode}"
 
 
 def parse_seeds(text: str) -> list[int]:

@@ -35,14 +35,16 @@ class OscillatoryError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Value of a definite integral with an absolute error estimate."""
+    """Value of a definite integral with an absolute error estimate; for a
+    batch of integrals, float arrays of both and the total evaluations
+    (compare batch results field by field: == on arrays is ambiguous)."""
 
-    value: float
-    error_estimate: float
+    value: float | np.ndarray
+    error_estimate: float | np.ndarray
     evaluations: int
 
     def __post_init__(self):
-        if self.error_estimate < 0:
+        if np.any(np.asarray(self.error_estimate) < 0):
             raise ValueError("error_estimate must be >= 0")
         if self.evaluations < 1:
             raise ValueError("evaluations must be >= 1")
@@ -457,13 +459,20 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 _PANEL_NODES, _PANEL_WEIGHTS = gauss_legendre(15)
 
 
+def _panel_nodes(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """(half-widths, nodes) of the 15-point Gauss-Legendre rule on each
+    panel [lo_i, hi_i] of two equal-shape arrays; the nodes have shape
+    lo.shape + (15,)."""
+    half = 0.5 * (hi - lo)
+    return half, (0.5 * (lo + hi))[..., None] + half[..., None] * _PANEL_NODES
+
+
 def _panel_integrals(f, lo, hi) -> np.ndarray:
     """15-point Gauss-Legendre value of the integral of f over each panel
     [lo_i, hi_i] of two equal-shape arrays, exact to polynomial degree 29.
     Widths are signed: hi_i < lo_i gives the negative of the reverse panel.
     f is called once, on the nodes of every panel."""
-    half = 0.5 * (hi - lo)
-    x = (0.5 * (lo + hi))[..., None] + half[..., None] * _PANEL_NODES
+    half, x = _panel_nodes(lo, hi)
     vals = f(x.ravel()).reshape(x.shape)
     return half * (vals @ _PANEL_WEIGHTS)
 
@@ -507,54 +516,96 @@ class _EpsilonTable:
         return diag[-1] if len(diag) % 2 else diag[-2]
 
 
-def integrate_oscillatory_bessel(g, m: int, p: float, tol: float = 1e-9,
+def integrate_oscillatory_bessel(g, m: int, p, tol: float = 1e-9,
                                  max_blocks: int = 80) -> QuadratureResult:
-    """Evaluate integral_0^inf g(x) J_m(p x) dx.
+    """Evaluate integral_0^inf g(x) J_m(p x) dx at a scalar p or at each p
+    of a 1-D array, every p finite and positive.
 
     The axis is partitioned at the zeros of J_m(p x) (McMahon approximation);
     each inter-zero block is the sum of its Gauss-Legendre panel integrals,
-    whose nodes take g and J_m in one call per block, and the alternating
-    sequence of partial sums is accelerated with Wynn's epsilon algorithm,
-    one table diagonal per block.  From block 8 on it stops when two
-    successive estimates agree to tol; at max_blocks it accepts 1000 tol.
-    Integrands whose envelope decays (or at worst stays bounded) converge;
-    anything with a growing envelope raises OscillatoryError.
+    and the alternating sequence of partial sums is accelerated with Wynn's
+    epsilon algorithm, one table diagonal per block.  From block 8 on a p
+    stops when two successive estimates agree to tol; at max_blocks it
+    accepts 1000 tol.  Integrands whose envelope decays (or at worst stays
+    bounded) converge; anything with a growing envelope, at any p, raises
+    OscillatoryError for the whole call.
+
+    The integrals of every p run in lockstep: at block k the panel nodes of
+    every p still running take g in one call and J_m in one `bessel_j`
+    call, so g must act element by element.  Each p keeps its own partial
+    sum, epsilon table, stop test and final checks, and its panel sums are
+    taken as for that p alone.  In x = p t, block k of every p spans the
+    same Bessel-zero interval up to rounding, so each p's value agrees with
+    a call on that p alone to rounding, and bit for bit whenever that
+    rounding leaves the start order of `bessel_j`'s recurrence band as it
+    is (as at `hankel-verify`'s p = 0.5, 1, 2, 5).
+
+    A scalar p gives float value and error_estimate; an array gives float
+    arrays of its shape.  evaluations counts the integrand's nodes over
+    every p.
     """
-    if p <= 0:
-        raise ValueError("p must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-
-    def f(x):
-        return np.asarray(g(x), dtype=float) * bessel_j(m, p * x)
-
-    total = 0.0
-    evals = 0
-    a = 0.0
-    table = _EpsilonTable()
-    est = delta = math.nan
-    for k in range(1, max_blocks + 1):
-        b = bessel_j_zero(m, k) / p
-        npanels = max(1, int(math.ceil((b - a) * p / 3.0)))
-        edges = a + (b - a) * np.arange(npanels + 1) / npanels
-        block = float(np.sum(_panel_integrals(f, edges[:-1], edges[1:])))
-        evals += _PANEL_NODES.size * npanels
-        if not math.isfinite(block):
-            raise OscillatoryError("block integral is not finite")
-        total += block
-        a = b
-        prev_est, est = est, table.add(total)
-        delta = abs(est - prev_est)
-        if (k >= 8 and math.isfinite(est)
-                and delta <= tol * max(1.0, abs(est))):
-            break
-    if max_blocks < 8 or not math.isfinite(est):
+    ps = np.asarray(p, dtype=float)
+    if ps.ndim > 1 or ps.size == 0:
+        raise ValueError("p must be a scalar or a non-empty 1-D array")
+    if not np.all(np.isfinite(ps) & (ps > 0)):
+        raise ValueError("p must be finite and positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
+    if max_blocks < 8:
         raise OscillatoryError("partial sums failed to alternate or converge")
-    if delta > 1e3 * tol * max(1.0, abs(est)):
-        raise OscillatoryError(
-            f"oscillatory series not converged: estimate {est:g}, "
-            f"uncertainty {delta:g}")
-    return QuadratureResult(est, delta, evals)
+
+    pv = ps.ravel().tolist()
+    left = [0.0] * len(pv)
+    total = [0.0] * len(pv)
+    est = [math.nan] * len(pv)
+    delta = [math.nan] * len(pv)
+    tables = [_EpsilonTable() for _ in pv]
+    evals = 0
+    running = list(range(len(pv)))
+    for k in range(1, max_blocks + 1):
+        zero = bessel_j_zero(m, k)
+        panels = []
+        for i in running:
+            a, b = left[i], zero / pv[i]
+            npanels = max(1, int(math.ceil((b - a) * pv[i] / 3.0)))
+            edges = a + (b - a) * np.arange(npanels + 1) / npanels
+            panels.append(_panel_nodes(edges[:-1], edges[1:]))
+            left[i] = b
+        sizes = [nodes.size for _, nodes in panels]
+        x = np.concatenate([nodes.ravel() for _, nodes in panels])
+        scale = np.repeat([pv[i] for i in running], sizes)
+        vals = np.asarray(g(x), dtype=float) * bessel_j(m, scale * x)
+        evals += x.size
+        still = []
+        for i, (half, nodes), v in zip(running, panels,
+                                       np.split(vals, np.cumsum(sizes)[:-1])):
+            # one product per p, as for p alone: a stacked product rounds
+            # a panel differently with other panels beside it
+            block = float(np.sum(half * (v.reshape(nodes.shape)
+                                         @ _PANEL_WEIGHTS)))
+            if not math.isfinite(block):
+                raise OscillatoryError(
+                    f"block integral is not finite (p = {pv[i]:g})")
+            total[i] += block
+            prev, est[i] = est[i], tables[i].add(total[i])
+            delta[i] = abs(est[i] - prev)
+            if not (k >= 8 and math.isfinite(est[i])
+                    and delta[i] <= tol * max(1.0, abs(est[i]))):
+                still.append(i)
+        running = still
+        if not running:
+            break
+    for i in range(len(pv)):
+        if not math.isfinite(est[i]):
+            raise OscillatoryError("partial sums failed to alternate or "
+                                   f"converge (p = {pv[i]:g})")
+        if delta[i] > 1e3 * tol * max(1.0, abs(est[i])):
+            raise OscillatoryError(
+                f"oscillatory series not converged: estimate {est[i]:g}, "
+                f"uncertainty {delta[i]:g} (p = {pv[i]:g})")
+    if ps.ndim == 0:
+        return QuadratureResult(est[0], delta[0], evals)
+    return QuadratureResult(np.array(est), np.array(delta), evals)
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,10 @@ class HankelPlan:
         weights = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
+        # before the comparisons below, which NaN passes and inf - inf
+        # turns into NaN with a RuntimeWarning
+        if not (math.isfinite(self.t_max) and np.all(np.isfinite(nodes))):
+            raise ValueError("t_max and nodes must be finite")
         if np.any(nodes <= 0) or np.any(np.diff(nodes) <= 0):
             raise ValueError("nodes must be positive and strictly increasing")
         if nodes[-1] > self.t_max + 1e-12:
@@ -244,10 +248,11 @@ def _chebyshev_interpolant(a: float, b: float, exp_type: float,
     return points, _barycentric(points, targets)
 
 
-def _contract(jobs, tp: np.ndarray) -> list[np.ndarray]:
+def _contract(groups, tp: np.ndarray) -> list[np.ndarray]:
     """sum_i core_i J_order(t_i t') at the t' of the 1-D array tp, for each
-    (order, plan, core) job, t_i the nodes of the job's plan.  The plans
-    may differ in their nodes but share one t_max.
+    (order, plan, core) job of every group, t_i the nodes of the job's
+    plan, in job order, group after group.  The plans may differ in their
+    nodes but share one t_max.
 
     The sum is entire in t' of exponential type t_max, and J_order(t t')
     is entire in t of exponential type max |t'|, so the kernel is built on
@@ -265,32 +270,34 @@ def _contract(jobs, tp: np.ndarray) -> list[np.ndarray]:
     A moved core sums in magnitude to at most Lambda sum |core_i|, Lambda
     the Lebesgue constant of the points in t, so the pass is within
     2^-53 (1 + Lambda) sum |core_i| of the direct sum.  The points depend
-    on t_max and the t' range only, so one kernel J(s_k p_j) serves every
-    job and plan of the pass: 226 x 226 for 800 t' in [0.01, 8] and
-    180 x 180 for 1200 t' in [0.02, 6], at t_max = 40, on the calling
-    thread.  A t' equal to an end or a point takes that point's value, and
-    t' = 0 takes sum_i core_i (of the plan's cores) at order 0 and 0 above
-    it, as J_k(0) = delta_k0.
+    on t_max and the t' range only, so one t' matrix, one matrix L per
+    plan and one kernel J(s_k p_j) per order serve every job and plan of
+    the call: 226 x 226 for 800 t' in [0.01, 8] and 180 x 180 for 1200 t'
+    in [0.02, 6], at t_max = 40, on the calling thread.  A t' equal to an
+    end or a point takes that point's value, and t' = 0 takes
+    sum_i core_i (of the plan's cores) at order 0 and 0 above it, as
+    J_k(0) = delta_k0.
 
     Every t' must be finite, and t_max max |t'| at most 1000 (_X_MAX), the
     range of `bessel_j`; both are checked, NaN-safely, before any kernel
     or matrix is built.  The bound also caps the points at about 550 per
     axis.
 
-    One pass of _kernels_down serves every job: the kernel is built at the
-    highest order of the jobs and the one below it, and by recurrence at
-    every lower order down to the lowest, gaps included.  Each job is
-    contracted with the kernel at its own order by its own vector-matrix
-    product.  `hankel` passes one job; `potential_term_map` passes both
-    plans' term maps and every bound state's jobs to a single pass when
-    the term map's order is not above the states'.  A job's result is the
-    same whichever jobs share its pass, up to rounding when the pass
-    reaches its order by recurrence rather than directly, as long as the
-    top order's kernel has not underflowed where a lower order's has not:
-    the recurrence gets nothing back from J_top = 0, and J_300(x) is 0 for
-    every x < 10."""
+    One pass of _kernels_down serves each group: the kernel is built at the
+    highest order of the group's jobs and the one below it, and by
+    recurrence at every lower order down to the lowest, gaps included.
+    Each job is contracted with the kernel at its own order by its own
+    vector-matrix product.  `hankel` passes one job; `potential_term_map`
+    passes both plans' term maps and every bound state's jobs as one group
+    when the term map's order is not above the states', and as two groups
+    when it is.  A job's result is the same whichever jobs share its pass,
+    up to rounding when the pass reaches its order by recurrence rather
+    than directly, as long as the top order's kernel has not underflowed
+    where a lower order's has not: the recurrence gets nothing back from
+    J_top = 0, and J_300(x) is 0 for every x < 10."""
     if not np.all(np.isfinite(tp)):
         raise ValueError("t' must be finite")
+    jobs = [job for group in groups for job in group]
     if not jobs or not tp.size:
         return [np.empty(tp.size) for _ in jobs]
     t_max = jobs[0][1].t_max
@@ -312,13 +319,17 @@ def _contract(jobs, tp: np.ndarray) -> list[np.ndarray]:
             if job_plan is plan:
                 cores[i] = core @ matrix
         del matrix
-    orders = [order for order, _, _ in jobs]
     outs = [None] * len(jobs)
     x = nodes[:, None] * points[None, :]
-    for order, kernel in _kernels_down(max(orders), min(orders), x):
-        for i, k in enumerate(orders):
-            if k == order:
-                outs[i] = cores[i] @ kernel
+    start = 0
+    for group in groups:
+        index = range(start, start + len(group))
+        start += len(group)
+        orders = [jobs[i][0] for i in index]
+        for order, kernel in _kernels_down(max(orders), min(orders), x):
+            for i in index:
+                if jobs[i][0] == order:
+                    outs[i] = cores[i] @ kernel
     if cheb is not None:
         outs = [cheb[1] @ out for out in outs]
     zero = tp == 0.0
@@ -346,14 +357,16 @@ def hankel(g, plan: HankelPlan, t_prime, order: int):
         raise ValueError("order must be >= 0")
     core = _weighted(g, plan)
     tp = np.asarray(t_prime, dtype=float)
-    out = _contract([(order, plan, core)], np.atleast_1d(tp))[0]
+    out = _contract([[(order, plan, core)]], np.atleast_1d(tp))[0]
     return float(out[0]) if tp.ndim == 0 else out
 
 
-def hankel_oscillatory(g, m: int, t_prime: float,
+def hankel_oscillatory(g, m: int, t_prime,
                        tol: float = 1e-9) -> QuadratureResult:
     """Hankel transform of a non-decaying g by semi-infinite oscillatory
-    integration (the measure factor t is folded into the integrand)."""
+    integration (the measure factor t is folded into the integrand), at a
+    scalar t' or at each t' of a 1-D array in one lockstep call of
+    `integrate_oscillatory_bessel`; g must act element by element."""
     return integrate_oscillatory_bessel(
         lambda t: np.asarray(t, dtype=float) * np.asarray(g(t), dtype=float),
         m, t_prime, tol)
@@ -479,16 +492,17 @@ def potential_term_map(params_m: MorseParams, params_pt: PTParams, m: int,
     plan's and a coarse plan of half its nodes.
 
     All bound states R_n of `spectrum` are resampled onto the fine plan in
-    one call.  One `_contract` pass serves both plans' term maps and every
+    one call.  One `_contract` call serves both plans' term maps and every
     state: its jobs are (m, g) on the coarse plan and on the fine plan
     and, per state at m_n = hankel_order(n) of params_m, (m_n, R_n) and
     (m_n, g) on the fine plan.  Both plans move onto the same Chebyshev
     points in t, so one Bessel kernel serves all of them, and the coarse
     term map is bit for bit a lone `hankel` of its plan whenever m is the
-    pass's top order.  An m above every m_n gets a pass of its own, so the
-    states' contractions never depend on m.  They are kept on the
-    report's `states` for `potential_term_sandwich`; an empty spectrum
-    gives the term map alone."""
+    pass's top order.  An m above every m_n puts the term maps in a
+    kernel pass of their own, on the call's shared interpolation
+    matrices, so the states' contractions never depend on m.  They are
+    kept on the report's `states` for `potential_term_sandwich`; an empty
+    spectrum gives the term map alone."""
     tp = np.asarray(t_prime_nodes, dtype=float)
     coarse = make_hankel_plan(plan.t_max, plan.nodes.size // 2)
     rhs = pt_term_values(params_pt, tp)
@@ -504,14 +518,12 @@ def potential_term_map(params_m: MorseParams, params_pt: PTParams, m: int,
     jobs = []
     for m_n, R_n in zip(orders, R):
         jobs += [(m_n, plan, _weighted(R_n, plan)), (m_n, plan, g_core)]
-    if m <= max(orders, default=m):
-        lhs_coarse, lhs, *contracted = _contract(maps + jobs, tp)
-    else:
-        # a pass started at m would take the states' kernels by recurrence
-        # from J_m, which underflows where theirs does not (for x < 10 at
-        # m = 300), so the term maps take a pass of their own
-        lhs_coarse, lhs = _contract(maps, tp)
-        contracted = _contract(jobs, tp)
+    # a pass started at an m above the states' orders would take their
+    # kernels by recurrence from J_m, which underflows where theirs does
+    # not (for x < 10 at m = 300), so the term maps then take a pass of
+    # their own, on the same interpolation matrices
+    groups = ([maps + jobs] if m <= max(orders, default=m) else [maps, jobs])
+    lhs_coarse, lhs, *contracted = _contract(groups, tp)
     refinement = [(coarse.nodes.size,
                    float(np.max(np.abs(lhs_coarse - rhs))))]
     residual = lhs - rhs

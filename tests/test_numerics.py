@@ -339,6 +339,128 @@ class TestOscillatoryBessel:
             want = np.float64(_wynn_epsilon(np.array(sums[max(0, k - 24):k])))
             assert got.tobytes() == want.tobytes(), k
 
+    @pytest.mark.parametrize("p, tol, max_blocks, error, message", [
+        (np.nan, 1e-9, 80, ValueError, "p must be finite and positive"),
+        (np.inf, 1e-9, 80, ValueError, "p must be finite and positive"),
+        (0.0, 1e-9, 80, ValueError, "p must be finite and positive"),
+        (np.array([1.0, -2.0]), 1e-9, 80, ValueError,
+         "p must be finite and positive"),
+        (np.array([1.0, np.nan]), 1e-9, 80, ValueError,
+         "p must be finite and positive"),
+        (np.array([]), 1e-9, 80, ValueError, "non-empty 1-D array"),
+        (np.ones((2, 2)), 1e-9, 80, ValueError, "non-empty 1-D array"),
+        # a NaN tol passes `tol <= 0`, and then every stop test
+        (1.0, np.nan, 80, ValueError, "tol must be finite and positive"),
+        (1.0, np.inf, 80, ValueError, "tol must be finite and positive"),
+        (1.0, 0.0, 80, ValueError, "tol must be finite and positive"),
+        (1.0, 1e-9, 7, OscillatoryError,
+         "partial sums failed to alternate or converge"),
+    ], ids=["nan_p", "inf_p", "zero_p", "negative_in_array", "nan_in_array",
+            "empty", "two_d", "nan_tol", "inf_tol", "zero_tol",
+            "seven_blocks"])
+    def test_refused_before_any_block(self, p, tol, max_blocks, error,
+                                      message):
+        def never(x):
+            raise AssertionError("integrand evaluated")
+
+        with pytest.raises(error, match=message):
+            integrate_oscillatory_bessel(never, 0, p, tol=tol,
+                                         max_blocks=max_blocks)
+
+
+_VERIFY_P = np.array([0.5, 1.0, 2.0, 5.0])
+
+
+def _inverse(t):
+    return 1.0 / np.asarray(t)
+
+
+def _count_bessel_calls(monkeypatch) -> list:
+    """Record the size of every numerics.bessel_j call."""
+    calls = []
+    original = numerics.bessel_j
+
+    def counting(m, x):
+        calls.append(np.size(x))
+        return original(m, x)
+
+    monkeypatch.setattr(numerics, "bessel_j", counting)
+    return calls
+
+
+class TestOscillatoryLockstep:
+    """A 1-D array of p runs every integral in lockstep, one bessel_j call
+    per block, and gives each p the bits of a call on that p alone."""
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_hankel_verify_batch_is_the_scalar_calls(self, order):
+        # with test_hankel_verify_evaluation_count, the three lockstep calls
+        # evaluate the 4830 nodes of the twelve scalar ones
+        batch = hankel_oscillatory(_inverse, order, _VERIFY_P, tol=1e-9)
+        alone = [hankel_oscillatory(_inverse, order, p, tol=1e-9)
+                 for p in _VERIFY_P.tolist()]
+        assert batch.value.shape == batch.error_estimate.shape == (4,)
+        assert batch.value.tobytes() == np.array(
+            [r.value for r in alone]).tobytes()
+        assert batch.error_estimate.tobytes() == np.array(
+            [r.error_estimate for r in alone]).tobytes()
+        assert type(batch.evaluations) is int
+        assert batch.evaluations == sum(r.evaluations for r in alone)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_one_bessel_call_per_block(self, monkeypatch, order):
+        # each scalar call makes one bessel_j call per block; the batch
+        # makes one per block of its longest-running p, on every running
+        # p's nodes together
+        calls = _count_bessel_calls(monkeypatch)
+        blocks = []
+        for p in _VERIFY_P.tolist():
+            calls.clear()
+            hankel_oscillatory(_inverse, order, p, tol=1e-9)
+            blocks.append(len(calls))
+        calls.clear()
+        batch = hankel_oscillatory(_inverse, order, _VERIFY_P, tol=1e-9)
+        assert len(calls) == max(blocks)
+        assert sum(calls) == batch.evaluations
+
+    def test_each_p_stops_at_its_own_block(self, monkeypatch):
+        # 14, 13 and 12 blocks: a p that has stopped leaves the later
+        # blocks, and the others keep their own values
+        g = lambda x: 1.0 / np.sqrt(1.0 + np.asarray(x))
+        ps = np.array([0.7, 3.0, 11.0])
+        calls = _count_bessel_calls(monkeypatch)
+        blocks, alone = [], []
+        for p in ps.tolist():
+            calls.clear()
+            alone.append(integrate_oscillatory_bessel(g, 1, p))
+            blocks.append(len(calls))
+        assert blocks == [14, 13, 12]
+        calls.clear()
+        batch = integrate_oscillatory_bessel(g, 1, ps)
+        assert len(calls) == 14
+        assert batch.value.tobytes() == np.array(
+            [r.value for r in alone]).tobytes()
+        assert batch.error_estimate.tobytes() == np.array(
+            [r.error_estimate for r in alone]).tobytes()
+        assert batch.evaluations == sum(r.evaluations for r in alone)
+
+    def test_growing_integrand_at_one_p_raises(self):
+        # g grows past x = 20, which p = 5 never reaches before it stops;
+        # p = 0.5 does, and the whole call raises
+        g = lambda x: np.exp(np.maximum(np.asarray(x) - 20.0, 0.0))
+        alone = integrate_oscillatory_bessel(g, 0, 5.0)
+        assert alone.value == pytest.approx(0.2, rel=1e-8)
+        with pytest.raises(OscillatoryError, match=r"p = 0\.5\)"):
+            integrate_oscillatory_bessel(g, 0, np.array([5.0, 0.5]))
+
+    @pytest.mark.parametrize("p", [np.array(2.0), np.float64(2.0)],
+                             ids=["zero_d_array", "numpy_scalar"])
+    def test_zero_dimensional_p_gives_a_scalar_result(self, p):
+        got = hankel_oscillatory(_inverse, 1, p, tol=1e-9)
+        want = hankel_oscillatory(_inverse, 1, 2.0, tol=1e-9)
+        assert type(got.value) is float and type(got.error_estimate) is float
+        assert got == want
+
 
 class TestSincInterp:
     def test_band_limited_exact(self):

@@ -150,7 +150,11 @@ def test_bench_pairs_context_line(monkeypatch):
     line = bench_pairs.context_line({"OPENBLAS_NUM_THREADS": "1"})
     cpus = ",".join(map(str, sorted(os.sched_getaffinity(0))))
     assert line == (f"cpus {cpus}; OPENBLAS_NUM_THREADS=1, "
-                    "OMP_NUM_THREADS=unset")
+                    "OMP_NUM_THREADS=unset; PYTHONDONTWRITEBYTECODE=unset")
+    # set, every import behind setup_s compiles the sources afresh
+    line = bench_pairs.context_line({"PYTHONDONTWRITEBYTECODE": "1"})
+    assert line.endswith("; OPENBLAS_NUM_THREADS=unset, "
+                         "OMP_NUM_THREADS=unset; PYTHONDONTWRITEBYTECODE=1")
 
 
 def test_bench_pairs_failed_run_named(monkeypatch, tmp_path, capsys):

@@ -142,6 +142,15 @@ class TestHankel:
         with pytest.raises(ValueError, match="16 nodes"):
             hankel(np.zeros(15), plan, 1.0, 0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_plan_refused(self, bad):
+        # NaN passes every comparison of the other checks, and an infinite
+        # t_max gives infinite nodes whose spacing inf - inf is NaN
+        with pytest.raises(ValueError, match="must be finite"):
+            make_hankel_plan(bad, 32)
+        with pytest.raises(ValueError, match="must be finite"):
+            HankelPlan(10.0, np.array([1.0, bad]), np.array([0.5, 0.5]))
+
 
 class TestOrderRecurrence:
     @pytest.mark.parametrize("orders", [[4, 3, 2, 1], [5, 2], [2, 0]],
@@ -155,7 +164,7 @@ class TestOrderRecurrence:
         rng = np.random.default_rng(7)
         jobs = [(k, plan, plan.weights * rng.standard_normal(plan.nodes.size))
                 for k in orders]
-        got = transforms._contract(jobs, tp)
+        got = transforms._contract([jobs], tp)
         x = plan.nodes[:, None] * tp[None, :]
         for (k, _, core), out in zip(jobs, got):
             ref = core @ scipy.special.jv(k, x)
@@ -238,7 +247,7 @@ class TestOneKernelPerPass:
         plan = make_hankel_plan(40.0, 64)
         calls = _count_kernel_builds(monkeypatch)
         core = plan.weights * np.exp(-plan.nodes)
-        out = transforms._contract([(2, plan, core)], self.TP)[0]
+        out = transforms._contract([[(2, plan, core)]], self.TP)[0]
         assert calls == [(2, (226, 226))]
         ref = core @ scipy.special.jv(2, plan.nodes[:, None] * self.TP)
         assert np.max(np.abs(out - ref)) <= 1e-14 * np.sum(np.abs(core))
@@ -254,14 +263,15 @@ class TestOneKernelPerPass:
         assert transforms._chebyshev_interpolant(
             0.0, plan.t_max, float(np.max(tp)), plan.nodes) is not None
         core = plan.weights * plan.nodes * np.exp(-plan.nodes)
-        out = transforms._contract([(0, plan, core), (1, plan, core)], tp)
+        out = transforms._contract([[(0, plan, core), (1, plan, core)]],
+                                   tp)
         assert out[0][0] == pytest.approx(np.sum(core), rel=1e-14)
         assert out[1][0] == 0.0
 
     def test_no_t_prime(self):
         plan = make_hankel_plan(40.0, 64)
-        out = transforms._contract([(2, plan, plan.weights),
-                                    (0, plan, plan.weights)], np.empty(0))
+        out = transforms._contract([[(2, plan, plan.weights),
+                                     (0, plan, plan.weights)]], np.empty(0))
         assert [o.shape for o in out] == [(0,), (0,)]
 
 
@@ -293,7 +303,7 @@ class TestChebyshevContraction:
         rng = np.random.default_rng(11)
         jobs = [(k, plan, plan.weights * rng.standard_normal(plan.nodes.size))
                 for k in orders]
-        got = transforms._contract(jobs, tp)
+        got = transforms._contract([jobs], tp)
         x = plan.nodes[:, None] * tp[None, sample]
         for (k, _, core), out in zip(jobs, got):
             total = np.sum(np.abs(core))
@@ -354,28 +364,33 @@ class TestChebyshevContraction:
         assert matrix[0, -1] == 1.0 and matrix[-1, 0] == 1.0
         assert np.count_nonzero(matrix[[0, -1]]) == 2
 
-    @pytest.mark.parametrize("t_max, top", [
-        (125.0, np.nextafter(8.0, 9.0)), (np.nextafter(125.0, 126.0), 8.0),
-        (40.0, 1e200), (1e308, 8.0), (math.nan, 8.0)],
+    @pytest.mark.parametrize("t_max, top, message", [
+        (125.0, np.nextafter(8.0, 9.0), "range of bessel_j"),
+        (np.nextafter(125.0, 126.0), 8.0, "range of bessel_j"),
+        (40.0, 1e200, "range of bessel_j"),
+        (1e308, 8.0, "range of bessel_j"),
+        (math.nan, 8.0, "t_max and nodes must be finite")],
         ids=["t_prime", "t_max", "huge_t_prime", "huge_t_max", "nan_t_max"])
-    def test_past_the_range_refused(self, monkeypatch, t_max, top):
+    def test_past_the_range_refused(self, monkeypatch, t_max, top, message):
         # t_max max|t'| above 1000, bessel_j's range, is refused before any
-        # kernel is built; NaN is refused, not let through
+        # kernel is built; a NaN t_max is refused, not let through, by the
+        # plan itself
         def never(*args):
             raise AssertionError("kernel built")
 
         monkeypatch.setattr(transforms, "bessel_j", never)
-        plan = HankelPlan(t_max, np.array([1.0, 2.0]), np.array([0.5, 0.5]))
+        nodes, weights = np.array([1.0, 2.0]), np.array([0.5, 0.5])
         tp = np.linspace(0.0, top, 800)
-        with pytest.raises(ValueError, match="range of bessel_j"):
-            transforms._contract([(0, plan, plan.weights)], tp)
-        with pytest.raises(ValueError, match="range of bessel_j"):
-            hankel(np.zeros(2), plan, tp, 3)
+        with pytest.raises(ValueError, match=message):
+            plan = HankelPlan(t_max, nodes, weights)
+            transforms._contract([[(0, plan, weights)]], tp)
+        with pytest.raises(ValueError, match=message):
+            hankel(np.zeros(2), HankelPlan(t_max, nodes, weights), tp, 3)
 
     def test_plans_share_t_max(self):
         a, b = make_hankel_plan(40.0, 64), make_hankel_plan(20.0, 64)
         with pytest.raises(ValueError, match="share t_max"):
-            transforms._contract([(0, a, a.weights), (0, b, b.weights)],
+            transforms._contract([[(0, a, a.weights), (0, b, b.weights)]],
                                  np.linspace(0.0, 8.0, 800))
 
     def test_range_bound_itself_runs(self):
@@ -439,6 +454,26 @@ class TestFusedTermMap:
         rhs = pt_term_values(PTParams(4.0, 1.0), self.TP)
         assert report.refinement[0] == (n // 2,
                                         float(np.max(np.abs(lone - rhs))))
+
+    @pytest.mark.parametrize("m", [4, 6])
+    def test_one_interpolation_matrix_each(self, monkeypatch, m,
+                                           morse_generalized_spectrum):
+        # one t' matrix and one matrix per plan, also when m is above the
+        # states' orders and the term maps take a kernel pass of their own
+        plan = make_hankel_plan(40.0, 2048)
+        builds = []
+        original = transforms._barycentric
+
+        def counting(points, targets):
+            builds.append(targets.size)
+            return original(points, targets)
+
+        monkeypatch.setattr(transforms, "_barycentric", counting)
+        report = self.run(m, morse_generalized_spectrum, plan)
+        assert sorted(builds) == [800, 1024, 2048]
+        # the term map is still bit for bit a lone transform at its order
+        g = morse_term_values(MorseParams(4.5, 1.0), plan.nodes)
+        assert np.array_equal(report.lhs, hankel(g, plan, self.TP, m))
 
     def test_past_the_range_refused(self, monkeypatch,
                                     morse_generalized_spectrum):
