@@ -1,10 +1,11 @@
 """Special functions and numerical kernels used throughout the package.
 
 Everything here is self-contained (numpy only): cylindrical Bessel functions
-of integer order, Gauss-Legendre rules of any size (the Hankel plans and
-15-point panel integrals), semi-infinite oscillatory integrals against
-Bessel weights, and the sinc basis on a uniform grid (the DVR kinetic matrix
-and band-limited interpolation between the nodes).
+of integer order, Clenshaw-Curtis rules of any size (the Hankel plans),
+Gauss-Legendre rules of up to 100 nodes (the 15-point panel integrals),
+semi-infinite oscillatory integrals against Bessel weights, and the sinc
+basis on a uniform grid (the DVR kinetic matrix and band-limited
+interpolation between the nodes).
 
 All functions are pure and hold no module-level mutable state, so they are
 safe to call concurrently.
@@ -22,6 +23,7 @@ __all__ = [
     "OscillatoryError",
     "bessel_j",
     "bessel_j_zero",
+    "clenshaw_curtis",
     "gauss_legendre",
     "integrate_oscillatory_bessel",
     "sinc_kinetic",
@@ -36,8 +38,7 @@ class OscillatoryError(RuntimeError):
 @dataclass(frozen=True)
 class QuadratureResult:
     """Value of a definite integral with an absolute error estimate; for a
-    batch of integrals, float arrays of both and the total evaluations
-    (compare batch results field by field: == on arrays is ambiguous)."""
+    batch of integrals, float arrays of both and the total evaluations."""
 
     value: float | np.ndarray
     error_estimate: float | np.ndarray
@@ -48,6 +49,15 @@ class QuadratureResult:
             raise ValueError("error_estimate must be >= 0")
         if self.evaluations < 1:
             raise ValueError("evaluations must be >= 1")
+
+    def __eq__(self, other):
+        # the generated == compares field tuples, and == on arrays has no
+        # truth value
+        if not isinstance(other, QuadratureResult):
+            return NotImplemented
+        return (np.array_equal(self.value, other.value)
+                and np.array_equal(self.error_estimate, other.error_estimate)
+                and int(self.evaluations) == int(other.evaluations))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +266,7 @@ def bessel_j_zero(m: int, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Legendre rules
+# Gauss-Legendre and Clenshaw-Curtis rules
 # ---------------------------------------------------------------------------
 
 
@@ -278,140 +288,32 @@ def _legendre_newton(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p / dp, dp
 
 
-# Above this many nodes the rule comes from Bogaert's asymptotic formulas,
-# O(n) and good to round-off; at and below it from Newton's method, O(n^2)
-# but about 3 ms at most, where the asymptotic rule loses digits (weights off
-# by 7e-15 relative at 50 nodes, 8e-12 at 20, 1e-9 at 10).
+# The largest rule gauss_legendre builds: Newton's method is O(n^2), about
+# 3 ms at this size, and its weights lose O(n^2 eps) at the ends of the rule
+# (1.2e-13 relative at 100 nodes).  The 15-point panels are its one caller;
+# the Hankel plans take Clenshaw-Curtis rules.
 _NEWTON_MAX_N = 100
 
-# First 20 positive zeros j_{0,k} of J_0 and first 21 values J_1(j_{0,k})^2,
-# 40-digit values rounded to 30; later ones come from the McMahon-type
-# series below.
-_J0_ZEROS = np.array([
-    2.40482555769577276862163187933, 5.52007811028631064959660411281,
-    8.65372791291101221695419871266, 11.7915344390142816137430449119,
-    14.9309177084877859477625939974, 18.0710639679109225431478829756,
-    21.2116366298792589590783933505, 24.3524715307493027370579447632,
-    27.4934791320402547958772882346, 30.6346064684319751175495789269,
-    33.7758202135735686842385463467, 36.9170983536640439797694930633,
-    40.0584257646282392947993073740, 43.1997917131767303575240727287,
-    46.3411883716618140186857888791, 49.4826098973978171736027615332,
-    52.6240518411149960292512853804, 55.7655107550199793116834927735,
-    58.9069839260809421328344066346, 62.0484691902271698828525002647,
-])
-_J1_SQUARED = np.array([
-    0.269514123941916926139021992911, 0.115780138582203695807812836182,
-    0.0736863511364082151406476811985, 0.0540375731981162820417749182759,
-    0.0426614290172430912655106063497, 0.0352421034909961013587473033648,
-    0.0300210701030546726750888157688, 0.0261473914953080885904584675399,
-    0.0231591218246913922652676382178, 0.0207838291222678576039808057296,
-    0.0188504506693176678161056800213, 0.0172461575696650082995240053542,
-    0.0158935181059235978027065594287, 0.0147376260964721895895742982591,
-    0.0137384651453871179182880484135, 0.0128661817376151328791406637229,
-    0.0120980515486267975471075438497, 0.0114164712244916085168627222987,
-    0.0108075927911802040115547286831, 0.0102603729262807628110423992789,
-    0.00976589713979105054059846736697,
-])
 
-# Polynomial coefficients, constant term first (the order _horner takes),
-# of Bogaert's reference code fastgl: j_{0,k} = z + (1/z) P(1/z^2) with
-# z = pi (k - 1/4), and J_1(j_{0,k})^2 = (1/y) Q(1/y^2) with y = k - 1/4.
-_J0_ZERO_SERIES = (
-    0.125, -0.807291666666666666666666666667e-1,
-    0.246028645833333333333333333333, -1.82443876720610119047619047619,
-    25.3364147973439050099206349206, -567.644412135183381139802038240,
-    18690.4765282320653831636345064, -8.49353580299148769921876983660e5,
-    5.09225462402226769498681286758e7)
-_J1_SQUARED_SERIES = (
-    0.202642367284675542887091750892, 0.0,
-    -0.303380429711290253026202643516e-3, 0.198924364245969295201137972743e-3,
-    -0.228969902772111653038747229723e-3, 0.433710719130746277915572905025e-3,
-    -0.123632349727175414724737657367e-2, 0.496101423268883102872271417616e-2,
-    -0.266837393702323757700998557826e-1, 0.185395398206345628711318848386)
-# The corrections F_1, F_2, F_3 to the nodes and those to the weights,
-# each a polynomial in theta^2.
-_NODE_F = (
-    (-0.416666666666662959639712457549e-1,
-     0.416666666665193394525296923981e-2,
-     -0.148809523713909147898955880165e-3,
-     0.275573168962061235623801563453e-5, -3.13148654635992041468855740012e-8,
-     2.40724685864330121825976175184e-10, -1.29052996274280508473467968379e-12),
-    (0.815972221772932265640401128517e-2,
-     -0.209022248387852902722635654229e-2,
-     0.282116886057560434805998583817e-3,
-     -0.253300326008232025914059965302e-4,
-     0.161969259453836261731700382098e-5, -7.53036771373769326811030753538e-8,
-     2.20639421781871003734786884322e-9),
-    (-0.416012165620204364833694266818e-2,
-     0.128654198542845137196151147483e-2,
-     -0.251395293283965914823026348764e-3,
-     0.418498100329504574443885193835e-4,
-     -0.567797841356833081642185432056e-5, 5.55845330223796209655886325712e-7,
-     -2.97058225375526229899781956673e-8),
-)
-_WEIGHT_F = (
-    (0.833333333333333302184063103900e-1,
-     -0.305555555555553028279487898503e-1,
-     0.436507936507598105249726413120e-2,
-     -0.326278659594412170300449074873e-3,
-     0.149644593625028648361395938176e-4, -4.63968647553221331251529631098e-7,
-     1.03756066927916795821098009353e-8, -1.75257700735423807659851042318e-10,
-     2.30365726860377376873232578871e-12, -2.20902861044616638398573427475e-14),
-    (-0.111111111111214923138249347172e-1,
-     0.268959435694729660779984493795e-2,
-     -0.407297185611335764191683161117e-3,
-     0.465969530694968391417927388162e-4,
-     -0.381817918680045468483009307090e-5, 2.11483880685947151466370130277e-7,
-     -7.12912857233642220650643150625e-9, 7.67643545069893130779501844323e-11,
-     3.63117412152654783455929483029e-12),
-    (0.656966489926484797412985260842e-2,
-     -0.947969308958577323145923317955e-4,
-     -0.105646050254076140548678457002e-3,
-     -0.422888059282921161626339411388e-4,
-     0.200559326396458326778521795392e-4,
-     -0.397933316519135275712977531366e-5, 5.08898347288671653137451093208e-7,
-     -4.38647122520206649251063212545e-8, 2.01826791256703301806643264922e-9),
-)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
+    [-1, 1], 1 <= n <= 100.
 
-
-def _j0_zeros_and_j1_squared(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """j_{0,k} and J_1(j_{0,k})^2 for k = 1, 2, ..., count."""
-    y = np.arange(1, count + 1) - 0.25
-    z = np.pi * y
-    nu = z + _horner(_J0_ZERO_SERIES, 1.0 / (z * z)) / z
-    b = _horner(_J1_SQUARED_SERIES, 1.0 / (y * y)) / y
-    nu[:_J0_ZEROS.size] = _J0_ZEROS[:count]
-    b[:_J1_SQUARED.size] = _J1_SQUARED[:count]
-    return nu, b
-
-
-def _legendre_asymptotic(n: int, k: np.ndarray) -> tuple[np.ndarray,
-                                                         np.ndarray]:
-    """Nodes cos(theta_k) and weights of the n-point rule, k = 1 nearest
-    x = 1, from the asymptotic expansions of Bogaert (SIAM J. Sci. Comput.
-    36, A1008 (2014)) in w = 1/(n + 1/2) about the Bessel-function
-    approximation theta_k ~ w j_{0,k}."""
-    nu, b = _j0_zeros_and_j1_squared(k.size)
-    w = 1.0 / (n + 0.5)
-    theta = w * nu
-    x = theta * theta
-    nu_over_sin = nu / np.sin(theta)
-    big_w = w * w * nu_over_sin
-    w2 = big_w * big_w
-    f1, f2, f3 = (_horner(c, x) for c in _NODE_F)
-    theta = w * (nu + theta * big_w * (f1 + w2 * (f2 + w2 * f3)))
-    g1, g2, g3 = (_horner(c, x) for c in _WEIGHT_F)
-    denominator = b * nu_over_sin * (1.0 + w2 * (g1 + w2 * (g2 + w2 * g3)))
-    return np.cos(theta), 2.0 * w / denominator
-
-
-def _legendre_by_newton(n: int, k: np.ndarray) -> tuple[np.ndarray,
-                                                       np.ndarray]:
-    """Nodes and weights of the n-point rule, k = 1 nearest x = 1, by
-    Newton's method on P_n from Tricomi's guesses
-    (1 - 1/(8n^2) + 1/(8n^3)) cos(pi (k - 1/4) / (n + 1/2)), stopped once
-    no node moves by more than 1e-15.  The weights
-    2 / ((1 - x^2) P_n'(x)^2) take P_n' afresh at the converged nodes."""
+    The nodes of [0, 1) come from Newton's method on P_n, started at
+    Tricomi's guesses (1 - 1/(8n^2) + 1/(8n^3)) cos(pi (k - 1/4) / (n + 1/2))
+    and stopped once no node moves by more than 1e-15, and are mirrored; an
+    odd rule's middle node is exactly 0.  The weights
+    2 / ((1 - x^2) P_n'(x)^2) take P_n' afresh at the converged nodes.  The
+    work is O(n^2), 3 ms at most, and the weights lose O(n^2 eps) at the
+    ends of the rule (1.2e-13 relative at 100 nodes).  The eigenvalue route
+    (Golub-Welsch, numpy's leggauss) is O(n^3) and less accurate.
+    """
+    if n < 1:
+        raise ValueError("rule needs at least one node")
+    if n > _NEWTON_MAX_N:
+        raise ValueError(f"gauss_legendre builds at most {_NEWTON_MAX_N} "
+                         f"nodes, not {n}")
+    k = np.arange(1, (n + 1) // 2 + 1)  # k = 1 nearest x = 1
     x = ((1.0 - 1.0 / (8.0 * n * n) + 1.0 / (8.0 * n ** 3))
          * np.cos(np.pi * (k - 0.25) / (n + 0.5)))
     for _ in range(20):
@@ -420,36 +322,34 @@ def _legendre_by_newton(n: int, k: np.ndarray) -> tuple[np.ndarray,
         if np.max(np.abs(step)) <= 1e-15:
             break
     _, dp = _legendre_newton(n, x)
-    return x, 2.0 / ((1.0 - x * x) * dp * dp)
-
-
-def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
-    [-1, 1].
-
-    The nodes of [0, 1) are computed and mirrored; an odd rule's middle
-    node is exactly 0.  Above 100 nodes they come in O(n) work from
-    Bogaert's iteration-free asymptotic formulas (SIAM J. Sci. Comput. 36,
-    A1008 (2014)), nodes and weights both within a few ulps of their
-    40-digit values; 2048 nodes take well under a millisecond.  Up to 100
-    nodes Newton's method on the Legendre recurrence, O(n^2) work but
-    3 ms at most, keeps full accuracy where the asymptotic formulas do
-    not; its weights lose O(n^2 eps) at the ends of the rule (1.2e-13
-    relative at 100 nodes, 7e-11 at 2048), which is why it does not serve
-    larger rules.  The
-    eigenvalue route (Golub-Welsch, numpy's leggauss) is O(n^3) and less
-    accurate still.
-    """
-    if n < 1:
-        raise ValueError("rule needs at least one node")
-    k = np.arange(1, (n + 1) // 2 + 1)
-    rule = _legendre_asymptotic if n > _NEWTON_MAX_N else _legendre_by_newton
-    x, w = rule(n, k)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
     lo = n // 2  # an odd rule's middle node, x = 0, is not mirrored
     if n % 2:
         x[lo] = 0.0
     return (np.concatenate((-x[:lo], x[::-1])),
             np.concatenate((w[:lo], w[::-1])))
+
+
+def clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the Clenshaw-Curtis rule with n
+    intervals on [-1, 1], n >= 2: the n + 1 points cos(k pi / n), exact for
+    polynomials of degree n.
+
+    The nodes are sin(pi (2k - n) / (2n)), k = 0, ..., n: exactly -1 and 1
+    at the ends and exactly mirrored.  The weights are the inverse real DFT
+    of the moments 2 / (1 - 4 l^2), l <= n / 2, of the even Chebyshev
+    polynomials, with the end weight halved at both ends (Waldvogel, BIT
+    46, 195 (2006)): one FFT, O(n log n), within about 1e-13 relative of
+    their exact values.
+    """
+    if n < 2:
+        raise ValueError("rule needs at least two intervals")
+    moments = 2.0 / (1.0 - 4.0 * np.arange(n // 2 + 1) ** 2)
+    w = np.fft.irfft(moments, n)
+    # the DFT's index j is the node cos(j pi / n): descending
+    w = np.append(w[0], w[::-1])
+    w[[0, -1]] *= 0.5
+    return np.sin(np.pi * np.arange(-n, n + 1, 2) / (2 * n)), w
 
 
 # ---------------------------------------------------------------------------

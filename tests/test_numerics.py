@@ -6,11 +6,9 @@ import pytest
 import scipy.special
 
 from susyspectra import numerics
-from susyspectra.numerics import (_J0_ZEROS, _J1_SQUARED, OscillatoryError,
-                                  QuadratureResult, _EpsilonTable,
-                                  _j0_zeros_and_j1_squared, _panel_integrals,
-                                  bessel_j, bessel_j_zero,
-                                  gauss_legendre,
+from susyspectra.numerics import (OscillatoryError, QuadratureResult,
+                                  _EpsilonTable, _panel_integrals, bessel_j,
+                                  bessel_j_zero, gauss_legendre,
                                   integrate_oscillatory_bessel, sinc_interp)
 from susyspectra.transforms import hankel_oscillatory
 
@@ -166,18 +164,16 @@ def _legendre_oracle(n: int, x0: float) -> tuple[Decimal, Decimal]:
 
 
 class TestGaussLegendre:
-    @pytest.mark.parametrize("n", [17, 64, 100, 101, 256, 257, 2048, 2049])
+    @pytest.mark.parametrize("n", [17, 64, 100])
     def test_against_decimal_oracle(self, n):
         x, w = gauss_legendre(n)
-        # Newton's weights (n <= 100) lose O(n^2 eps) at the ends of the
-        # rule; above 100 nodes the asymptotic rule holds them to round-off
-        w_tol = 1e-14 if n > 100 else 2e-13
+        # Newton's weights lose O(n^2 eps) at the ends of the rule
         for i in (0, 1, n // 4, n // 2, n - 2, n - 1):
             x_ref, w_ref = _legendre_oracle(n, x[i])
             assert abs(float(x_ref - Decimal(x[i]))) <= 1e-15, i
-            assert abs(float((Decimal(w[i]) - w_ref) / w_ref)) <= w_tol, i
+            assert abs(float((Decimal(w[i]) - w_ref) / w_ref)) <= 2e-13, i
 
-    @pytest.mark.parametrize("n", [1, 2, 17, 100, 101, 256, 2049])
+    @pytest.mark.parametrize("n", [1, 2, 17, 100])
     def test_ascending_and_mirrored(self, n):
         x, w = gauss_legendre(n)
         assert np.all(np.diff(x) > 0)
@@ -187,18 +183,13 @@ class TestGaussLegendre:
             assert x[n // 2] == 0.0
         assert np.sum(w) == pytest.approx(2.0, rel=1e-14)
 
-    def test_tabulated_bessel_values(self):
-        nu, b = _j0_zeros_and_j1_squared(40)
-        ref = scipy.special.jn_zeros(0, 40)
-        ref_b = scipy.special.j1(ref) ** 2
-        # the literals (k <= 20, 21) and the series beyond them
-        assert _J0_ZEROS.size == 20 and _J1_SQUARED.size == 21
-        assert np.max(np.abs(nu / ref - 1.0)) <= 1e-15
-        assert np.max(np.abs(b / ref_b - 1.0)) <= 1e-15
-
     def test_rejects_empty_rule(self):
         with pytest.raises(ValueError):
             gauss_legendre(0)
+
+    def test_rejects_rules_above_100_nodes(self):
+        with pytest.raises(ValueError, match="at most 100"):
+            gauss_legendre(101)
 
 
 class TestPanelIntegrals:
@@ -303,6 +294,19 @@ class TestOscillatoryBessel:
         eight = integrate_oscillatory_bessel(ones, 0, 1.0, tol=1.0,
                                              max_blocks=8)
         assert res == QuadratureResult(0.0, 0.0, eight.evaluations)
+
+    def test_batch_results_compare(self):
+        a = QuadratureResult(np.array([1.0, 2.0]), np.array([0.0, 0.0]), 3)
+        same = QuadratureResult(np.array([1.0, 2.0]), np.array([0.0, 0.0]),
+                                3)
+        assert a == same and not a != same
+        assert a != QuadratureResult(np.array([1.0, 2.5]),
+                                     np.array([0.0, 0.0]), 3)
+        assert a != QuadratureResult(np.array([1.0, 2.0]),
+                                     np.array([0.0, 1e-9]), 3)
+        assert a != QuadratureResult(np.array([1.0, 2.0]),
+                                     np.array([0.0, 0.0]), 4)
+        assert a != QuadratureResult(1.0, 0.0, 3)
 
     def test_divergent_envelope_raises(self):
         grow = lambda x: np.exp(np.asarray(x, dtype=float))

@@ -12,9 +12,10 @@ from susyspectra import transforms
 from susyspectra.analysis import normalized_l2_discrepancy, solve
 from susyspectra.eigensolver import Spectrum
 from susyspectra.grids import Grid
-from susyspectra.numerics import bessel_j
+from susyspectra.numerics import bessel_j, clenshaw_curtis
 from susyspectra.potentials import MorseParams, PTParams
-from susyspectra.transforms import (HankelPlan, TruncationWarning,
+from susyspectra.transforms import (DEFAULT_PLAN_N, DEFAULT_T_MAX,
+                                    HankelPlan, TruncationWarning,
                                     angular_phase_integral, hankel,
                                     hankel_oscillatory, make_hankel_plan,
                                     morse_state_on_plan, morse_term_values,
@@ -275,7 +276,7 @@ class TestOneKernelPerPass:
         assert [o.shape for o in out] == [(0,), (0,)]
 
 
-# bessel_j's absolute accuracy over 0 <= x <= 400 (its docstring)
+# bessel_j's absolute accuracy over 0 <= x <= 1000 (its docstring)
 _J_TOL = 1e-13
 
 
@@ -322,7 +323,7 @@ class TestChebyshevContraction:
                 assert np.all(out[zero] == 0.0)
         return got
 
-    # x = t t' stays within bessel_j's stated range, 400
+    # x = t t' stays within bessel_j's stated range, 1000
     @pytest.mark.parametrize("t_max", [5.0, 40.0, 80.0])
     @pytest.mark.parametrize("n", [16, 64, 256, 2048, 4096])
     def test_plans(self, n, t_max):
@@ -526,36 +527,54 @@ class TestFusedTermMap:
         assert np.array_equal(report.lhs, hankel(g, plan, self.TP, 300))
 
 
-class TestGaussLegendrePlan:
-    @pytest.mark.parametrize("n", [16, 17, 256, 257, 2048, 2049])
-    def test_matches_leggauss(self, n):
-        # on [0, 2] the plan is the [-1, 1] rule shifted by one
+def _clenshaw_curtis_weights(n: int) -> np.ndarray:
+    """Weights of the n-interval Clenshaw-Curtis rule at cos(j pi / n),
+    j = 0, ..., n, by the O(n^2) cosine sum (Waldvogel, BIT 46, 195
+    (2006)): (c_j / n)(1 - sum_k b_k cos(2 k j pi / n) / (4 k^2 - 1)),
+    c_j = 1 at the ends and 2 inside, b_k = 1 at k = n / 2 and 2 below."""
+    j = np.arange(n + 1)
+    k = np.arange(1, n // 2 + 1)
+    b = np.where(2 * k == n, 1.0, 2.0)
+    total = (b / (4.0 * k * k - 1.0)) @ np.cos(2.0 * np.pi * np.outer(k, j)
+                                              / n)
+    c = np.where((j == 0) | (j == n), 1.0, 2.0)
+    return c / n * (1.0 - total)
+
+
+class TestClenshawCurtisPlan:
+    @pytest.mark.parametrize("n", [16, 17, 256, 257])
+    def test_matches_cosine_sum(self, n):
+        # on [0, 2] the plan is the [-1, 1] rule shifted by one, less the
+        # node -1: the nodes 1 + cos(j pi / n), j = n - 1, ..., 0
         plan = make_hankel_plan(2.0, n)
-        x, w = np.polynomial.legendre.leggauss(n)
-        assert np.max(np.abs(plan.nodes - (1.0 + x))) < 1e-14
-        # leggauss's own weights at the ends of a large rule are off by up
-        # to 6e-8 of their size (n = 2048, against 40-digit values), 7e-11
-        # of the largest weight; test_exact_for_polynomials checks the
-        # weights of every size without it
-        tol = 1e-12 if n <= 256 else 1e-10
-        assert np.max(np.abs(plan.weights - w)) < tol * np.max(w)
+        j = np.arange(n - 1, -1, -1)
+        oracle = _clenshaw_curtis_weights(n)[j]
+        np.testing.assert_allclose(plan.weights, oracle, rtol=1e-12, atol=0)
+        nodes = 1.0 + np.cos(np.pi * j / n)
+        assert np.max(np.abs(plan.nodes - nodes)) < 1e-15
 
     @pytest.mark.parametrize("n", [16, 17, 256, 257, 2048, 2049])
     def test_exact_for_polynomials(self, n):
         t_max = 40.0
         plan = make_hankel_plan(t_max, n)
-        assert np.sum(plan.weights) == pytest.approx(t_max, rel=1e-14)
-        # integral_0^t_max (t / t_max)^k dt = t_max / (k + 1), k <= 2n - 1
+        assert plan.nodes.size == n and plan.nodes[-1] == t_max
+        assert np.all(np.diff(plan.nodes) > 0) and np.all(plan.weights > 0)
+        # integral_0^t_max t (t / t_max)^k dt = t_max^2 / (k + 2): degree
+        # k + 1 <= n in t
         s = plan.nodes / t_max
+        tw = plan.weights * plan.nodes
         power = np.ones(n)
-        for k in range(2 * n):
-            got = np.dot(plan.weights, power)
-            assert abs(got * (k + 1) / t_max - 1.0) < 1e-12, k
+        for k in range(n):
+            got = np.dot(tw, power)
+            assert abs(got * (k + 2) / t_max ** 2 - 1.0) < 1e-12, k
             power *= s
 
+    def test_rejects_one_interval(self):
+        with pytest.raises(ValueError):
+            clenshaw_curtis(1)
+
     def test_large_plan_is_cheap(self):
-        # the asymptotic rule is O(n) (Newton's method, O(n^2), took
-        # ~50 ms here); an O(n^3) eigensolve is not cheap
+        # one FFT, O(n log n); an O(n^3) eigensolve is not cheap
         seconds = []
         for _ in range(3):
             t0 = time.perf_counter()
@@ -563,10 +582,12 @@ class TestGaussLegendrePlan:
             seconds.append(time.perf_counter() - t0)
         assert min(seconds) < 0.25
 
+    # 160 nodes: the default's margin over the smallest converged plan
+    @pytest.mark.parametrize("n", [DEFAULT_PLAN_N, 160])
     def test_default_plan_maps_every_state(self, morse_shifted_spectrum,
-                                           pt_shifted_spectrum):
+                                           pt_shifted_spectrum, n):
         tp = np.linspace(0.02, 6.0, 1200)
-        plan = make_hankel_plan()
+        plan = make_hankel_plan(DEFAULT_T_MAX, n)
         R = morse_state_on_plan(morse_shifted_spectrum, 4.5, plan)
         direct = pt_state_on_nodes(pt_shifted_spectrum, tp)
         assert R.shape == (4, plan.nodes.size) and direct.shape == (4, 1200)
