@@ -33,6 +33,7 @@ RUNS = [
     ("energy_shift_offpoint", ["energy-shift", "--mu", "3.0"]),
     ("potential_term_map", ["potential-term-map"]),
     ("potential_term_map_2048", ["potential-term-map", "--plan-n", "2048"]),
+    ("potential_term_map_m6", ["potential-term-map", "--order-m", "6"]),
 ]
 
 HEADLINES = ("verdict", "bound_count", "max_residual", "l2_discrepancy",

@@ -10,8 +10,8 @@ from .potentials import (FAMILIES, MorseParams, PTParams,
 from .eigensolver import (GridTooSmallError, Spectrum, default_grid,
                           discretize, solve_bound_states)
 from .transforms import (HankelPlan, TruncationWarning, angular_phase_integral,
-                         hankel, make_hankel_plan, potential_term_map,
-                         potential_term_sandwich, wavefunction_map)
+                         hankel, potential_term_map, potential_term_sandwich,
+                         wavefunction_map)
 from .analysis import (SpectralReport, energy_shift_check, gamma_sweep,
                        isospectral_check, solve, solve_morse, solve_pt)
 

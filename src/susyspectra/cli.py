@@ -33,8 +33,7 @@ from .numerics import OscillatoryError
 from .potentials import (FAMILIES, MorseParams, PTParams,
                          SingularConfigurationError, riccati_residual)
 from .transforms import (DEFAULT_PLAN_N, DEFAULT_T_MAX, MIN_PLAN_N,
-                         hankel_oscillatory, make_hankel_plan,
-                         morse_state_on_plan,
+                         HankelPlan, hankel_oscillatory, morse_state_on_plan,
                          potential_term_map, potential_term_sandwich,
                          pt_state_on_nodes, truncated, wavefunction_map)
 
@@ -232,7 +231,7 @@ def run_wavefunction_map(cfg: argparse.Namespace):
     spec_pt = solve_pt(params_pt, "shifted")
     m = (cfg.order_m if cfg.order_m is not None
          else params_m.hankel_order(n_state))
-    plan = make_hankel_plan(cfg.t_max, cfg.plan_n)
+    plan = HankelPlan(cfg.t_max, cfg.plan_n)
     tp = np.linspace(0.02, 6.0, 1200)
     R = morse_state_on_plan(spec_m, params_m.lam, plan)[n_state]
     mapped = wavefunction_map(R, m, tp, plan)
@@ -265,7 +264,7 @@ def run_energy_shift(cfg: argparse.Namespace):
 def run_potential_term_map(cfg: argparse.Namespace):
     (params_m, _), (params_pt, _) = cfg.wells
     m = cfg.order_m if cfg.order_m is not None else params_m.hankel_order(0)
-    plan = make_hankel_plan(cfg.t_max, cfg.plan_n)
+    plan = HankelPlan(cfg.t_max, cfg.plan_n)
     tp = np.linspace(0.01, 8.0, 800)
     spec_m = solve_morse(params_m, "generalized")
     # one kernel pass serves the term map and every state's sandwich

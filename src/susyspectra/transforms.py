@@ -17,9 +17,11 @@ as `quarter_turns` = m % 4.  Bound-state comparisons are phase-blind.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +38,6 @@ __all__ = [
     "MIN_PLAN_N",
     "TruncationWarning",
     "HankelPlan",
-    "make_hankel_plan",
     "truncated",
     "hankel",
     "hankel_oscillatory",
@@ -65,58 +66,45 @@ class TruncationWarning(UserWarning):
 
 @dataclass(frozen=True)
 class HankelPlan:
-    """Quadrature rule for integral_0^t_max t g(t) J_m(t t') dt at any
-    order m."""
-
-    t_max: float
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        # before the comparisons below, which NaN passes and inf - inf
-        # turns into NaN with a RuntimeWarning
-        if not (math.isfinite(self.t_max) and np.all(np.isfinite(nodes))):
-            raise ValueError("t_max and nodes must be finite")
-        if np.any(nodes <= 0) or np.any(np.diff(nodes) <= 0):
-            raise ValueError("nodes must be positive and strictly increasing")
-        if nodes[-1] > self.t_max + 1e-12:
-            raise ValueError("nodes must not exceed t_max")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be positive")
-
-
-def make_hankel_plan(t_max: float = DEFAULT_T_MAX,
-                     n: int = DEFAULT_PLAN_N) -> HankelPlan:
-    """Clenshaw-Curtis rule with n intervals on [0, t_max], for transforms
-    of every order: the nodes t_k = (t_max / 2)(1 + cos(k pi / n)),
-    ascending, less t = 0, whose term w t g is 0.  So the plan has n
-    nodes, the last exactly t_max, and every weight is positive.
+    """Clenshaw-Curtis rule with n intervals on [0, t_max] for
+    integral_0^t_max t g(t) J_m(t t') dt at any order m: the nodes
+    t_k = (t_max / 2)(1 + cos(k pi / n)), ascending, less t = 0, whose
+    term w t g is 0.  So the plan has n nodes, the last exactly t_max, and
+    every weight is positive.  Nodes and weights are derived once per plan,
+    by one FFT (`clenshaw_curtis`), about 0.2 ms at 2048 nodes; plans
+    compare and hash by (t_max, n).
 
     The rule integrates t p(t) exactly for polynomials p of degree n - 1
-    (degree n in t p(t)) and converges exponentially for integrands
-    analytic on [0, t_max], once the nodes resolve the oscillation of
-    J_m(t t') there (Trefethen, SIAM Rev. 50, 67 (2008)).  At
-    lambda = 4.5, mu = 4 the wavefunction map over t' <= 6 on [0, 40] is
-    converged from 160 nodes (worst L2 discrepancy of states 0-3 4e-11,
-    the level of the eigenstates themselves), is at 1e-8 at 128 and fails
-    at 96; the default of 256 leaves a margin of 1.6.  The weights take
-    one FFT (`clenshaw_curtis`), about 0.2 ms at 2048 nodes, so a fresh
-    plan per call costs next to nothing.  A transform's kernel is built
-    on the Chebyshev points of `_contract`, whatever n: in t, N + 1
-    points with N set by max |t'| times t_max / 2, onto which the plan's
-    nodes move; in t', as many from t_max times the half-width of the t'
-    range, where they are fewer than the t' asked for (226 x 226 for t'
-    in [0.01, 8] at t_max = 40).  The points do not depend on n, so plans
-    of any size on one t_max share a kernel."""
-    if n < MIN_PLAN_N:
-        raise ValueError(f"plan needs at least {MIN_PLAN_N} nodes")
-    x, w = clenshaw_curtis(n)
-    half = 0.5 * t_max
-    return HankelPlan(t_max, half * (1.0 + x[1:]), half * w[1:])
+    and converges exponentially for integrands analytic on [0, t_max],
+    once the nodes resolve the oscillation of J_m(t t') there (Trefethen,
+    SIAM Rev. 50, 67 (2008)).  At lambda = 4.5, mu = 4 the wavefunction
+    map over t' <= 6 on [0, 40] is converged from 160 nodes (worst L2
+    discrepancy of states 0-3 4e-11, the level of the eigenstates
+    themselves), is at 1e-8 at 128 and fails at 96; the default of 256
+    leaves a margin of 1.6.  Plans of any size on one t_max share a
+    transform's kernel (`_contract`)."""
+
+    t_max: float = DEFAULT_T_MAX
+    n: int = DEFAULT_PLAN_N
+
+    def __post_init__(self):
+        # NaN passes every comparison, so finiteness is checked first
+        if not (math.isfinite(self.t_max) and self.t_max > 0.0):
+            raise ValueError(f"t_max must be finite and positive, "
+                             f"not {self.t_max}")
+        if operator.index(self.n) < MIN_PLAN_N:  # TypeError for a float n
+            raise ValueError(f"plan needs at least {MIN_PLAN_N} nodes")
+
+    @cached_property
+    def _rule(self) -> np.ndarray:
+        """Nodes and weights: two read-only rows of one `clenshaw_curtis`."""
+        x, w = clenshaw_curtis(self.n)
+        rule = 0.5 * self.t_max * np.stack((1.0 + x[1:], w[1:]))
+        rule.flags.writeable = False
+        return rule
+
+    nodes = property(lambda self: self._rule[0])
+    weights = property(lambda self: self._rule[1])
 
 
 def truncated(g, plan: HankelPlan) -> bool:
@@ -124,9 +112,9 @@ def truncated(g, plan: HankelPlan) -> bool:
     t_max: its last value times t_max exceeds _DECAY_TOL (1e-8) times
     max(1, max |g|)."""
     gv = np.asarray(g, dtype=float)
-    if gv.shape != plan.nodes.shape:
+    if gv.shape != (plan.n,):
         raise ValueError(f"g has shape {gv.shape}; the plan has "
-                         f"{plan.nodes.size} nodes")
+                         f"{plan.n} nodes")
     tail = abs(float(gv[-1])) * plan.t_max
     return tail > _DECAY_TOL * max(1.0, float(np.max(np.abs(gv))))
 
@@ -251,77 +239,86 @@ def _chebyshev_interpolant(a: float, b: float, exp_type: float,
     return points, _barycentric(points, targets)
 
 
-def _contract(groups, tp: np.ndarray) -> list[np.ndarray]:
+def _dct1(v: np.ndarray) -> np.ndarray:
+    """The DCT-I 2 sum''_j v_j cos(pi l j / n), l = 0, ..., n, of n + 1
+    values v, ends halved: one real FFT of v's even extension."""
+    return np.fft.rfft(np.concatenate((v, v[-2:0:-1]))).real
+
+
+def _moved_core(core: np.ndarray, degree: int) -> np.ndarray:
+    """A plan's core c moved onto the N + 1 Chebyshev points s_k of
+    `_chebyshev_points` on [0, t_max], N = `degree`: c~ = L^T c, L the
+    degree-N interpolation from the s_k to the plan's nodes, so that
+    sum_k c~_k f(s_k) = sum_i c_i p(t_i), p the interpolant of f.
+
+    Both point sets are Chebyshev points of [0, t_max], so L is a DCT-I
+    (values at the s_k to Chebyshev coefficients a_l) followed by the sums
+    sum''_l a_l cos(pi l j / n) at the plan's points j, and L^T is two
+    DCT-I: of the core, zero-extended at t = 0 and read at the orders
+    l = 0, ..., N (even and 2n-periodic in l: past n, the reflection about
+    n), then of those N + 1 values."""
+    n = core.size
+    ends = np.zeros(n + 1)
+    ends[:n] = core[::-1]  # j = 0 is t_max, j = n is t = 0
+    ends[0] *= 2.0  # a full term of the sum over j, not a halved end
+    l = np.arange(degree + 1) % (2 * n)
+    moved = _dct1(_dct1(ends)[np.minimum(l, 2 * n - l)])
+    moved[[0, -1]] *= 0.5
+    return moved / (2.0 * degree)
+
+
+def _reach(tp: np.ndarray, t_max: float) -> float:
+    """max |t'| over tp; refuses, NaN-safely, a t' that is not finite and a
+    t_max max |t'| above 1000 (_X_MAX), the range of `bessel_j`."""
+    if not np.all(np.isfinite(tp)):
+        raise ValueError("t' must be finite")
+    reach = float(np.max(np.abs(tp), initial=0.0))
+    if not t_max * reach <= _X_MAX:
+        raise ValueError(f"t_max * max|t'| = {t_max * reach:g} exceeds "
+                         f"{_X_MAX:g}, the range of bessel_j")
+    return reach
+
+
+def _contract(groups, tp: np.ndarray, t_max: float) -> list[np.ndarray]:
     """sum_i core_i J_order(t_i t') at the t' of the 1-D array tp, for each
-    (order, plan, core) job of every group, t_i the nodes of the job's
-    plan, in job order, group after group.  The plans may differ in their
-    nodes but share one t_max.
+    (order, core) job of every group, in job order, group after group;
+    t_i are the nodes of the plan on [0, t_max] of as many nodes as the
+    core has values.
 
     The sum is entire in t' of exponential type t_max, and J_order(t t')
     is entire in t of exponential type max |t'|, so the kernel is built on
     Chebyshev points of both axes, each of a degree `_chebyshev_degree`
     chooses at a bound of 2^-53 sum |core_i|, below the rounding of
-    `bessel_j`:
-    - in t', the points p_j on [min t', max t'] (tp itself where it is as
-      few), whose values are carried to tp by one barycentric matrix;
-    - in t, the points s_k on [0, t_max] at the type max |t'|, onto which
-      each job's core moves by the barycentric matrix L of its plan's
-      nodes, core @ L, whatever the number of nodes.  A product per job,
-      like the contraction, keeps a job's result the same bit for bit
-      whichever jobs share its pass; one stacked product rounds
-      differently for one job than for several.
-    A moved core sums in magnitude to at most Lambda sum |core_i|, Lambda
-    the Lebesgue constant of the points in t, so the pass is within
-    2^-53 (1 + Lambda) sum |core_i| of the direct sum.  The points depend
-    on t_max and the t' range only, so one t' matrix, one matrix L per
-    plan and one kernel J(s_k p_j) per order serve every job and plan of
-    the call: 226 x 226 for 800 t' in [0.01, 8] and 180 x 180 for 1200 t'
-    in [0.02, 6], at t_max = 40, on the calling thread.  A t' equal to an
-    end or a point takes that point's value, and t' = 0 takes
-    sum_i core_i (of the plan's cores) at order 0 and 0 above it, as
-    J_k(0) = delta_k0.
+    `bessel_j`: in t', points p_j on [min t', max t'] (tp itself where it
+    is as few), carried to tp by one barycentric matrix; in t, points s_k
+    on [0, t_max], onto which each core moves by two DCTs (`_moved_core`),
+    whatever its number of nodes.  A moved core sums in magnitude to at
+    most Lambda sum |core_i|, Lambda the Lebesgue constant of the points
+    in t, so the pass is within
+    2^-53 (1 + Lambda) sum |core_i| of the direct sum.  One t' matrix and
+    one kernel J(s_k p_j) per order serve every job of the call: 226 x 226
+    for 800 t' in [0.01, 8] and 180 x 180 for 1200 t' in [0.02, 6], at
+    t_max = 40.  A t' equal to an end or a point takes that point's value,
+    and t' = 0 takes sum_i core_i at order 0 and 0 above it.  `_reach`
+    checks tp before any kernel or matrix is built; its bound caps the
+    points at about 550 per axis.
 
-    Every t' must be finite, and t_max max |t'| at most 1000 (_X_MAX), the
-    range of `bessel_j`; both are checked, NaN-safely, before any kernel
-    or matrix is built.  The bound also caps the points at about 550 per
-    axis.
-
-    One pass of _kernels_down serves each group: the kernel is built at the
-    highest order of the group's jobs and the one below it, and by
-    recurrence at every lower order down to the lowest, gaps included.
-    Each job is contracted with the kernel at its own order by its own
-    vector-matrix product.  `hankel` passes one job; `potential_term_map`
-    passes both plans' term maps and every bound state's jobs as one group
-    when the term map's order is not above the states', and as two groups
-    when it is.  A job's result is the same whichever jobs share its pass,
-    up to rounding when the pass reaches its order by recurrence rather
-    than directly, as long as the top order's kernel has not underflowed
-    where a lower order's has not: the recurrence gets nothing back from
-    J_top = 0, and J_300(x) is 0 for every x < 10."""
-    if not np.all(np.isfinite(tp)):
-        raise ValueError("t' must be finite")
+    One pass of _kernels_down serves each group, from its highest order
+    down to its lowest, gaps included; each job is moved and contracted on
+    its own.  So a job's result is the same bit for bit whichever jobs
+    share its pass, up to rounding when the pass reaches its order by
+    recurrence rather than directly, as long as the top order's kernel
+    has not underflowed where a lower order's has not (J_300(x) is 0 for
+    every x < 10)."""
+    reach = _reach(tp, t_max)
     jobs = [job for group in groups for job in group]
     if not jobs or not tp.size:
         return [np.empty(tp.size) for _ in jobs]
-    t_max = jobs[0][1].t_max
-    reach = float(np.max(np.abs(tp)))
-    if not t_max * reach <= _X_MAX:
-        raise ValueError(f"t_max * max|t'| = {t_max * reach:g} exceeds "
-                         f"{_X_MAX:g}, the range of bessel_j")
-    if any(plan.t_max != t_max for _, plan, _ in jobs):
-        raise ValueError("the plans of one pass must share t_max")
     cheb = _chebyshev_interpolant(float(tp.min()), float(tp.max()), t_max,
                                   tp)
     points = tp if cheb is None else cheb[0]
     nodes = _chebyshev_points(0.0, t_max, reach)
-    cores = [None] * len(jobs)
-    for plan in {id(plan): plan for _, plan, _ in jobs}.values():
-        # one plan's matrix is built, used and dropped before the next's
-        matrix = _barycentric(nodes, plan.nodes)
-        for i, (_, job_plan, core) in enumerate(jobs):
-            if job_plan is plan:
-                cores[i] = core @ matrix
-        del matrix
+    cores = [_moved_core(core, nodes.size - 1) for _, core in jobs]
     outs = [None] * len(jobs)
     x = nodes[:, None] * points[None, :]
     start = 0
@@ -336,32 +333,29 @@ def _contract(groups, tp: np.ndarray) -> list[np.ndarray]:
     if cheb is not None:
         outs = [cheb[1] @ out for out in outs]
     zero = tp == 0.0
-    for out, (k, _, core) in zip(outs, jobs):
+    for out, (k, core) in zip(outs, jobs):
         out[zero] = np.sum(core) if k == 0 else 0.0
     return outs
 
 
 def hankel(g, plan: HankelPlan, t_prime, order: int):
     """Truncated order-`order` Hankel transform, sum_i w_i t_i g_i
-    J_order(t_i t'), of the values g on the plan's nodes, at t_prime
-    (scalar or array of finite values, t_max |t'| <= 1000).
-
-    The kernel is built at the Chebyshev points of `_contract` in t, onto
-    which the plan's nodes move however many they are, and in t' where
-    they are fewer than the t' asked for; the transform is within
+    J_order(t_i t'), of the values g on the plan's nodes, at t_prime (a
+    scalar, or an array of any shape, of finite values, t_max |t'| <=
+    1000), in t_prime's shape.  By `_contract`: within
     2^-53 (1 + Lambda) sum_i |w_i t_i g_i| of the direct sum,
-    Lambda <= 2/pi log(N + 1) + 1 (about 4.5) the Lebesgue constant of
-    the N + 1 points in t.
+    Lambda <= 2/pi log(N + 1) + 1 (about 4.5).
 
     Emits TruncationWarning when `truncated(g, plan)`: g is still alive at
     t_max, so the truncated integral misses its tail.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    core = _weighted(g, plan)
     tp = np.asarray(t_prime, dtype=float)
-    out = _contract([[(order, plan, core)]], np.atleast_1d(tp))[0]
-    return float(out[0]) if tp.ndim == 0 else out
+    _reach(tp, plan.t_max)  # before the weighting, which can overflow
+    out = _contract([[(order, _weighted(g, plan))]], tp.ravel(),
+                    plan.t_max)[0]
+    return float(out[0]) if tp.ndim == 0 else out.reshape(tp.shape)
 
 
 def hankel_oscillatory(g, m: int, t_prime,
@@ -494,43 +488,44 @@ def potential_term_map(params_m: MorseParams, params_pt: PTParams, m: int,
     sech-well-side term; residual emitted with a two-resolution trace, the
     plan's and a coarse plan of half its nodes.
 
-    All bound states R_n of `spectrum` are resampled onto the fine plan in
-    one call.  One `_contract` call serves both plans' term maps and every
-    state: its jobs are (m, g) on the coarse plan and on the fine plan
-    and, per state at m_n = hankel_order(n) of params_m, (m_n, R_n) and
-    (m_n, g) on the fine plan.  Both plans move onto the same Chebyshev
-    points in t, so one Bessel kernel serves all of them, and the coarse
-    term map is bit for bit a lone `hankel` of its plan whenever m is the
-    pass's top order.  An m above every m_n puts the term maps in a
-    kernel pass of their own, on the call's shared interpolation
-    matrices, so the states' contractions never depend on m.  They are
-    kept on the report's `states` for `potential_term_sandwich`; an empty
-    spectrum gives the term map alone."""
+    The plan needs 2 MIN_PLAN_N (32) nodes or more, so that the coarse
+    plan has MIN_PLAN_N.  All bound states R_n of `spectrum` are resampled
+    onto the fine plan in one call.  One `_contract` call serves both
+    plans' term maps (m, g) and, per state at m_n = hankel_order(n) of
+    params_m, (m_n, R_n) and (m_n, g) on the fine plan, on one Bessel
+    kernel; the coarse term map is bit for bit a lone `hankel` of its plan
+    whenever m is the pass's top order.  An m above every m_n puts the
+    term maps in a kernel pass of their own, so the states' contractions,
+    kept on the report's `states` for `potential_term_sandwich`, never
+    depend on m.  An empty spectrum gives the term map alone."""
+    if plan.n < 2 * MIN_PLAN_N:
+        raise ValueError(f"the term map's refinement plan of n/2 nodes "
+                         f"needs a plan of at least {2 * MIN_PLAN_N} "
+                         f"nodes, not {plan.n}")
     tp = np.asarray(t_prime_nodes, dtype=float)
-    coarse = make_hankel_plan(plan.t_max, plan.nodes.size // 2)
+    _reach(tp, plan.t_max)  # before the weighting, which can overflow
+    coarse = HankelPlan(plan.t_max, plan.n // 2)
     rhs = pt_term_values(params_pt, tp)
     g_coarse = morse_term_values(params_m, coarse.nodes)
     g = morse_term_values(params_m, plan.nodes)
     warned = truncated(g_coarse, coarse) or truncated(g, plan)
     coarse_core = _weighted(g_coarse, coarse)
     g_core = _weighted(g, plan)
-    maps = [(m, coarse, coarse_core), (m, plan, g_core)]
+    maps = [(m, coarse_core), (m, g_core)]
     R = morse_state_on_plan(spectrum, params_m.lam, plan)
     orders = [params_m.hankel_order(n) for n in range(spectrum.bound_count)]
     direct = R @ g_core
     jobs = []
     for m_n, R_n in zip(orders, R):
-        jobs += [(m_n, plan, _weighted(R_n, plan)), (m_n, plan, g_core)]
+        jobs += [(m_n, _weighted(R_n, plan)), (m_n, g_core)]
     # a pass started at an m above the states' orders would take their
     # kernels by recurrence from J_m, which underflows where theirs does
-    # not (for x < 10 at m = 300), so the term maps then take a pass of
-    # their own, on the same interpolation matrices
+    # not (x < 10 at m = 300), so the term maps then take their own pass
     groups = ([maps + jobs] if m <= max(orders, default=m) else [maps, jobs])
-    lhs_coarse, lhs, *contracted = _contract(groups, tp)
-    refinement = [(coarse.nodes.size,
-                   float(np.max(np.abs(lhs_coarse - rhs))))]
+    lhs_coarse, lhs, *contracted = _contract(groups, tp, plan.t_max)
+    refinement = [(coarse.n, float(np.max(np.abs(lhs_coarse - rhs))))]
     residual = lhs - rhs
-    refinement.append((plan.nodes.size, float(np.max(np.abs(residual)))))
+    refinement.append((plan.n, float(np.max(np.abs(residual)))))
     return TermMapReport(
         order=m,
         t_prime=tp,

@@ -22,7 +22,7 @@ from susyspectra.coordinates import chain_30
 from susyspectra.grids import Grid
 from susyspectra.numerics import bessel_j, integrate_oscillatory_bessel
 from susyspectra.potentials import MorseParams, PTParams, riccati_residual
-from susyspectra.transforms import (angular_phase_integral, make_hankel_plan,
+from susyspectra.transforms import (HankelPlan, angular_phase_integral,
                                     morse_state_on_plan, potential_term_map,
                                     potential_term_sandwich,
                                     pt_state_on_nodes, wavefunction_map)
@@ -150,7 +150,7 @@ def test_09_wavefunction_connection():
     spec_m = solve_morse(MorseParams(LAM, 1.0), "shifted")
     spec_pt = solve_pt(PTParams(MU, 1.0), "shifted")
     tp = np.linspace(0.02, 6.0, 1200)
-    plan = make_hankel_plan()
+    plan = HankelPlan()
     worst = 0.0
     R = morse_state_on_plan(spec_m, LAM, plan)
     direct = pt_state_on_nodes(spec_pt, tp)
@@ -183,7 +183,7 @@ def test_10_energy_relation_coincident_point(morse_generalized_spectrum,
 def test_11_potential_term_relation(morse_generalized_spectrum):
     params_m = MorseParams(LAM, 1.0)
     params_pt = PTParams(MU, 1.0)
-    plan = make_hankel_plan(40.0, 8192)
+    plan = HankelPlan(40.0, 8192)
     tp = np.linspace(0.01, 10.0, 1000)
     report = potential_term_map(params_m, params_pt, 4, plan, tp,
                                 morse_generalized_spectrum)

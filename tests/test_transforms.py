@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import threading
 import time
@@ -17,8 +18,8 @@ from susyspectra.potentials import MorseParams, PTParams
 from susyspectra.transforms import (DEFAULT_PLAN_N, DEFAULT_T_MAX,
                                     HankelPlan, TruncationWarning,
                                     angular_phase_integral, hankel,
-                                    hankel_oscillatory, make_hankel_plan,
-                                    morse_state_on_plan, morse_term_values,
+                                    hankel_oscillatory, morse_state_on_plan,
+                                    morse_term_values,
                                     potential_term_map,
                                     potential_term_sandwich,
                                     pt_state_on_nodes, pt_term_values,
@@ -75,14 +76,14 @@ class TestAngularPhaseIntegral:
 
 class TestHankel:
     def test_gaussian_self_reciprocal(self):
-        plan = make_hankel_plan()
+        plan = HankelPlan()
         g = np.exp(-plan.nodes ** 2 / 2)
         tp = np.linspace(0.0, 5.0, 101)
         got = hankel(g, plan, tp, 0)
         assert np.max(np.abs(got - np.exp(-tp ** 2 / 2))) < 1e-6
 
     def test_zero_function(self):
-        plan = make_hankel_plan(20.0, 1024)
+        plan = HankelPlan(20.0, 1024)
         assert hankel(np.zeros(1024), plan, 1.7, 2) == 0.0
 
     def test_oscillatory_route_inverse_law(self):
@@ -97,7 +98,7 @@ class TestHankel:
         # transform to decay fast enough to truncate the t' integral;
         # t^4 e^-t^2/2 also kills the left-endpoint trapezoid term, so a
         # moderate plan already gives the transform to ~1e-9
-        plan = make_hankel_plan(30.0, 4096)
+        plan = HankelPlan(30.0, 4096)
         t = plan.nodes
         g = t ** 4 * np.exp(-t ** 2 / 2.0)
         tp = np.linspace(0.0, 12.0, 4097)
@@ -109,14 +110,14 @@ class TestHankel:
     def test_at_zero_argument(self):
         # J_k(0) = delta_k0: the order-0 transform at t' = 0 is the plain
         # weighted sum, every other order vanishes there
-        plan = make_hankel_plan()
+        plan = HankelPlan()
         g = np.exp(-plan.nodes)
         assert hankel(g, plan, 0.0, 0) == pytest.approx(
             np.sum(plan.weights * plan.nodes * g), rel=1e-15)
         assert hankel(g, plan, 0.0, 3) == 0.0
 
     def test_truncation_warning(self):
-        plan = make_hankel_plan(10.0, 512)
+        plan = HankelPlan(10.0, 512)
         alive = np.ones(512)
         assert truncated(alive, plan)
         with pytest.warns(TruncationWarning):
@@ -133,24 +134,37 @@ class TestHankel:
             hankel(decayed, plan, 1.0, 0)
 
     def test_plan_validation(self):
-        with pytest.raises(ValueError):
-            HankelPlan(1.0, np.array([0.5, 0.25]), np.array([0.1, 0.1]))
-        with pytest.raises(ValueError):
-            make_hankel_plan(10.0, 4)
-        plan = make_hankel_plan(10.0, 16)
+        for t_max in (0.0, -1.0):
+            with pytest.raises(ValueError, match="positive"):
+                HankelPlan(t_max, 64)
+        with pytest.raises(ValueError, match="16 nodes"):
+            HankelPlan(10.0, 15)
+        with pytest.raises(TypeError):
+            HankelPlan(10.0, 64.0)
+        plan = HankelPlan(10.0, 16)
         with pytest.raises(ValueError, match="order"):
             hankel(np.zeros(16), plan, 1.0, -1)
         with pytest.raises(ValueError, match="16 nodes"):
             hankel(np.zeros(15), plan, 1.0, 0)
 
+    def test_t_prime_of_any_shape(self):
+        # a 2-D t' gives, bit for bit, the 1-D call's result in its shape
+        plan = HankelPlan(40.0, 256)
+        g = plan.nodes ** 4 * np.exp(-plan.nodes)
+        tp = np.linspace(0.02, 6.0, 1200)
+        for transform in (lambda t: hankel(g, plan, t, 4),
+                          lambda t: wavefunction_map(g, 4, t, plan)):
+            flat = transform(tp)
+            square = transform(tp.reshape(40, 30))
+            assert square.shape == (40, 30)
+            assert np.array_equal(square, flat.reshape(40, 30))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_plan_refused(self, bad):
-        # NaN passes every comparison of the other checks, and an infinite
-        # t_max gives infinite nodes whose spacing inf - inf is NaN
+        # NaN passes every comparison, and an infinite t_max gives
+        # infinite nodes
         with pytest.raises(ValueError, match="must be finite"):
-            make_hankel_plan(bad, 32)
-        with pytest.raises(ValueError, match="must be finite"):
-            HankelPlan(10.0, np.array([1.0, bad]), np.array([0.5, 0.5]))
+            HankelPlan(bad, 32)
 
 
 class TestOrderRecurrence:
@@ -160,14 +174,14 @@ class TestOrderRecurrence:
         # the kernels below the top two orders come from the downward
         # recurrence (through the gap at 4 and 3 for [5, 2]); t' = 0 checks
         # the x = 0 columns, where J_k(0) = delta_k0
-        plan = make_hankel_plan(40.0, 2048)
+        plan = HankelPlan(40.0, 2048)
         tp = np.concatenate(([0.0], np.linspace(0.01, 8.0, 799)))
         rng = np.random.default_rng(7)
-        jobs = [(k, plan, plan.weights * rng.standard_normal(plan.nodes.size))
+        jobs = [(k, plan.weights * rng.standard_normal(plan.n))
                 for k in orders]
-        got = transforms._contract([jobs], tp)
+        got = transforms._contract([jobs], tp, plan.t_max)
         x = plan.nodes[:, None] * tp[None, :]
-        for (k, _, core), out in zip(jobs, got):
+        for (k, core), out in zip(jobs, got):
             ref = core @ scipy.special.jv(k, x)
             err = np.max(np.abs(out - ref))
             assert err < 1e-13 * np.max(np.abs(ref)), (k, err)
@@ -196,7 +210,7 @@ class TestOrderRecurrence:
         # plans' term maps: orders 4 and 3 are built directly, by one
         # bessel_j call each, and the rest by recurrence; no coarse build
         # comes before them
-        plan = make_hankel_plan(40.0, 2048)
+        plan = HankelPlan(40.0, 2048)
         calls = _count_kernel_builds(monkeypatch)
         tp = np.linspace(0.01, 8.0, 800)
         report = potential_term_map(
@@ -236,7 +250,7 @@ class TestOneKernelPerPass:
 
     def test_wavefunction_map_kernel(self, monkeypatch,
                                      morse_shifted_spectrum):
-        plan = make_hankel_plan()
+        plan = HankelPlan()
         R = morse_state_on_plan(morse_shifted_spectrum, 4.5, plan)[0]
         calls = _count_kernel_builds(monkeypatch)
         wavefunction_map(R, 4, np.linspace(0.02, 6.0, 1200), plan)
@@ -245,10 +259,10 @@ class TestOneKernelPerPass:
     def test_small_plan_moves_onto_the_points(self, monkeypatch):
         # 64 nodes are fewer than the 226 points in t, and move onto them
         # all the same: the kernel is the one a large plan's pass builds
-        plan = make_hankel_plan(40.0, 64)
+        plan = HankelPlan(40.0, 64)
         calls = _count_kernel_builds(monkeypatch)
         core = plan.weights * np.exp(-plan.nodes)
-        out = transforms._contract([[(2, plan, core)]], self.TP)[0]
+        out = transforms._contract([[(2, core)]], self.TP, plan.t_max)[0]
         assert calls == [(2, (226, 226))]
         ref = core @ scipy.special.jv(2, plan.nodes[:, None] * self.TP)
         assert np.max(np.abs(out - ref)) <= 1e-14 * np.sum(np.abs(core))
@@ -260,20 +274,34 @@ class TestOneKernelPerPass:
     def test_zero_takes_the_plan_sum(self, tp):
         # the points in t carry moved cores; t' = 0 takes the sum of the
         # plan's own cores
-        plan = make_hankel_plan(40.0, 2048)
+        plan = HankelPlan(40.0, 2048)
         assert transforms._chebyshev_interpolant(
             0.0, plan.t_max, float(np.max(tp)), plan.nodes) is not None
         core = plan.weights * plan.nodes * np.exp(-plan.nodes)
-        out = transforms._contract([[(0, plan, core), (1, plan, core)]],
-                                   tp)
+        out = transforms._contract([[(0, core), (1, core)]], tp,
+                                   plan.t_max)
         assert out[0][0] == pytest.approx(np.sum(core), rel=1e-14)
         assert out[1][0] == 0.0
 
     def test_no_t_prime(self):
-        plan = make_hankel_plan(40.0, 64)
-        out = transforms._contract([[(2, plan, plan.weights),
-                                     (0, plan, plan.weights)]], np.empty(0))
+        plan = HankelPlan(40.0, 64)
+        out = transforms._contract([[(2, plan.weights), (0, plan.weights)]],
+                                   np.empty(0), plan.t_max)
         assert [o.shape for o in out] == [(0,), (0,)]
+
+
+# Bound fixed before the first run: the DCT move within 1e-13 sum |core| of
+# the barycentric matrix it replaces, with the plan's nodes below, near and
+# above the N + 1 points in t (34 at t_max = 2, 226 at 40, 596 at 125).
+@pytest.mark.parametrize("t_max", [2.0, 40.0, 125.0])
+@pytest.mark.parametrize("n", [16, 64, 225, 256, 2048, 8192])
+def test_core_moves_as_the_barycentric_matrix(n, t_max):
+    plan = HankelPlan(t_max, n)
+    points = transforms._chebyshev_points(0.0, t_max, 1000.0 / 125.0)
+    core = plan.weights * np.random.default_rng(n).standard_normal(n)
+    ref = core @ transforms._barycentric(points, plan.nodes)
+    got = transforms._moved_core(core, points.size - 1)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.sum(np.abs(core))
 
 
 # bessel_j's absolute accuracy over 0 <= x <= 1000 (its docstring)
@@ -302,11 +330,11 @@ class TestChebyshevContraction:
     @staticmethod
     def check(plan, tp, orders, sample=slice(None)):
         rng = np.random.default_rng(11)
-        jobs = [(k, plan, plan.weights * rng.standard_normal(plan.nodes.size))
+        jobs = [(k, plan.weights * rng.standard_normal(plan.n))
                 for k in orders]
-        got = transforms._contract([jobs], tp)
+        got = transforms._contract([jobs], tp, plan.t_max)
         x = plan.nodes[:, None] * tp[None, sample]
-        for (k, _, core), out in zip(jobs, got):
+        for (k, core), out in zip(jobs, got):
             total = np.sum(np.abs(core))
             bound = _interpolation_bound(plan, tp, core)
             direct = core @ bessel_j(k, x)
@@ -328,7 +356,7 @@ class TestChebyshevContraction:
     @pytest.mark.parametrize("n", [16, 64, 256, 2048, 4096])
     def test_plans(self, n, t_max):
         # every 8th t' and both ends, 0 among them, are compared
-        plan = make_hankel_plan(t_max, n)
+        plan = HankelPlan(t_max, n)
         tp = np.linspace(0.0, 4.0, 401)
         assert _t_prime_interpolant(plan, tp) is not None
         self.check(plan, tp, self.ORDERS, slice(None, None, 8))
@@ -343,7 +371,7 @@ class TestChebyshevContraction:
         (np.linspace(0.0, 10.0, 200), "direct"),
     ], ids=["one", "two", "unsorted", "negative", "zero_inside", "wide"])
     def test_t_prime_shapes(self, tp, path):
-        plan = make_hankel_plan(40.0, 256)
+        plan = HankelPlan(40.0, 256)
         cheb = _t_prime_interpolant(plan, tp)
         assert (cheb is None) == (path == "direct")
         self.check(plan, tp, self.ORDERS)
@@ -351,7 +379,7 @@ class TestChebyshevContraction:
     def test_points_at_the_cli_sizes(self):
         # term map: 800 t' in [0.01, 8]; wavefunction map: 1200 in
         # [0.02, 6]; both at t_max = 40
-        plan = make_hankel_plan(40.0, 256)
+        plan = HankelPlan(40.0, 256)
         sizes = [_t_prime_interpolant(plan, tp)[0].size
                  for tp in (np.linspace(0.01, 8.0, 800),
                             np.linspace(0.02, 6.0, 1200))]
@@ -359,7 +387,7 @@ class TestChebyshevContraction:
 
     def test_ends_are_exact(self):
         tp = np.linspace(0.01, 8.0, 800)
-        points, matrix = _t_prime_interpolant(make_hankel_plan(40.0, 256),
+        points, matrix = _t_prime_interpolant(HankelPlan(40.0, 256),
                                               tp)
         assert (points[0], points[-1]) == (8.0, 0.01)
         assert matrix[0, -1] == 1.0 and matrix[-1, 0] == 1.0
@@ -370,7 +398,7 @@ class TestChebyshevContraction:
         (np.nextafter(125.0, 126.0), 8.0, "range of bessel_j"),
         (40.0, 1e200, "range of bessel_j"),
         (1e308, 8.0, "range of bessel_j"),
-        (math.nan, 8.0, "t_max and nodes must be finite")],
+        (math.nan, 8.0, "t_max must be finite")],
         ids=["t_prime", "t_max", "huge_t_prime", "huge_t_max", "nan_t_max"])
     def test_past_the_range_refused(self, monkeypatch, t_max, top, message):
         # t_max max|t'| above 1000, bessel_j's range, is refused before any
@@ -380,24 +408,17 @@ class TestChebyshevContraction:
             raise AssertionError("kernel built")
 
         monkeypatch.setattr(transforms, "bessel_j", never)
-        nodes, weights = np.array([1.0, 2.0]), np.array([0.5, 0.5])
         tp = np.linspace(0.0, top, 800)
         with pytest.raises(ValueError, match=message):
-            plan = HankelPlan(t_max, nodes, weights)
-            transforms._contract([[(0, plan, weights)]], tp)
+            plan = HankelPlan(t_max, 16)
+            transforms._contract([[(0, np.full(16, 0.5))]], tp, plan.t_max)
         with pytest.raises(ValueError, match=message):
-            hankel(np.zeros(2), HankelPlan(t_max, nodes, weights), tp, 3)
-
-    def test_plans_share_t_max(self):
-        a, b = make_hankel_plan(40.0, 64), make_hankel_plan(20.0, 64)
-        with pytest.raises(ValueError, match="share t_max"):
-            transforms._contract([[(0, a, a.weights), (0, b, b.weights)]],
-                                 np.linspace(0.0, 8.0, 800))
+            hankel(np.zeros(16), HankelPlan(t_max, 16), tp, 3)
 
     def test_range_bound_itself_runs(self):
         # t_max max|t'| = 1000 exactly is inside the range; the t points
         # stay a few hundred
-        plan = make_hankel_plan(125.0, 64)
+        plan = HankelPlan(125.0, 64)
         tp = np.linspace(0.01, 8.0, 800)
         self.check(plan, tp, [0, 4], slice(None, None, 40))
         assert _t_prime_interpolant(plan, tp)[0].size < 600
@@ -410,7 +431,7 @@ class TestChebyshevContraction:
             raise AssertionError("kernel built")
 
         monkeypatch.setattr(transforms, "bessel_j", never)
-        plan = make_hankel_plan(40.0, 64)
+        plan = HankelPlan(40.0, 64)
         g = np.exp(-plan.nodes)
         tp = np.linspace(0.0, 6.0, 800)
         tp[400] = bad
@@ -437,7 +458,7 @@ class TestFusedTermMap:
         # one pass builds orders 4 and 3 once each for both plans' term
         # maps and all four states; every kernel is 226 x 226
         calls = _count_kernel_builds(monkeypatch)
-        self.run(4, morse_generalized_spectrum, make_hankel_plan(40.0, 2048))
+        self.run(4, morse_generalized_spectrum, HankelPlan(40.0, 2048))
         assert calls == [(4, (226, 226)), (3, (226, 226))]
 
     @pytest.mark.parametrize("n", [2048, 256])
@@ -448,8 +469,8 @@ class TestFusedTermMap:
         # of a lone transform on the coarse plan (128 nodes at n = 256, the
         # default, fewer than the 226 points)
         report = self.run(4, morse_generalized_spectrum,
-                          make_hankel_plan(40.0, n))
-        coarse = make_hankel_plan(40.0, n // 2)
+                          HankelPlan(40.0, n))
+        coarse = HankelPlan(40.0, n // 2)
         lone = hankel(morse_term_values(MorseParams(4.5, 1.0), coarse.nodes),
                       coarse, self.TP, 4)
         rhs = pt_term_values(PTParams(4.0, 1.0), self.TP)
@@ -459,9 +480,10 @@ class TestFusedTermMap:
     @pytest.mark.parametrize("m", [4, 6])
     def test_one_interpolation_matrix_each(self, monkeypatch, m,
                                            morse_generalized_spectrum):
-        # one t' matrix and one matrix per plan, also when m is above the
-        # states' orders and the term maps take a kernel pass of their own
-        plan = make_hankel_plan(40.0, 2048)
+        # one t' matrix, and none for the plans, whose cores move by DCT,
+        # also when m is above the states' orders and the term maps take a
+        # kernel pass of their own
+        plan = HankelPlan(40.0, 2048)
         builds = []
         original = transforms._barycentric
 
@@ -471,7 +493,7 @@ class TestFusedTermMap:
 
         monkeypatch.setattr(transforms, "_barycentric", counting)
         report = self.run(m, morse_generalized_spectrum, plan)
-        assert sorted(builds) == [800, 1024, 2048]
+        assert builds == [800]
         # the term map is still bit for bit a lone transform at its order
         g = morse_term_values(MorseParams(4.5, 1.0), plan.nodes)
         assert np.array_equal(report.lhs, hankel(g, plan, self.TP, m))
@@ -483,7 +505,7 @@ class TestFusedTermMap:
             raise AssertionError("kernel built")
 
         monkeypatch.setattr(transforms, "bessel_j", never)
-        plan = make_hankel_plan(np.nextafter(125.0, 126.0), 64)
+        plan = HankelPlan(np.nextafter(125.0, 126.0), 64)
         with pytest.raises(ValueError, match="range of bessel_j"):
             self.run(4, morse_generalized_spectrum, plan)
         with pytest.raises(ValueError, match="range of bessel_j"):
@@ -493,7 +515,7 @@ class TestFusedTermMap:
             self, morse_generalized_spectrum):
         # order 4 is the states' highest, built by bessel_j as a lone
         # transform builds it
-        plan = make_hankel_plan(40.0, 2048)
+        plan = HankelPlan(40.0, 2048)
         report = self.run(4, morse_generalized_spectrum, plan)
         g = morse_term_values(MorseParams(4.5, 1.0), plan.nodes)
         assert np.array_equal(report.lhs, hankel(g, plan, self.TP, 4))
@@ -504,7 +526,7 @@ class TestFusedTermMap:
                                            morse_generalized_spectrum):
         # order 2 comes from the recurrence below the states' top order;
         # order 6 is above the states' orders and takes a pass of its own
-        plan = make_hankel_plan(40.0, 2048)
+        plan = HankelPlan(40.0, 2048)
         report = self.run(m, morse_generalized_spectrum, plan)
         g = morse_term_values(MorseParams(4.5, 1.0), plan.nodes)
         ref = hankel(g, plan, self.TP, m)
@@ -515,7 +537,7 @@ class TestFusedTermMap:
     def test_states_do_not_depend_on_order(self, morse_generalized_spectrum):
         # started at order 300 the recurrence would reach the states' orders
         # from J_300, which is 0 for every t t' < 10
-        plan = make_hankel_plan(40.0, 512)
+        plan = HankelPlan(40.0, 512)
         ref = self.run(4, morse_generalized_spectrum, plan)
         report = self.run(300, morse_generalized_spectrum, plan)
         for st, st_ref in zip(report.states, ref.states, strict=True):
@@ -546,7 +568,7 @@ class TestClenshawCurtisPlan:
     def test_matches_cosine_sum(self, n):
         # on [0, 2] the plan is the [-1, 1] rule shifted by one, less the
         # node -1: the nodes 1 + cos(j pi / n), j = n - 1, ..., 0
-        plan = make_hankel_plan(2.0, n)
+        plan = HankelPlan(2.0, n)
         j = np.arange(n - 1, -1, -1)
         oracle = _clenshaw_curtis_weights(n)[j]
         np.testing.assert_allclose(plan.weights, oracle, rtol=1e-12, atol=0)
@@ -556,7 +578,7 @@ class TestClenshawCurtisPlan:
     @pytest.mark.parametrize("n", [16, 17, 256, 257, 2048, 2049])
     def test_exact_for_polynomials(self, n):
         t_max = 40.0
-        plan = make_hankel_plan(t_max, n)
+        plan = HankelPlan(t_max, n)
         assert plan.nodes.size == n and plan.nodes[-1] == t_max
         assert np.all(np.diff(plan.nodes) > 0) and np.all(plan.weights > 0)
         # integral_0^t_max t (t / t_max)^k dt = t_max^2 / (k + 2): degree
@@ -569,6 +591,18 @@ class TestClenshawCurtisPlan:
             assert abs(got * (k + 2) / t_max ** 2 - 1.0) < 1e-12, k
             power *= s
 
+    def test_plan_is_its_two_numbers(self):
+        # equal and hashable by (t_max, n); the rule is derived, read-only
+        plan = HankelPlan(40.0, 64)
+        assert plan == HankelPlan(40.0, 64) and plan != HankelPlan(40.0, 65)
+        assert hash(plan) == hash(HankelPlan(40.0, 64))
+        assert len({plan, HankelPlan(40.0, 64), HankelPlan(20.0, 64)}) == 2
+        assert HankelPlan() == HankelPlan(DEFAULT_T_MAX, DEFAULT_PLAN_N)
+        assert [f.name for f in dataclasses.fields(HankelPlan)] == ["t_max",
+                                                                   "n"]
+        with pytest.raises(ValueError):
+            plan.nodes[0] = 1.0
+
     def test_rejects_one_interval(self):
         with pytest.raises(ValueError):
             clenshaw_curtis(1)
@@ -578,7 +612,7 @@ class TestClenshawCurtisPlan:
         seconds = []
         for _ in range(3):
             t0 = time.perf_counter()
-            make_hankel_plan(40.0, 2048)
+            HankelPlan(40.0, 2048)
             seconds.append(time.perf_counter() - t0)
         assert min(seconds) < 0.25
 
@@ -587,7 +621,7 @@ class TestClenshawCurtisPlan:
     def test_default_plan_maps_every_state(self, morse_shifted_spectrum,
                                            pt_shifted_spectrum, n):
         tp = np.linspace(0.02, 6.0, 1200)
-        plan = make_hankel_plan(DEFAULT_T_MAX, n)
+        plan = HankelPlan(DEFAULT_T_MAX, n)
         R = morse_state_on_plan(morse_shifted_spectrum, 4.5, plan)
         direct = pt_state_on_nodes(pt_shifted_spectrum, tp)
         assert R.shape == (4, plan.nodes.size) and direct.shape == (4, 1200)
@@ -598,14 +632,14 @@ class TestClenshawCurtisPlan:
 
 class TestWavefunctionMap:
     def test_zero_maps_to_zero(self):
-        plan = make_hankel_plan(20.0, 2048)
+        plan = HankelPlan(20.0, 2048)
         out = wavefunction_map(np.zeros(2048), 3, np.linspace(0.1, 4.0, 64),
                                plan)
         assert np.allclose(out, 0.0)
 
     def test_ground_state_connects_families(self, morse_shifted_spectrum,
                                             pt_shifted_spectrum):
-        plan = make_hankel_plan(40.0, 8192)
+        plan = HankelPlan(40.0, 8192)
         tp = np.linspace(0.02, 6.0, 1200)
         R = morse_state_on_plan(morse_shifted_spectrum, 4.5, plan)[0]
         mapped = wavefunction_map(R, 4, tp, plan)
@@ -615,7 +649,7 @@ class TestWavefunctionMap:
     def test_analytic_ground_state_closed_form(self):
         # t^a e^-t at order a transforms to c * t'^a (1+t'^2)^-a
         a = 4
-        plan = make_hankel_plan(40.0, 8192)
+        plan = HankelPlan(40.0, 8192)
         R = plan.nodes ** a * np.exp(-plan.nodes)
         tp = np.linspace(0.05, 5.0, 300)
         mapped = wavefunction_map(R, a, tp, plan)
@@ -627,16 +661,27 @@ class TestPotentialTermMap:
     def test_zero_deformation_limit(self):
         params_m = MorseParams(4.5, 1e12)
         params_pt = PTParams(4.0, 1e12)
-        plan = make_hankel_plan(40.0, 4096)
+        plan = HankelPlan(40.0, 4096)
         tp = np.linspace(0.05, 5.0, 200)
         report = potential_term_map(params_m, params_pt, 4, plan, tp,
                                     _NO_STATES)
         assert report.max_residual < 1e-8
 
+    def test_small_plan_refused(self):
+        # the refinement plan has n/2 nodes, so the plan needs 32
+        params = MorseParams(4.5, 1.0), PTParams(4.0, 1.0)
+        tp = np.linspace(0.1, 3.0, 8)
+        with pytest.raises(ValueError, match="refinement plan"):
+            potential_term_map(*params, 4, HankelPlan(40.0, 31), tp,
+                               _NO_STATES)
+        report = potential_term_map(*params, 4, HankelPlan(40.0, 32), tp,
+                                    _NO_STATES)
+        assert [n for n, _ in report.refinement] == [16, 32]
+
     def test_residual_is_resolution_converged(self):
         params_m = MorseParams(4.5, 1.0)
         params_pt = PTParams(4.0, 1.0)
-        plan = make_hankel_plan(40.0, 8192)
+        plan = HankelPlan(40.0, 8192)
         tp = np.linspace(0.1, 3.0, 100)
         report = potential_term_map(params_m, params_pt, 4, plan, tp,
                                     _NO_STATES)
@@ -652,7 +697,7 @@ class TestPotentialTermMap:
         tp = np.linspace(0.1, 3.0, 50)
         vals = {}
         for t_max in (40.0, 80.0):
-            plan = make_hankel_plan(t_max, int(204.8 * t_max))
+            plan = HankelPlan(t_max, int(204.8 * t_max))
             g = morse_term_values(params_m, plan.nodes)
             vals[t_max] = hankel(g, plan, tp, 4)
         assert np.max(np.abs(vals[40.0] - vals[80.0])) < 1e-6
@@ -669,7 +714,7 @@ class TestPotentialTermMap:
         params_m = MorseParams(lam, 1.0)
         spectrum = solve(params_m, "generalized")
         report = potential_term_map(params_m, PTParams(lam - 0.5, 1.0), 4,
-                                    make_hankel_plan(80.0, 64),
+                                    HankelPlan(80.0, 64),
                                     np.linspace(0.1, 3.0, 8), spectrum)
         assert [st.order for st in report.states] == orders
         assert [params_m.hankel_order(n) for n in range(len(orders))] \
@@ -680,7 +725,7 @@ class TestPotentialTermMap:
         # whether it matches the PT side is a physics question, not asserted
         params_m = MorseParams(4.5, 1.0)
         params_pt = PTParams(4.0, 1.0)
-        plan = make_hankel_plan(40.0, 8192)
+        plan = HankelPlan(40.0, 8192)
         tp = np.linspace(0.01, 10.0, 1000)
         report = potential_term_map(params_m, params_pt, 4, plan, tp,
                                     morse_generalized_spectrum)
