@@ -133,7 +133,7 @@ def solve(params: Well, kind: str = "shifted",
     if spec.bound_count < expected:
         n = first + spec.bound_count
         s = math.sqrt(params.threshold)
-        energy = params.levels[n]
+        energy = params.level(n)
         gap = params.threshold - energy
         reason = (f"is not resolved on the grid [{grid.min:g}, {grid.max:g}]"
                   if gap >= _TOL_EDGE else "falls inside the solver's "

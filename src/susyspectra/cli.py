@@ -315,6 +315,11 @@ def _at_least(low: int):
     return _bounded(int, lambda v: v >= low, f"at least {low}")
 
 
+def _int_between(low: int, high: int):
+    return _bounded(int, lambda v: low <= v <= high,
+                    f"between {low} and {high}")
+
+
 def _gamma_list(text: str) -> tuple[float, ...]:
     parts = [s.strip() for s in text.split(",") if s.strip()]
     try:
@@ -340,11 +345,17 @@ _WELL = {"lambda": Flag(float, 4.5), "mu": Flag(float, 4.0),
          "gamma": Flag(float, 1.0)}
 _GRID = {"grid-min": Flag(float), "grid-max": Flag(float),
          "grid-n": Flag(int)}
+# the eigen-solving experiments build a dense n x n matrix: at this cap
+# 128 MB a copy and seconds to solve (a Grid needs at least 16 nodes)
+_MAX_GRID_N = 4001
+_DENSE_GRID = {**_GRID, "grid-n": Flag(_int_between(16, _MAX_GRID_N))}
 # bessel_j holds to |x| <= 1000 and orders up to 300; the largest t' of
-# either transform experiment is 8, so t_max reaches x = 1000 at 125
-_PLAN = {"order-m": Flag(_bounded(int, lambda v: 0 <= v <= 300,
-                                  "between 0 and 300")),
-         "plan-n": Flag(_at_least(MIN_PLAN_N), DEFAULT_PLAN_N),
+# either transform experiment is 8, so t_max reaches x = 1000 at 125.  A
+# plan at the node cap runs either transform experiment in under a second.
+_MAX_PLAN_N = 65536
+_PLAN = {"order-m": Flag(_int_between(0, 300)),
+         "plan-n": Flag(_int_between(MIN_PLAN_N, _MAX_PLAN_N),
+                        DEFAULT_PLAN_N),
          "t-max": Flag(_bounded(float, lambda v: 0.0 < v <= 125.0,
                                 "positive and at most 125"), DEFAULT_T_MAX)}
 _OUTPUT = {"output": Flag(str, "out"),
@@ -382,15 +393,15 @@ EXPERIMENTS = {
         _ONE, {**_WELL, **_GRID}, default_grid),
     "spectrum": Experiment(
         run_spectrum, ["index", "energy"], _ONE,
-        {**_WELL, **_GRID, "potential": Flag(str, "shifted", KINDS)},
+        {**_WELL, **_DENSE_GRID, "potential": Flag(str, "shifted", KINDS)},
         default_grid),
     "isospectral": Experiment(
         run_isospectral, ["comparison", "index", "e_left", "e_right", "delta"],
-        _ONE, {**_WELL, **_GRID}, default_grid),
+        _ONE, {**_WELL, **_DENSE_GRID}, default_grid),
     "gamma-sweep": Experiment(
         run_gamma_sweep, ["gamma", "index", "energy", "delta_vs_base"], _ONE,
         {"lambda": _WELL["lambda"], "mu": _WELL["mu"],
-         "gammas": Flag(_gamma_list, (0.5, 1.0, 10.0)), **_GRID},
+         "gammas": Flag(_gamma_list, (0.5, 1.0, 10.0)), **_DENSE_GRID},
         default_grid),
     "riccati": Experiment(
         run_riccati, ["family", "h", "max_residual"], (*FAMILIES, "both"),
@@ -410,7 +421,8 @@ EXPERIMENTS = {
     "potential-term-map": Experiment(
         run_potential_term_map, ["index", "t_prime", "lhs", "rhs", "residual"],
         _BOTH, {**_WELL, **_PLAN,
-                "plan-n": Flag(_at_least(2 * MIN_PLAN_N), DEFAULT_PLAN_N)}),
+                "plan-n": Flag(_int_between(2 * MIN_PLAN_N, _MAX_PLAN_N),
+                               DEFAULT_PLAN_N)}),
 }
 
 

@@ -124,6 +124,14 @@ class Well:
                              "finite")
         if not 0.0 < self.gamma < math.inf:
             raise ValueError("gamma must be positive and finite")
+        try:
+            finite = math.isfinite(self.threshold)
+        except OverflowError:  # a float's ** raises where * would give inf
+            finite = False
+        if not finite:
+            raise ValueError(f"{self.label} {self.strength_name} "
+                             f"{self.strength:g} is too large: its threshold "
+                             "W'(inf)^2 overflows")
 
     @property
     def threshold(self) -> float:
@@ -136,18 +144,21 @@ class Well:
         shifted and generalized wells, where s = sqrt(threshold)."""
         return math.ceil(math.sqrt(self.threshold) - 1e-9)
 
+    def level(self, n):
+        """The closed-form level n(2s - n) of index n, an int or an array."""
+        return n * (2.0 * math.sqrt(self.threshold) - n)
+
     @property
     def levels(self) -> np.ndarray:
-        """The closed-form levels n(2s - n), n = 0 .. level_count - 1."""
-        n = np.arange(self.level_count)
-        return n * (2.0 * math.sqrt(self.threshold) - n)
+        """The closed-form levels, n = 0 .. level_count - 1."""
+        return self.level(np.arange(self.level_count))
 
     def default_domain(self) -> tuple[float, float]:
         """The default grid's domain, the same for every kind and every
         gamma: on each side, where the WKB exponent int sqrt(V - E*) drho of
-        the least-bound level E* = levels[-1] reaches ln(1/_DOMAIN_TOL)
-        beyond its outermost turning point on the shifted well V (sampled
-        on a 0.01 step; the exponent is its cumulative sum), clipped to
+        the least-bound level E* reaches ln(1/_DOMAIN_TOL) beyond its
+        outermost turning point on the shifted well V (sampled on a 0.01
+        step; the exponent is its cumulative sum), clipped to
         `domain_box`.  Where the box would cut an edge off before the
         exponent reaches ln(1/_REACH_TOL), the edge moves out to where it
         does, if that lies within _REACH times the box; otherwise it stays
@@ -157,11 +168,12 @@ class Well:
         box_lo, box_hi = self.domain_box
         if not self.level_count:
             return float(box_lo), float(box_hi)
+        least_bound = self.level(self.level_count - 1)
         # the reach is sampled only when the box leaves too little decay
         for reach in (1.0, _REACH):
             lo, hi = reach * box_lo, reach * box_hi
             r = np.linspace(lo, hi, round((hi - lo) / h) + 1)
-            excess = self.shifted(r) - self.levels[-1]
+            excess = self.shifted(r) - least_bound
             allowed = excess <= 0.0
             left = int(np.argmax(allowed))
             right = r.size - 1 - int(np.argmax(allowed[::-1]))

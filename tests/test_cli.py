@@ -142,6 +142,9 @@ class TestUsageErrors:
         ["potential-term-map", "--t-max", "125.001"],
         ["wavefunction-map", "--order-m", "100000"],
         ["potential-term-map", "--order-m", "301"],
+        # the node cap, 65536, plus one
+        ["wavefunction-map", "--plan-n", "65537"],
+        ["potential-term-map", "--plan-n", "65537"],
     ], ids=lambda argv: " ".join(argv))
     def test_transform_flag_bounds(self, argv, tmp_path, capsys, no_solve):
         # out-of-bound transform flags are usage errors, found before any
@@ -157,6 +160,16 @@ class TestUsageErrors:
         ["spectrum", "--grid-max", "inf"],
         ["potential-curve", "--family", "pt", "--grid-max", "1e308"],
         ["riccati", "--family", "both", "--grid-n", "3"],
+        # the dense-matrix node cap, 4001, plus one
+        ["spectrum", "--grid-n", "4002"],
+        ["isospectral", "--grid-n", "4002"],
+        ["gamma-sweep", "--grid-n", "4002"],
+        # thresholds W'(inf)^2 past the largest float
+        ["spectrum", "--family", "morse", "--lambda", "1e155"],
+        ["spectrum", "--family", "pt", "--mu", "1e155"],
+        ["isospectral", "--family", "morse", "--lambda", "1e200"],
+        ["energy-shift", "--mu", "1e200"],
+        ["potential-curve", "--family", "pt", "--mu", "1e200"],
         ["spectrum", "--family", "morse", "--lambda", "inf"],
         ["spectrum", "--family", "pt", "--mu", "inf"],
         ["spectrum", "--family", "pt", "--gamma", "inf"],
@@ -288,6 +301,17 @@ class TestNumericalFailures:
         assert "below the threshold" in err
         assert reason in err
         assert ("no grid returns it" in err) == ("cut" in reason)
+
+    def test_huge_strength_exit_3(self, tmp_path, capsys):
+        # 1e12 levels: the least-bound one is taken in closed form, not
+        # from an array of all of them, and the grid check then refuses
+        out = tmp_path / "x.csv"
+        rc = main(["spectrum", "--lambda", "1e12", "--output", str(out)])
+        assert rc == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "widen the grid" in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["--family", "morse", "--lambda", "4.5", "--gamma", "1e-5"],

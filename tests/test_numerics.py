@@ -8,8 +8,8 @@ import scipy.special
 from susyspectra import numerics
 from susyspectra.numerics import (OscillatoryError, QuadratureResult,
                                   _EpsilonTable, _panel_integrals, bessel_j,
-                                  bessel_j_zero, gauss_legendre,
-                                  integrate_oscillatory_bessel, sinc_interp)
+                                  bessel_j_zero, integrate_oscillatory_bessel,
+                                  sinc_interp)
 from susyspectra.transforms import hankel_oscillatory
 
 # First positive zero of J0, located by bisection on the plain power series
@@ -164,32 +164,22 @@ def _legendre_oracle(n: int, x0: float) -> tuple[Decimal, Decimal]:
 
 
 class TestGaussLegendre:
-    @pytest.mark.parametrize("n", [17, 64, 100])
-    def test_against_decimal_oracle(self, n):
-        x, w = gauss_legendre(n)
-        # Newton's weights lose O(n^2 eps) at the ends of the rule
-        for i in (0, 1, n // 4, n // 2, n - 2, n - 1):
-            x_ref, w_ref = _legendre_oracle(n, x[i])
+    # the 15-point panel rule
+    def test_against_decimal_oracle(self):
+        x, w = numerics._PANEL_NODES, numerics._PANEL_WEIGHTS
+        for i in range(15):
+            x_ref, w_ref = _legendre_oracle(15, x[i])
             assert abs(float(x_ref - Decimal(x[i]))) <= 1e-15, i
             assert abs(float((Decimal(w[i]) - w_ref) / w_ref)) <= 2e-13, i
 
-    @pytest.mark.parametrize("n", [1, 2, 17, 100])
-    def test_ascending_and_mirrored(self, n):
-        x, w = gauss_legendre(n)
+    def test_ascending_and_mirrored(self):
+        x, w = numerics._PANEL_NODES, numerics._PANEL_WEIGHTS
+        assert x.shape == w.shape == (15,)
         assert np.all(np.diff(x) > 0)
         assert np.array_equal(x, -x[::-1])
         assert np.array_equal(w, w[::-1])
-        if n % 2:
-            assert x[n // 2] == 0.0
+        assert x[7] == 0.0
         assert np.sum(w) == pytest.approx(2.0, rel=1e-14)
-
-    def test_rejects_empty_rule(self):
-        with pytest.raises(ValueError):
-            gauss_legendre(0)
-
-    def test_rejects_rules_above_100_nodes(self):
-        with pytest.raises(ValueError, match="at most 100"):
-            gauss_legendre(101)
 
 
 class TestPanelIntegrals:

@@ -41,6 +41,15 @@ class TestParams:
         with pytest.raises(ValueError):
             cls(strength, gamma)
 
+    @pytest.mark.parametrize("cls, strength", [
+        (MorseParams, 1e155), (MorseParams, 1e300), (PTParams, 1e155),
+        (PTParams, 1e200)])
+    def test_overflowing_threshold_refused(self, cls, strength):
+        # W'(inf)^2 is past the largest float from about 1.34e154
+        with pytest.raises(ValueError, match="threshold"):
+            cls(strength, 1.0)
+        assert cls(1e154, 1.0).threshold == pytest.approx(1e308, rel=1e-10)
+
     def test_derived_a(self):
         assert MorseParams(4.5, 1.0).a == 4.0
 
@@ -333,6 +342,7 @@ def test_closed_form_levels(params):
     s = params.lam - 0.5 if isinstance(params, MorseParams) else params.mu
     want = [n * (2.0 * s - n) for n in range(math.ceil(s))]
     assert params.levels.tolist() == want
+    assert [params.level(n) for n in range(len(want))] == want
 
 
 class TestWeightIntegral:
