@@ -2,16 +2,17 @@
 """Node-spacing study of the sinc-DVR bound-state solver.
 
 Solves the shifted Morse and sech wells on their default domains at
-x-spacings from 0.4 down to 0.1, on the uniform grid (stretch 0) and on the
-stretched grid of the defaults (stretch 0.25), and tabulates eigenvalue
+x-spacings from 0.4 down to 0.065, on the uniform grid (stretch 0) and on
+the stretched grid of the defaults (stretch 1.5), and tabulates eigenvalue
 errors against the closed-form levels n(2a - n) and n(2 mu - n), so error
 against node count reads off for both grids.  Every grid has its outermost
-interior nodes on the domain's edges, as the default grids do.  The error falls exponentially
-as h shrinks (spectral convergence of the sinc basis), not by a fixed factor
-per halving, until it reaches round-off.  A spacing too coarse for the steep
-Morse wall leaves a spurious edge amplitude or loses a level; the solver
-then refuses the grid and the row reads `grid_too_small`.  Each dense solve
-costs O(N^2) memory and O(N^3) time in the node count N.
+interior nodes on the domain's edges, as the default grids do.  The error
+falls exponentially as h shrinks (spectral convergence of the sinc basis),
+not by a fixed factor per halving, until it reaches round-off.  A spacing
+too coarse for the steep Morse wall leaves a spurious edge amplitude or
+loses a level; the solver then refuses the grid and the row reads
+`grid_too_small`.  Each dense solve costs O(N^2) memory and O(N^3) time in
+the node count N.
 
     python scripts/convergence_study.py --out convergence.csv
 """
@@ -28,7 +29,7 @@ from susyspectra.eigensolver import (DEFAULT_STRETCH, GridTooSmallError,
                                      _grid_at_spacing)
 from susyspectra.potentials import MorseParams, PTParams
 
-SPACINGS = (0.4, 0.3, 0.25, 0.2, 0.15, 0.13, 0.1)
+SPACINGS = (0.4, 0.3, 0.25, 0.2, 0.15, 0.13, 0.1, 0.065)
 
 
 def main() -> None:

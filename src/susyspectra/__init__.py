@@ -3,8 +3,8 @@ Fourier-Bessel connection between the two pictures."""
 
 from .grids import Grid
 from .numerics import (OscillatoryError, QuadratureResult, bessel_j,
-                       integrate_oscillatory_bessel, sinc_interp,
-                       sinc_kinetic)
+                       integrate_oscillatory_bessel, sinc_derivative,
+                       sinc_interp, sinc_kinetic)
 from .potentials import (FAMILIES, MorseParams, PTParams,
                          SingularConfigurationError, Well, riccati_residual)
 from .eigensolver import (GridTooSmallError, Spectrum, default_grid,

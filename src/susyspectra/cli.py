@@ -199,7 +199,7 @@ def run_gamma_sweep(cfg: argparse.Namespace):
 
 def run_riccati(cfg: argparse.Namespace):
     rows = [(p.family, grid.spacing,
-             riccati_residual(p.f, p.w_prime, p.w_second, grid))
+             riccati_residual(p.q, p.w_prime, grid))
             for p, grid in cfg.wells]
     return {"gamma": cfg.gamma}, rows
 
@@ -345,8 +345,8 @@ _WELL = {"lambda": Flag(float, 4.5), "mu": Flag(float, 4.0),
          "gamma": Flag(float, 1.0)}
 _GRID = {"grid-min": Flag(float), "grid-max": Flag(float),
          "grid-n": Flag(int)}
-# the eigen-solving experiments build a dense n x n matrix: at this cap
-# 128 MB a copy and seconds to solve (a Grid needs at least 16 nodes)
+# eigensolves and riccati's derivative are dense n x n matrices: at this
+# cap 128 MB a copy and seconds to solve (a Grid needs at least 16 nodes)
 _MAX_GRID_N = 4001
 _DENSE_GRID = {**_GRID, "grid-n": Flag(_int_between(16, _MAX_GRID_N))}
 # bessel_j holds to |x| <= 1000 and orders up to 300; the largest t' of
@@ -405,7 +405,7 @@ EXPERIMENTS = {
         default_grid),
     "riccati": Experiment(
         run_riccati, ["family", "h", "max_residual"], (*FAMILIES, "both"),
-        {**_WELL, **_GRID}, lambda p: Grid(*p.riccati_domain)),
+        {**_WELL, **_DENSE_GRID}, default_grid),
     "hankel-verify": Experiment(
         run_hankel_verify, ["p", "order", "value", "scaled_error"]),
     # it maps the shifted wells, which do not depend on gamma
@@ -486,9 +486,9 @@ def _config_tokens(path: str, experiment: str,
 def _prepare(cfg: argparse.Namespace, exp: Experiment) -> None:
     """The checks made before any solve, past the bounds parsing checked:
     a well strength is given only for a family the run solves, every
-    solved family's params and grid are valid, and a --state is below the
-    closed-form level count of every solved well.  Fills in the defaults
-    and `cfg.wells`."""
+    solved family's params and grid are valid and its shifted well finite
+    on the grid, and a --state is below the closed-form level count of
+    every solved well.  Fills in the defaults and `cfg.wells`."""
     given = set()
     for key, flag in exp.options().items():
         dest = key.replace("-", "_")
@@ -511,6 +511,12 @@ def _prepare(cfg: argparse.Namespace, exp: Experiment) -> None:
             continue
         params = cls(getattr(cfg, cls.strength_name), gamma)
         grid = _grid_for(cfg, exp.grid(params)) if exp.grid else None
+        if grid is not None:
+            rho = grid.nodes()
+            bad = rho[~np.isfinite(params.shifted(rho))]
+            if bad.size:
+                raise UsageError(f"the {params.label} well overflows at node "
+                                 f"rho={bad[0]:.6g}; narrow the grid")
         cfg.wells.append((params, grid))
     if "state" in exp.flags:
         count = min(p.level_count for p, _ in cfg.wells)

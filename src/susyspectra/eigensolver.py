@@ -7,8 +7,8 @@ exact for the band-limited sinc basis, V is diagonal, and the spectrum
 follows from one dense symmetric eigensolve.  The error falls exponentially
 as the spacing shrinks; memory grows as N^2 and time as N^3 in the node
 count.  A default grid is stretched, fine in the well and coarse on the
-decaying tails (124 Morse and 193 sech-well nodes at the verification
-point, where every level at gamma = 1 comes out to 1.4e-10 or better).
+decaying tails (121 Morse and 171 sech-well nodes at the verification
+point, where every level at gamma = 1 comes out to 2.3e-13 or better).
 Its outermost interior nodes sit on `Well.default_domain`: out to where the
 least-bound closed-form level has decayed by the WKB factor 1e-9 past its
 turning points, within the family's box, or past it where the box would
@@ -47,8 +47,8 @@ __all__ = [
 ]
 
 # x-spacing and stretch of every default grid (see `grids.Grid`)
-DEFAULT_SPACING = 0.13
-DEFAULT_STRETCH = 0.25
+DEFAULT_SPACING = 0.065
+DEFAULT_STRETCH = 1.5
 _TOL_EDGE = 1e-3
 _DECAY_TOL = 1e-6
 _SIGN_FRACTION = 1e-3

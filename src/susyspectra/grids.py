@@ -11,7 +11,7 @@ import numpy as np
 __all__ = ["Grid", "MAP_SCALE"]
 
 # a in the map rho = x + beta (a sinh(x/a) - x)
-MAP_SCALE = 4.0
+MAP_SCALE = 2.0
 _NEWTON_STEPS = 60
 
 
@@ -21,7 +21,7 @@ class Grid:
 
     The nodes are rho_i = rho(x_i) on n uniform points x_i, where
     rho(x) = x + stretch (a sinh(x/a) - x), a = MAP_SCALE: the local spacing
-    J h, with J = drho/dx = 1 - stretch + stretch cosh(x/a), grows as
+    J h, with J = drho/dx = 1 - stretch + stretch cosh(x/a) >= 1, grows as
     e^{|x|/a} on the tails.  Stretch 0 is the uniform grid.  `spacing` is
     the x-spacing h; min and max are the end nodes in rho.
     """
@@ -38,8 +38,8 @@ class Grid:
             raise ValueError("grid requires max > min")
         if not np.isfinite([self.min, self.max]).all():
             raise ValueError("grid bounds must be finite")
-        if not 0.0 <= self.stretch < 1.0:
-            raise ValueError("grid stretch must lie in [0, 1)")
+        if not 0.0 <= self.stretch < np.inf:
+            raise ValueError("grid stretch must be finite and >= 0")
         with np.errstate(over="ignore", invalid="ignore"):
             reached = np.isfinite(self.x_bounds).all()
         if not reached:
@@ -89,10 +89,10 @@ class Grid:
         return 1.0 - self.stretch + self.stretch * np.cosh(x / MAP_SCALE)
 
     def to_x(self, rho) -> np.ndarray:
-        """x(rho) by Newton's method from a sinh-only guess, which lies on
-        the far side of the root from 0.  rho(x) is odd and convex for
-        x > 0, so each step moves monotonically toward the root; infinite
-        rho maps to itself."""
+        """x(rho) by Newton's method from a sinh-only guess.  rho(x) is odd
+        and convex for x > 0: from the far side of the root (stretch < 1)
+        each step moves toward it; from the near side (stretch > 1) the
+        first overshoots to the far side.  Infinite rho maps to itself."""
         rho = np.asarray(rho, dtype=float)
         if not self.stretch:
             return rho

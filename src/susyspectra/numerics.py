@@ -5,8 +5,8 @@ of integer order, Clenshaw-Curtis rules of any size (the Hankel plans),
 15-point Gauss-Legendre panel integrals (the rule by Golub-Welsch: one
 15 x 15 symmetric eigenproblem, solved at import), semi-infinite
 oscillatory integrals against Bessel weights, and the sinc basis on a
-uniform grid (the DVR kinetic matrix and band-limited interpolation
-between the nodes).
+uniform grid (the DVR kinetic and first-derivative matrices and
+band-limited interpolation between the nodes).
 
 All functions are pure and hold no module-level mutable state, so they are
 safe to call concurrently.
@@ -27,6 +27,7 @@ __all__ = [
     "clenshaw_curtis",
     "integrate_oscillatory_bessel",
     "sinc_kinetic",
+    "sinc_derivative",
     "sinc_interp",
 ]
 
@@ -462,20 +463,29 @@ def integrate_oscillatory_bessel(g, m: int, p, tol: float = 1e-9,
 # ---------------------------------------------------------------------------
 
 
+def _sinc_toeplitz(n: int, h: float, scale: float, power: int,
+                   diagonal: float) -> np.ndarray:
+    """n x n Toeplitz matrix M_ij = scale (-1)^k / (k h)^power, k = i - j,
+    with `diagonal` on k = 0.  It is copied out of a sliding window over
+    its 2n-1 distinct entries, so the result is the only n^2 allocation."""
+    k = np.arange(n - 1, -n, -1, dtype=float)  # i - j along a window row
+    stencil = (np.where(k % 2, -scale, scale)
+               / np.where(k, k * h, 1.0) ** power)
+    stencil[n - 1] = diagonal
+    return np.lib.stride_tricks.sliding_window_view(stencil, n)[::-1].copy()
+
+
 def sinc_kinetic(n: int, h: float) -> np.ndarray:
     """Sinc-DVR matrix of -d^2/dx^2 on n uniform nodes of spacing h
     (Colbert & Miller, J. Chem. Phys. 96, 1982 (1992)):
-    T_ii = pi^2 / (3 h^2), T_ij = 2 (-1)^(i-j) / ((i-j)^2 h^2).
+    T_ii = pi^2 / (3 h^2), T_ij = 2 (-1)^(i-j) / ((i-j)^2 h^2)."""
+    return _sinc_toeplitz(n, h, 2.0, 2, np.pi ** 2 / (3.0 * h * h))
 
-    The Toeplitz matrix is copied out of a sliding window over its 2n-1
-    distinct entries, so the n x n result is the only n^2 allocation.
-    """
-    k = np.arange(1 - n, n, dtype=float)
-    stencil = np.empty(2 * n - 1)
-    off = k != 0
-    stencil[off] = 2.0 * np.where(k[off] % 2, -1.0, 1.0) / (k[off] * h) ** 2
-    stencil[n - 1] = np.pi ** 2 / (3.0 * h * h)
-    return np.lib.stride_tricks.sliding_window_view(stencil, n)[::-1].copy()
+
+def sinc_derivative(n: int, h: float) -> np.ndarray:
+    """Sinc-DVR matrix of d/dx on n uniform nodes of spacing h, antisymmetric:
+    D_ii = 0, D_ij = (-1)^(i-j) / ((i-j) h)."""
+    return _sinc_toeplitz(n, h, 1.0, 1, 0.0)
 
 
 def sinc_interp(x0: float, dx: float, fvals: np.ndarray, x):

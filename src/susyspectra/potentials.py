@@ -13,7 +13,7 @@ family (Cooper, Khare & Sukhatme, Phys. Rep. 251, 267 (1995)):
 * the one-parameter generalized well V - 2 q', isospectral to the shifted
   one for every gamma > 0,
 * the deformed superpotential derivative f = W' + q, which solves the
-  Riccati equation f' + f^2 = W'^2 + W''.
+  Riccati equation f' + f^2 = W'^2 + W'' (checked by `riccati_residual`).
 
 The running integral in the denominator of q is computed at the points it
 is asked for: the cumulative sum of 15-point Gauss-Legendre panels of a
@@ -33,7 +33,7 @@ from typing import ClassVar
 import numpy as np
 
 from .grids import Grid
-from .numerics import _panel_integrals
+from .numerics import _panel_integrals, sinc_derivative
 
 __all__ = [
     "Well",
@@ -101,9 +101,9 @@ class Well:
     declares:
 
     * the class attributes `family` (CLI name), `label` (for messages),
-      `strength_name` (its flag), `domain_box` (the interval a default
+      `strength_name` (its flag) and `domain_box` (the interval a default
       domain is clipped to, unless its least-bound level needs more reach;
-      see `default_domain`) and `riccati_domain` (lo, hi, nodes);
+      see `default_domain`);
     * the attributes `strength` and `weight_support`, the (lo, hi) outside
       which psi0^2 is below double precision, so that its running integral
       has saturated there;
@@ -188,8 +188,9 @@ class Well:
 
     @_elementwise
     def shifted(self, r):
-        """W'^2 - W'': the base well with its ground state at zero energy."""
-        with np.errstate(over="ignore"):
+        """W'^2 - W'': the base well with its ground state at zero energy;
+        NaN where W'^2 and W'' both overflow."""
+        with np.errstate(over="ignore", invalid="ignore"):
             return self.w_prime(r) ** 2 - self.w_second(r)
 
     @_elementwise
@@ -289,7 +290,6 @@ class MorseParams(Well):
     label: ClassVar[str] = "Morse"
     strength_name: ClassVar[str] = "lambda"
     domain_box: ClassVar[tuple] = (-4.0, 32.0)
-    riccati_domain: ClassVar[tuple] = (-1.0, 6.0, 7001)
 
     def __post_init__(self):
         if not self.lam > 0.5:
@@ -350,7 +350,6 @@ class PTParams(Well):
     label: ClassVar[str] = "PT"
     strength_name: ClassVar[str] = "mu"
     domain_box: ClassVar[tuple] = (-20.0, 20.0)
-    riccati_domain: ClassVar[tuple] = (-5.0, 5.0, 10001)
 
     def __post_init__(self):
         if not self.mu > 0:
@@ -391,29 +390,13 @@ FAMILIES = {cls.family: cls for cls in (MorseParams, PTParams)}
 # ---------------------------------------------------------------------------
 
 
-def riccati_residual(f, w_prime, w_second, grid: Grid) -> float:
-    """max |f' + f^2 - W'^2 - W''| over interior nodes, with f' from a
-    five-point central-difference stencil at the spacing of a uniform
-    grid."""
-    if grid.stretch:
-        raise ValueError("riccati_residual needs a uniform grid; got one "
-                         f"with stretch {grid.stretch:g}")
-    if grid.n < 3:
-        raise ValueError("riccati_residual needs at least 3 nodes")
-    x = grid.nodes()
-    h = grid.spacing
-
-    def _vec(name, func):
-        v = np.asarray(func(x), dtype=float)
-        if v.shape != x.shape:
-            raise ValueError(f"{name} gives shape {v.shape} on {x.size} "
-                             "nodes; it must map arrays elementwise")
-        return v
-
-    fv = _vec("f", f)
-    wp = _vec("w_prime", w_prime)
-    ws = _vec("w_second", w_second)
-    fp = (-fv[4:] + 8.0 * fv[3:-1] - 8.0 * fv[1:-3] + fv[:-4]) / (12.0 * h)
-    core = slice(2, -2)
-    res = fp + fv[core]**2 - wp[core]**2 - ws[core]
-    return float(np.max(np.abs(res)))
+def riccati_residual(q, w_prime, grid: Grid) -> float:
+    """max |q' + 2 W' q + q^2| over the grid's nodes: for f = W' + q and W''
+    exact, the Riccati residual f' + f^2 - W'^2 - W''.  q' is (D q)/J, D the
+    sinc-DVR derivative in x and J the grid's jacobian, spectrally accurate
+    on the solver's grid because q decays at both ends."""
+    rho = grid.nodes()
+    qv = q(rho)
+    dq = sinc_derivative(grid.n, grid.spacing) @ qv / grid.jacobian(
+        grid.x_nodes())
+    return float(np.max(np.abs(dq + 2.0 * w_prime(rho) * qv + qv * qv)))

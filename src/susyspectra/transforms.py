@@ -79,7 +79,7 @@ class HankelPlan:
     once the nodes resolve the oscillation of J_m(t t') there (Trefethen,
     SIAM Rev. 50, 67 (2008)).  At lambda = 4.5, mu = 4 the wavefunction
     map over t' <= 6 on [0, 40] is converged from 160 nodes (worst L2
-    discrepancy of states 0-3 4e-11, the level of the eigenstates
+    discrepancy of states 0-3 5e-11, the level of the eigenstates
     themselves), is at 1e-8 at 128 and fails at 96; the default of 256
     leaves a margin of 1.6.  Plans of any size on one t_max share a
     transform's kernel (`_contract`)."""

@@ -19,7 +19,7 @@ from susyspectra.analysis import (energy_shift_check, gamma_sweep,
                                   solve_pt)
 from susyspectra.cli import main as cli_main
 from susyspectra.coordinates import chain_30
-from susyspectra.grids import Grid
+from susyspectra.eigensolver import default_grid
 from susyspectra.numerics import bessel_j, integrate_oscillatory_bessel
 from susyspectra.potentials import MorseParams, PTParams, riccati_residual
 from susyspectra.transforms import (HankelPlan, angular_phase_integral,
@@ -99,15 +99,14 @@ def test_04_gamma_family_isospectrality():
 
 
 def test_05_riccati_verification():
-    pm = MorseParams(2.5, 1.0)
-    res_m = riccati_residual(pm.f, pm.w_prime, pm.w_second,
-                             Grid(-1.0, 6.0, 7001))
-    pp = PTParams(3.0, 1.0)
-    res_p = riccati_residual(pp.f, pp.w_prime, pp.w_second,
-                             Grid(-5.0, 5.0, 10001))
+    # on the default grids the eigensolver runs on
+    pm, pp = MorseParams(2.5, 1.0), PTParams(3.0, 1.0)
+    gm, gp = default_grid(pm), default_grid(pp)
+    res_m = riccati_residual(pm.q, pm.w_prime, gm)
+    res_p = riccati_residual(pp.q, pp.w_prime, gp)
     ok = res_m < 1e-6 and res_p < 1e-6
     assert _verdict(5, "riccati-residuals", ok,
-                    f"{res_m:.1e}/{res_p:.1e} at h=1e-3")
+                    f"{res_m:.1e}/{res_p:.1e} on {gm.n}/{gp.n} nodes")
 
 
 def test_06_coordinate_chain_identity():

@@ -158,10 +158,10 @@ class TestUsageErrors:
         ["spectrum", "--grid-n", "2"],
         ["spectrum", "--grid-min", "5", "--grid-max", "1"],
         ["spectrum", "--grid-max", "inf"],
-        ["potential-curve", "--family", "pt", "--grid-max", "1e308"],
         ["riccati", "--family", "both", "--grid-n", "3"],
         # the dense-matrix node cap, 4001, plus one
         ["spectrum", "--grid-n", "4002"],
+        ["riccati", "--family", "both", "--grid-n", "4002"],
         ["isospectral", "--grid-n", "4002"],
         ["gamma-sweep", "--grid-n", "4002"],
         # thresholds W'(inf)^2 past the largest float
@@ -192,8 +192,10 @@ class TestUsageErrors:
         ["wavefunction-map", "--order-m", "300"],
         ["potential-term-map", "--t-max", "125"],
         ["potential-term-map", "--order-m", "300"],
-        # uniform grids past rho = 4 * 710, where sinh(rho / 4) overflows
         ["riccati", "--family", "both", "--grid-max", "3000"],
+        # the default map reaches every float: 1.79e308 at x = 1418.7
+        ["potential-curve", "--family", "pt", "--grid-max", "1e308"],
+        ["potential-curve", "--family", "pt", "--grid-max", "1.79e308"],
     ], ids=lambda argv: " ".join(argv))
     def test_flags_at_their_bounds_run(self, argv, tmp_path):
         # every number of the table is finite
@@ -203,6 +205,28 @@ class TestUsageErrors:
         values = [float(v) for row in rows for k, v in row.items()
                   if k != "family"]
         assert rows and np.all(np.isfinite(values))
+
+    @pytest.mark.parametrize("argv, rho", [
+        (["riccati", "--family", "morse", "--grid-min=-1e6"], "-1e+06"),
+        # W' is finite here, W'^2 is not
+        (["riccati", "--family", "morse", "--grid-min=-360",
+          "--grid-max", "1"], "-360"),
+        # W'^2 - W'' is inf - inf here
+        (["isospectral", "--family", "morse", "--gamma", "0.3365",
+          "--grid-min=-1e6"], "-1e+06"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_overflowing_well_refused(self, argv, rho, tmp_path, capsys,
+                                      no_solve):
+        # a grid on which the well overflows is refused before any run,
+        # with one line naming the node and no floating-point warning
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: the Morse well overflows at node rho={rho}; "
+            "narrow the grid\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("experiment, flags, refused", UNREAD,
                              ids=lambda v: " ".join(v) if isinstance(
@@ -284,7 +308,7 @@ class TestNumericalFailures:
     # whose end nodes lie one x-spacing beyond the box [-20, 20].
     @pytest.mark.parametrize("argv, missing, reason", [
         (["--family", "pt", "--mu", "4.05"], "E = n(2s - n) = 16.4 (n=4",
-         "is not resolved on the grid [-20.453, 20.453]"),
+         "is not resolved on the grid [-20.7224, 20.7224]"),
         (["--family", "pt", "--mu", "3.02"], "E = n(2s - n) = 9.12 (n=3",
          "near-threshold cut"),
         (["--family", "morse", "--lambda", "4.52", "--potential", "partner"],

@@ -212,14 +212,14 @@ def test_default_grids():
     # inside its box; the sech well's needs the whole box.  The outermost
     # interior nodes sit on the domain's edges, the end nodes one x-spacing
     # beyond.
-    for params, n in ((MorseParams(4.5, 1.0), 124), (PTParams(4.0, 1.0), 193)):
+    for params, n in ((MorseParams(4.5, 1.0), 121), (PTParams(4.0, 1.0), 171)):
         g = default_grid(params)
         assert g.n == n and g.stretch == DEFAULT_STRETCH
         assert g.spacing <= DEFAULT_SPACING
         np.testing.assert_allclose(g.interior()[[0, -1]],
                                    params.default_domain(), rtol=1e-13)
     g2 = default_grid(PTParams(4.0, 1.0))
-    assert g2.min == -g2.max and 20.45 < g2.max < 20.46
+    assert g2.min == -g2.max and 20.72 < g2.max < 20.73
 
 
 @pytest.mark.parametrize("params", [
@@ -261,7 +261,8 @@ def test_morse_left_wall_closed_form(lam, kind):
 # uniform at spacing 0.15 with its end nodes on the domain, not one spacing
 # beyond as `_grid_at_spacing` places them, because that is where the
 # uniform default grid had them.  A gamma below the negative-tail mass is
-# singular on the default grid.
+# singular on the default grid.  PT mu = 9, gamma = 0.5 (1.67 times the
+# negative-tail mass) reads 1.9e-12.
 def _level_cases():
     for family, strength in (("morse", 2.5), ("morse", 4.5),
                              ("morse", 11.5), ("pt", 3.0), ("pt", 4.0),
@@ -269,14 +270,7 @@ def _level_cases():
         for kind, gamma in (("shifted", 1.0), ("partner", 1.0),
                             ("generalized", 0.5), ("generalized", 1.0),
                             ("generalized", 10.0)):
-            marks = ()
-            if (family, strength, kind, gamma) == ("pt", 9.0, "generalized",
-                                                   0.5):
-                marks = pytest.mark.xfail(strict=True, reason=(
-                    "reads 1.6e-4 (1.4e-3 on the uniform grid): gamma is "
-                    "1.67 times the negative-tail mass, in the corner where "
-                    "the default grids miss the closed form (ROADMAP item 2)"))
-            yield pytest.param(family, strength, kind, gamma, marks=marks,
+            yield pytest.param(family, strength, kind, gamma,
                                id=f"{family}-{strength}-{kind}-{gamma}")
 
 

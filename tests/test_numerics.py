@@ -9,7 +9,7 @@ from susyspectra import numerics
 from susyspectra.numerics import (OscillatoryError, QuadratureResult,
                                   _EpsilonTable, _panel_integrals, bessel_j,
                                   bessel_j_zero, integrate_oscillatory_bessel,
-                                  sinc_interp)
+                                  sinc_derivative, sinc_interp)
 from susyspectra.transforms import hankel_oscillatory
 
 # First positive zero of J0, located by bisection on the plain power series
@@ -454,6 +454,23 @@ class TestOscillatoryLockstep:
         want = hankel_oscillatory(_inverse, 1, 2.0, tol=1e-9)
         assert type(got.value) is float and type(got.error_estimate) is float
         assert got == want
+
+
+class TestSincDerivative:
+    def test_gaussian_derivative(self):
+        # exp(-x^2/2) is band-limited to round-off at h = 0.1 and below
+        # 2e-22 at the ends, so D reproduces -x exp(-x^2/2) at the nodes;
+        # D transposed would give the opposite sign
+        x = np.linspace(-10.0, 10.0, 201)
+        got = sinc_derivative(x.size, 0.1) @ np.exp(-x * x / 2.0)
+        assert np.max(np.abs(got + x * np.exp(-x * x / 2.0))) < 5e-14
+
+    def test_antisymmetric_toeplitz(self):
+        d = sinc_derivative(7, 0.5)
+        assert np.array_equal(d, -d.T)
+        assert np.all(np.diag(d) == 0.0)
+        # D_ij = (-1)^(i-j) / ((i-j) h)
+        assert d[1, 0] == -2.0 and d[2, 0] == 1.0 and d[0, 3] == 2.0 / 3.0
 
 
 class TestSincInterp:

@@ -9,7 +9,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from susyspectra.grids import Grid
+from susyspectra.eigensolver import default_grid
 from susyspectra.potentials import (MorseParams, PTParams,
                                     SingularConfigurationError,
                                     riccati_residual)
@@ -249,48 +249,36 @@ class TestProperties:
 
 
 class TestRiccati:
+    # the residual max |q' + 2 W' q + q^2| of f = W' + q on the default
+    # grid, q' by the sinc-DVR derivative; q is passed as a function, so a
+    # wrong one can be handed in
     def test_base_superpotential_is_exact_solution(self):
-        # f = W' solves the equation identically; only stencil error remains
+        # f = W' (q = 0) solves the equation identically
         p = MorseParams(2.0, BIG_GAMMA)
-        grid = Grid(-1.0, 6.0, 1001)
-        res = riccati_residual(p.w_prime, p.w_prime, p.w_second, grid)
-        assert res < 1e-8
+        res = riccati_residual(lambda r: 0.0 * r, p.w_prime, default_grid(p))
+        assert res == 0.0
 
     def test_f_morse_solves_riccati(self):
         p = MorseParams(2.5, 1.0)
-        grid = Grid(-1.0, 6.0, 7001)
-        res = riccati_residual(p.f, p.w_prime, p.w_second, grid)
-        assert res < 1e-6
+        assert riccati_residual(p.q, p.w_prime, default_grid(p)) < 1e-6
 
     def test_f_pt_solves_riccati(self):
         p = PTParams(3.0, 1.0)
-        grid = Grid(-5.0, 5.0, 10001)
-        res = riccati_residual(p.f, p.w_prime, p.w_second, grid)
-        assert res < 1e-6
+        assert riccati_residual(p.q, p.w_prime, default_grid(p)) < 1e-6
 
     def test_wrong_f_has_large_residual(self):
         p = MorseParams(2.5, 1.0)
-        grid = Grid(-1.0, 6.0, 2001)
-        res = riccati_residual(lambda r: p.w_prime(r) + 0.1, p.w_prime,
-                               p.w_second, grid)
+        # f shifted by 0.1
+        res = riccati_residual(lambda r: p.q(r) + 0.1, p.w_prime,
+                               default_grid(p))
         assert res > 1e-2
 
-    def test_stretched_grid_refused(self):
-        # the stencil's spacing would be the x-spacing, not the rho-spacing
-        p = MorseParams(2.5, 1.0)
-        grid = Grid(-1.0, 6.0, 2001, stretch=0.25)
-        with pytest.raises(ValueError, match="uniform grid.*stretch 0.25"):
-            riccati_residual(p.f, p.w_prime, p.w_second, grid)
-
-    # the table this replaced read back the integral by cubic Hermite
-    # interpolation, which held the sech-well residual at 2.8e-8 (mu = 3)
     @pytest.mark.parametrize("well", [
         PTParams(2.0, 1.0), PTParams(3.0, 1.0), PTParams(4.0, 1.0),
         MorseParams(2.5, 1.0), MorseParams(4.5, 1.0)],
         ids=["pt-2", "pt-3", "pt-4", "morse-2.5", "morse-4.5"])
     def test_f_solves_riccati_to_stencil_resolution(self, well):
-        grid = Grid(*well.riccati_domain)
-        res = riccati_residual(well.f, well.w_prime, well.w_second, grid)
+        res = riccati_residual(well.q, well.w_prime, default_grid(well))
         assert res <= 1e-10
 
 

@@ -57,10 +57,10 @@ def test_convergence_study_rows_for_both_grids(monkeypatch, tmp_path):
     rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
     assert len(rows) == 2 * 2 * len(study.SPACINGS)
     at_default = {(r["family"], r["stretch"]): r for r in rows
-                  if abs(float(r["h"]) - 0.13) < 1e-3}
+                  if abs(float(r["h"]) - 0.065) < 1e-3}
     assert {key: r["n_nodes"] for key, r in at_default.items()} == {
-        ("morse", "0"): "212", ("morse", "0.25"): "124",
-        ("pt", "0"): "311", ("pt", "0.25"): "193"}
+        ("morse", "0"): "421", ("morse", "1.5"): "121",
+        ("pt", "0"): "619", ("pt", "1.5"): "171"}
     for r in at_default.values():
         assert r["status"] == "ok" and float(r["max_abs_error"]) < 1e-12
 
