@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from . import __version__
 from .analysis import (KINDS, energy_shift_check, gamma_sweep,
                        isospectral_check, normalized_l2_discrepancy,
                        solve_morse, solve_pt)
-from .eigensolver import GridTooSmallError, default_grid
+from .eigensolver import _DECAY_TOL, GridTooSmallError, default_grid
 from .grids import Grid
 from .numerics import OscillatoryError
 from .potentials import (FAMILIES, MorseParams, PTParams,
@@ -72,16 +72,23 @@ def _fmt_value(v):
     return str(v)
 
 
-def _column_text(values) -> list[str]:
-    """`_fmt_value` of every value of a column, by one formatter chosen
-    from the values' types: floats alone take the float format, ints or
-    strings alone `str`, and any other mix `_fmt_value` itself."""
+def _column_format(values, quote=None) -> tuple[str, Sequence]:
+    """A column as (conversion, items): the `%` conversion that writes each
+    of its values as `_fmt_value` text, and the items it takes.  Floats
+    alone take %.12g and ints alone %d, on the values themselves; strings
+    alone, and any other mix as `_fmt_value` text, take %s.  With `quote`
+    (JSON) every value comes out as a JSON string: a number's conversion
+    is quoted, since its text never needs escaping, and any other text
+    goes through `quote`."""
     kinds = set(map(type, values))
     if kinds <= {float, np.float64}:
-        return list(map("{:.12g}".format, values))
-    if kinds <= {int, np.int64} or kinds <= {str}:
-        return list(map(str, values))
-    return list(map(_fmt_value, values))
+        conversion = "%.12g"
+    elif kinds <= {int, np.int64}:
+        conversion = "%d"
+    else:
+        texts = values if kinds <= {str} else map(_fmt_value, values)
+        return "%s", list(map(quote, texts)) if quote else list(texts)
+    return (f'"{conversion}"' if quote else conversion), values
 
 
 def _json_block(opening: str, closing: str, items: list[str]) -> str:
@@ -101,26 +108,30 @@ def write_table(path: Path, meta: dict, columns: list[str], rows: list,
     ASCII.  Every row holds one value per column."""
     if fmt not in ("csv", "json"):
         raise UsageError(f"unknown format {fmt!r}")
-    for row in rows:
-        if len(row) != len(columns):
-            raise ValueError(f"row {row!r} does not match columns {columns}")
-    texts = ([_column_text(col) for col in zip(*rows)] if rows
-             else [[] for _ in columns])
+    if set(map(len, rows)) - {len(columns)}:
+        row = next(row for row in rows if len(row) != len(columns))
+        raise ValueError(f"row {row!r} does not match columns {columns}")
+    quote = json.encoder.encode_basestring_ascii if fmt == "json" else None
+    formats = [_column_format(col, quote) for col in zip(*rows)]
     if fmt == "csv":
+        template = ",".join(conversion for conversion, _ in formats)
         lines = [f"# {k}: {_fmt_value(v)}" for k, v in meta.items()]
         lines.append(",".join(columns))
-        lines += map(",".join, zip(*texts))
+        lines += [template % row
+                  for row in zip(*(items for _, items in formats))]
         path.write_text("\n".join(lines) + "\n")
         return
-    quote = json.encoder.encode_basestring_ascii
     meta_items = [f"    {quote(k)}: {quote(_fmt_value(meta[k]))}"
                   for k in sorted(meta)]
     # a repeated column keeps its last value, as in a dict
     index = {c: i for i, c in enumerate(columns)}
-    fields = [[f"      {quote(c)}: {quote(t)}" for t in texts[index[c]]]
-              for c in sorted(index)]
-    row_items = ["    {\n" + ",\n".join(row) + "\n    }"
-                 for row in zip(*fields)]
+    names = sorted(index) if formats else []
+    # one row is one % of a template, so a % in a name is escaped
+    template = "    {\n" + ",\n".join(
+        f"      {quote(c).replace('%', '%%')}: {formats[index[c]][0]}"
+        for c in names) + "\n    }"
+    row_items = [template % row for row in
+                 zip(*(formats[index[c]][1] for c in names))]
     path.write_text("{\n  \"meta\": " + _json_block("{", "}", meta_items)
                     + ",\n  \"rows\": " + _json_block("[", "]", row_items)
                     + "\n}\n")
@@ -142,8 +153,8 @@ def run_potential_curve(cfg: argparse.Namespace):
     meta = dict(gamma=cfg.gamma,
                 rho_min=_traced("{}_rho_min", params)(params),
                 grid_min=grid.min, grid_max=grid.max, grid_n=grid.n)
-    rows = [(i, x[i], trio[0][i], trio[1][i], trio[2][i])
-            for i in range(grid.n)]
+    rows = list(zip(range(grid.n), x.tolist(),
+                    *(v.tolist() for v in trio)))
     return meta, rows
 
 
@@ -155,7 +166,7 @@ def run_spectrum(cfg: argparse.Namespace):
                 grid_min=grid.min, grid_max=grid.max, grid_n=grid.n,
                 continuum_threshold=spec.continuum_threshold,
                 bound_count=spec.bound_count)
-    rows = [(i, e) for i, e in enumerate(spec.eigenvalues)]
+    rows = list(enumerate(spec.eigenvalues.tolist()))
     return meta, rows
 
 
@@ -185,22 +196,36 @@ def run_gamma_sweep(cfg: argparse.Namespace):
                                          cfg.gammas, grid)
     rows = []
     meta = {}
+    base_levels = base.eigenvalues.tolist()
     for g in sorted(spectra):
-        spec = spectra[g]
         rep = reports[g]
         meta[f"gamma_{g:g}_verdict"] = "pass" if rep.passed else "fail"
         meta[f"gamma_{g:g}_max_delta"] = rep.max_delta
-        for i, e in enumerate(spec.eigenvalues):
-            delta = (e - base.eigenvalues[i]
-                     if i < base.eigenvalues.size else math.nan)
+        for i, e in enumerate(spectra[g].eigenvalues.tolist()):
+            delta = e - base_levels[i] if i < len(base_levels) else math.nan
             rows.append((g, i, e, delta))
     return meta, rows
 
 
 def run_riccati(cfg: argparse.Namespace):
-    rows = [(p.family, grid.spacing,
-             riccati_residual(p.q, p.w_prime, grid))
-            for p, grid in cfg.wells]
+    """The residual on each well's grid, once q has decayed at both end
+    nodes to _DECAY_TOL of its peak, the eigensolver's edge rule: the
+    derivative (D q)/J assumes it, and an edge that cuts q off would put
+    the derivative's truncation into the residual."""
+    rows = []
+    for p, grid in cfg.wells:
+        rho = grid.nodes()
+        q = np.abs(p.q(rho))
+        peak = np.max(q)
+        for end in (0, -1):
+            if q[end] > _DECAY_TOL * peak:
+                raise GridTooSmallError(
+                    f"the {p.label} well's q has not decayed at the end node "
+                    f"rho={rho[end]:.6g}: |q| there is {q[end] / peak:.2e} "
+                    f"of its peak; widen the grid beyond "
+                    f"[{grid.min:g}, {grid.max:g}]")
+        rows.append((p.family, grid.spacing,
+                     riccati_residual(p.q, p.w_prime, grid)))
     return {"gamma": cfg.gamma}, rows
 
 
@@ -240,8 +265,8 @@ def run_wavefunction_map(cfg: argparse.Namespace):
     meta = dict(state=n_state, order_m=m, l2_discrepancy=disc,
                 quarter_turns=m % 4, truncation_warned=truncated(R, plan),
                 plan_n=cfg.plan_n, t_max=cfg.t_max)
-    rows = [(i, tp[i], mapped[i], direct[i])
-            for i in range(tp.size)]
+    rows = list(zip(range(tp.size), tp.tolist(), mapped.tolist(),
+                    direct.tolist()))
     return meta, rows
 
 
@@ -253,7 +278,7 @@ def run_energy_shift(cfg: argparse.Namespace):
     report = energy_shift_check(spec_m, spec_pt, lam, mu)
     shift = lam - mu - 0.5
     rows = [(i, e, *pair) for i, (e, pair)
-            in enumerate(zip(spec_m.eigenvalues, report.pairs))]
+            in enumerate(zip(spec_m.eigenvalues.tolist(), report.pairs))]
     meta = dict(gamma=cfg.gamma, shift=shift, max_delta=report.max_delta,
                 verdict="pass" if report.passed else "fail",
                 asserted="yes" if abs(shift) < 1e-12 else
@@ -279,8 +304,8 @@ def run_potential_term_map(cfg: argparse.Namespace):
         meta[f"sandwich_n{chk.n}_m{chk.order}_hankel_route"] = chk.hankel_route
         meta[f"sandwich_n{chk.n}_m{chk.order}_direct_pt"] = chk.direct_pt
         meta[f"sandwich_n{chk.n}_m{chk.order}_rel_diff"] = chk.rel_diff
-    rows = [(i, tp[i], report.lhs[i], report.rhs[i], report.residual[i])
-            for i in range(tp.size)]
+    rows = list(zip(range(tp.size), tp.tolist(), report.lhs.tolist(),
+                    report.rhs.tolist(), report.residual.tolist()))
     return meta, rows
 
 

@@ -4,11 +4,15 @@ Sinc discrete variable representation (DVR) on the interior nodes of a
 grid that is uniform in x, with rho = rho(x) the grid's map (`Grid`): the
 kinetic matrix is the exact symmetric form of -d^2/drho^2 in x, dense and
 exact for the band-limited sinc basis, V is diagonal, and the spectrum
-follows from one dense symmetric eigensolve.  The error falls exponentially
-as the spacing shrinks; memory grows as N^2 and time as N^3 in the node
-count.  A default grid is stretched, fine in the well and coarse on the
-decaying tails (121 Morse and 171 sech-well nodes at the verification
-point, where every level at gamma = 1 comes out to 2.3e-13 or better).
+follows from one dense symmetric eigensolve, or from two of half the size
+when the well is even in rho on a grid centred on 0 (the shifted and
+partner sech wells): their states split exactly into even and odd ones
+(Cooper, Khare & Sukhatme, Phys. Rep. 251, 267 (1995)), each set solved
+in its own parity block.  The error falls exponentially as the spacing
+shrinks; memory grows as N^2 and time as N^3 in the node count.  A default
+grid is stretched, fine in the well and coarse on the decaying tails (121
+Morse and 171 sech-well nodes at the verification point, where every level
+at gamma = 1 comes out to 2.3e-13 or better).
 Its outermost interior nodes sit on `Well.default_domain`: out to where the
 least-bound closed-form level has decayed by the WKB factor 1e-9 past its
 turning points, within the family's box, or past it where the box would
@@ -52,6 +56,7 @@ DEFAULT_STRETCH = 1.5
 _TOL_EDGE = 1e-3
 _DECAY_TOL = 1e-6
 _SIGN_FRACTION = 1e-3
+_MIRROR_TOL = 1e-12
 
 
 class GridTooSmallError(RuntimeError):
@@ -121,6 +126,49 @@ def discretize(potential, grid: Grid) -> np.ndarray:
     return matrix
 
 
+def _mirror_symmetric(matrix: np.ndarray, grid: Grid) -> bool:
+    """Whether the grid's ends mirror each other and the matrix's diagonal
+    is mirror-symmetric, both to _MIRROR_TOL of their largest magnitude:
+    the DVR matrix of a well that is even in rho, on a grid centred on 0."""
+    diag = np.diagonal(matrix)
+    return (abs(grid.min + grid.max) <= _MIRROR_TOL * grid.max
+            and np.max(np.abs(diag - diag[::-1]))
+            <= _MIRROR_TOL * np.max(np.abs(diag)))
+
+
+def _parity_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`np.linalg.eigh` of a mirror-symmetric matrix H in two parity
+    blocks: the eigenpairs of (H + PHP) / 2, P the node reversal, in
+    ascending order, each vector exactly even or odd.
+
+    With m nodes, h = m // 2 and the halves A = H[:h, :h],
+    B_ij = H[i, m-1-j], the even states (u, u reversed) / sqrt 2 solve
+    A + B and the odd ones (u, -u reversed) / sqrt 2 solve A - B; for odd
+    m the even block gains the centre node, coupled by sqrt 2 H[i, h]."""
+    m = matrix.shape[0]
+    h = m // 2
+    # the rows of (H + PHP) / 2 down to the centre
+    sym = 0.5 * (matrix[:h + 1] + matrix[:m - h - 2:-1, ::-1])
+    a, b = sym[:h, :h], sym[:h, :m - h - 1:-1]
+    even = np.empty((m - h, m - h))
+    even[:h, :h] = a + b
+    if m % 2:
+        even[h, :h] = even[:h, h] = math.sqrt(2.0) * sym[:h, h]
+        even[h, h] = sym[h, h]
+    even_values, even_vectors = np.linalg.eigh(even)
+    odd_values, odd_vectors = np.linalg.eigh(a - b)
+    values = np.append(even_values, odd_values)
+    order = np.argsort(values, kind="stable")
+    vectors = np.empty((m, m))
+    vectors[:h] = np.hstack([even_vectors[:h], odd_vectors])[:, order]
+    vectors[:h] /= math.sqrt(2.0)
+    np.multiply(vectors[:h], np.repeat([1.0, -1.0], [m - h, h])[order],
+                out=vectors[:m - h - 1:-1])
+    if m % 2:
+        vectors[h] = np.append(even_vectors[h], np.zeros(h))[order]
+    return values[order], vectors
+
+
 def solve_bound_states(potential, grid: Grid, threshold: float) -> Spectrum:
     """All eigenpairs below threshold - _TOL_EDGE, with decay-checked states
     psi(rho_i) on the full grid, unit-norm under `Grid.weights`.
@@ -130,9 +178,14 @@ def solve_bound_states(potential, grid: Grid, threshold: float) -> Spectrum:
     outcome (empty spectrum); a bound state that does not decay at the walls
     raises GridTooSmallError, which names the lowest such state.
     """
-    values, vectors = np.linalg.eigh(discretize(potential, grid))
-    k = int(np.searchsorted(values, threshold - _TOL_EDGE))
+    matrix = discretize(potential, grid)
     jac = grid.jacobian(grid.x_nodes()[1:-1])
+    if _mirror_symmetric(matrix, grid):
+        values, vectors = _parity_eigh(matrix)
+        jac = 0.5 * (jac + jac[::-1])
+    else:
+        values, vectors = np.linalg.eigh(matrix)
+    k = int(np.searchsorted(values, threshold - _TOL_EDGE))
     vecs = vectors[:, :k].T / np.sqrt(jac)
     peak = np.max(np.abs(vecs), axis=1)
     edge = np.maximum(np.abs(vecs[:, 0]), np.abs(vecs[:, -1]))

@@ -333,6 +333,7 @@ def _panel_integrals(f, lo, hi) -> np.ndarray:
 
 
 _EPSILON_DEPTH = 24
+_BATCH_BLOCKS = 8  # block 8 is the first at which a p may stop
 
 
 class _EpsilonTable:
@@ -366,6 +367,25 @@ class _EpsilonTable:
         return diag[-1] if len(diag) % 2 else diag[-2]
 
 
+def _batch_panels(zeros, p):
+    """The panels of a batch of blocks at each p: (half-widths, nodes,
+    count), those of the first p first and block by block within each p,
+    count the panel count of each block, shape (p.size, blocks).  zeros
+    are the edges of the blocks in x = p t, the first 0 or the zero of the
+    block before.  A block [a, b] in t takes n = ceil((b - a) p / 3)
+    equal panels, at least one, with edges a + (b - a) j / n, j = 0 .. n:
+    the arithmetic of a block built on its own."""
+    edges = np.asarray(zeros) / p[:, None]
+    a, b = edges[:, :-1], edges[:, 1:]
+    count = np.maximum(1, np.ceil((b - a) * p[:, None] / 3.0)).astype(np.intp)
+    n = count.ravel()
+    block = np.repeat(np.arange(n.size), n)
+    j = np.arange(block.size) - np.repeat(np.cumsum(n) - n, n)
+    a, width, n = a.ravel()[block], (b - a).ravel()[block], n[block]
+    half, nodes = _panel_nodes(a + width * j / n, a + width * (j + 1) / n)
+    return half, nodes, count
+
+
 def integrate_oscillatory_bessel(g, m: int, p, tol: float = 1e-9,
                                  max_blocks: int = 80) -> QuadratureResult:
     """Evaluate integral_0^inf g(x) J_m(p x) dx at a scalar p or at each p
@@ -380,19 +400,22 @@ def integrate_oscillatory_bessel(g, m: int, p, tol: float = 1e-9,
     bounded) converge; anything with a growing envelope, at any p, raises
     OscillatoryError for the whole call.
 
-    The integrals of every p run in lockstep: at block k the panel nodes of
-    every p still running take g in one call and J_m in one `bessel_j`
-    call, so g must act element by element.  Each p keeps its own partial
-    sum, epsilon table, stop test and final checks, and its panel sums are
-    taken as for that p alone.  In x = p t, block k of every p spans the
-    same Bessel-zero interval up to rounding, so each p's value agrees with
-    a call on that p alone to rounding, and bit for bit whenever that
-    rounding leaves the start order of `bessel_j`'s recurrence band as it
-    is (as at `hankel-verify`'s p = 0.5, 1, 2, 5).
+    The blocks come in batches of _BATCH_BLOCKS, and the integrals of every
+    p run in lockstep: the panel nodes of a batch's blocks at every p still
+    running take g in one call and J_m in one `bessel_j` call, so g must
+    act element by element.  Each p then feeds its epsilon table and stop
+    test block by block; the blocks of the batch past its stop enter
+    neither its value nor the finiteness check.  Each p keeps its own
+    partial sum, epsilon table, stop test and final checks, and its panel
+    sums are taken as for that p alone.  In x = p t, block k of every p
+    spans the same Bessel-zero interval up to rounding, so each p's value
+    agrees with a call on that p alone to rounding, and bit for bit
+    whenever that rounding leaves the start order of `bessel_j`'s
+    recurrence band as it is (as at `hankel-verify`'s p = 0.5, 1, 2, 5).
 
     A scalar p gives float value and error_estimate; an array gives float
-    arrays of its shape.  evaluations counts the integrand's nodes over
-    every p.
+    arrays of its shape.  evaluations counts every node at which the
+    integrand was evaluated, over every p, past a p's stop too.
     """
     ps = np.asarray(p, dtype=float)
     if ps.ndim > 1 or ps.size == 0:
@@ -404,48 +427,48 @@ def integrate_oscillatory_bessel(g, m: int, p, tol: float = 1e-9,
     if max_blocks < 8:
         raise OscillatoryError("partial sums failed to alternate or converge")
 
-    pv = ps.ravel().tolist()
-    left = [0.0] * len(pv)
-    total = [0.0] * len(pv)
-    est = [math.nan] * len(pv)
-    delta = [math.nan] * len(pv)
-    tables = [_EpsilonTable() for _ in pv]
+    pv = ps.ravel()
+    total = [0.0] * pv.size
+    est = [math.nan] * pv.size
+    delta = [math.nan] * pv.size
+    tables = [_EpsilonTable() for _ in range(pv.size)]
     evals = 0
-    running = list(range(len(pv)))
-    for k in range(1, max_blocks + 1):
-        zero = bessel_j_zero(m, k)
-        panels = []
-        for i in running:
-            a, b = left[i], zero / pv[i]
-            npanels = max(1, int(math.ceil((b - a) * pv[i] / 3.0)))
-            edges = a + (b - a) * np.arange(npanels + 1) / npanels
-            panels.append(_panel_nodes(edges[:-1], edges[1:]))
-            left[i] = b
-        sizes = [nodes.size for _, nodes in panels]
-        x = np.concatenate([nodes.ravel() for _, nodes in panels])
-        scale = np.repeat([pv[i] for i in running], sizes)
+    running = list(range(pv.size))
+    first = 1
+    while running and first <= max_blocks:
+        blocks = range(first, min(first + _BATCH_BLOCKS, max_blocks + 1))
+        zeros = [bessel_j_zero(m, k) if k else 0.0
+                 for k in range(first - 1, blocks[-1] + 1)]
+        p_run = pv[running]
+        half, nodes, count = _batch_panels(zeros, p_run)
+        per_p = count.sum(axis=1)
+        x = nodes.ravel()
+        scale = np.repeat(p_run, per_p * _PANEL_NODES.size)
         vals = np.asarray(g(x), dtype=float) * bessel_j(m, scale * x)
+        vals = vals.reshape(nodes.shape)
         evals += x.size
         still = []
-        for i, (half, nodes), v in zip(running, panels,
-                                       np.split(vals, np.cumsum(sizes)[:-1])):
+        for i, n, end in zip(running, count, np.cumsum(per_p).tolist()):
+            start = end - int(n.sum())
             # one product per p, as for p alone: a stacked product rounds
             # a panel differently with other panels beside it
-            block = float(np.sum(half * (v.reshape(nodes.shape)
-                                         @ _PANEL_WEIGHTS)))
-            if not math.isfinite(block):
-                raise OscillatoryError(
-                    f"block integral is not finite (p = {pv[i]:g})")
-            total[i] += block
-            prev, est[i] = est[i], tables[i].add(total[i])
-            delta[i] = abs(est[i] - prev)
-            if not (k >= 8 and math.isfinite(est[i])
-                    and delta[i] <= tol * max(1.0, abs(est[i]))):
+            panel = half[start:end] * (vals[start:end] @ _PANEL_WEIGHTS)
+            sums = np.add.reduceat(panel, np.cumsum(n) - n)
+            for k, block in zip(blocks, sums.tolist()):
+                if not math.isfinite(block):
+                    raise OscillatoryError(
+                        f"block integral is not finite (p = {pv[i]:g})")
+                total[i] += block
+                prev, est[i] = est[i], tables[i].add(total[i])
+                delta[i] = abs(est[i] - prev)
+                if (k >= 8 and math.isfinite(est[i])
+                        and delta[i] <= tol * max(1.0, abs(est[i]))):
+                    break
+            else:
                 still.append(i)
         running = still
-        if not running:
-            break
-    for i in range(len(pv)):
+        first += len(blocks)
+    for i in range(pv.size):
         if not math.isfinite(est[i]):
             raise OscillatoryError("partial sums failed to alternate or "
                                    f"converge (p = {pv[i]:g})")

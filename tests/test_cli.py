@@ -326,6 +326,19 @@ class TestNumericalFailures:
         assert reason in err
         assert ("no grid returns it" in err) == ("cut" in reason)
 
+    def test_riccati_edge_that_cuts_q_off_exit_3(self, tmp_path, capsys):
+        # at rho = 1, q is 0.094 of its peak: the residual there would be
+        # the derivative's truncation (4.9e-5), so the run is refused
+        out = tmp_path / "x.csv"
+        rc = main(["riccati", "--family", "morse", "--grid-min=-300",
+                   "--grid-max", "1", "--output", str(out)])
+        assert rc == 3
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "the Morse well's q has not decayed at the end node rho=1: |q| "
+            "there is 9.42e-02 of its peak; widen the grid beyond "
+            "[-300, 1]\n")
+
     def test_huge_strength_exit_3(self, tmp_path, capsys):
         # 1e12 levels: the least-bound one is taken in closed form, not
         # from an array of all of them, and the grid check then refuses
@@ -664,7 +677,13 @@ def test_writer_bytes_match_reference_on_every_table(monkeypatch, tmp_path):
       (np.float32(0.1), np.int32(-4), 1e-300),
       ("s", 0, np.float64(math.nan))]),
     ({"b": 2, "a": 1}, ["z", "a", "z"], [(1, 2, 3), (4, 5, 6)]),
-], ids=["empty_rows", "empty_columns", "escapes", "mixed", "repeated"])
+    # a row is one % of a template built from the names
+    ({"%": "%s"}, ["a%s", "b%%", "%d"], [(1.5, "%s", 2), (-2.0, "x%", 3)]),
+    ({}, ["x", "y"], [(math.nan, np.float64(-0.0)), (math.inf, 1e-300),
+                      (-math.inf, np.float64(math.nan)), (-0.0, 5e-324)]),
+    ({}, ["flag", "n"], [(True, 1), (False, 0), (True, 2)]),
+], ids=["empty_rows", "empty_columns", "escapes", "mixed", "repeated",
+        "percent_names", "special_floats", "bools"])
 def test_writer_bytes_match_reference_edge_cases(tmp_path, meta, columns,
                                                  rows):
     _assert_writers_agree(tmp_path, meta, columns, rows)

@@ -1,10 +1,12 @@
 import importlib
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from susyspectra import eigensolver
 from susyspectra.analysis import solve
 from susyspectra.eigensolver import (DEFAULT_SPACING, DEFAULT_STRETCH,
                                      GridTooSmallError,
@@ -180,6 +182,73 @@ class TestSolveBoundStates:
         pt = request.getfixturevalue(f"pt_{kind}_spectrum").eigenvalues
         assert np.max(np.abs(morse - morse_levels(4.5)[skip:])) <= 1e-8
         assert np.max(np.abs(pt - pt_levels(4.0)[skip:])) <= 1e-8
+
+
+def _eigh_sizes(monkeypatch) -> list:
+    """Record the size of every matrix np.linalg.eigh receives."""
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording(matrix):
+        sizes.append(matrix.shape[0])
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return sizes
+
+
+class TestParityBlocks:
+    """The shifted and partner sech wells are even in rho: on a grid
+    centred on 0 they are solved in an even and an odd block, and give the
+    full solve's levels and states."""
+
+    @pytest.mark.parametrize("interior", ["odd", "even"])
+    @pytest.mark.parametrize("kind", ["shifted", "partner"])
+    @pytest.mark.parametrize("mu", [2.0, 4.0, 7.5])
+    def test_blocks_give_the_full_solve(self, monkeypatch, mu, kind,
+                                        interior):
+        p = PTParams(mu, 1.0)
+        grid = default_grid(p)  # an odd interior node count
+        if interior == "even":
+            grid = replace(grid, n=grid.n + 1)
+        m = grid.n - 2
+        assert m % 2 == (interior == "odd")
+        potential = getattr(p, kind)
+        # a dense symmetric eigensolve rounds a level by a few eps ||H||,
+        # ~5e-13 each at the default grids (||H|| ~ 2200); the two paths
+        # differ by up to 5.6 eps ||H|| over 170-1000 nodes
+        bound = 16.0 * np.finfo(float).eps * np.linalg.norm(
+            discretize(potential, grid), 2)
+        sizes = _eigh_sizes(monkeypatch)
+        got = solve_bound_states(potential, grid, p.threshold)
+        assert sizes == [m - m // 2, m // 2]
+        monkeypatch.setattr(eigensolver, "_mirror_symmetric",
+                            lambda matrix, grid: False)
+        full = solve_bound_states(potential, grid, p.threshold)
+        assert sizes[2:] == [m]
+        assert got.bound_count == full.bound_count == p.level_count - (
+            kind == "partner")
+        assert np.max(np.abs(got.eigenvalues - full.eigenvalues)) <= bound
+        assert np.max(np.abs(got.states - full.states)) <= 1e-10
+        # level n of an even well is even for even n, odd for odd n
+        for n, state in enumerate(got.states):
+            assert np.array_equal(state, (-1) ** n * state[::-1]), n
+
+    @pytest.mark.parametrize("params, kind, grid", [
+        (PTParams(4.0, 1.0), "generalized", None),
+        (PTParams(4.0, 1.0), "shifted", Grid(-20.0, 19.5, 171,
+                                             DEFAULT_STRETCH)),
+        (MorseParams(4.5, 1.0), "shifted", None),
+        (MorseParams(4.5, 1.0), "partner", None),
+        (MorseParams(4.5, 1.0), "generalized", None),
+    ], ids=["pt_generalized", "pt_shifted_off_centre", "morse_shifted",
+            "morse_partner", "morse_generalized"])
+    def test_full_solve_without_a_mirror(self, monkeypatch, params, kind,
+                                         grid):
+        grid = grid or default_grid(params)
+        sizes = _eigh_sizes(monkeypatch)
+        solve_bound_states(getattr(params, kind), grid, params.threshold)
+        assert sizes == [grid.n - 2]
 
 
 class TestSUSYStructure:

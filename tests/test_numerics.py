@@ -205,13 +205,14 @@ class TestPanelIntegrals:
         assert np.allclose(backward, -forward, rtol=1e-15, atol=0.0)
 
     def test_hankel_verify_evaluation_count(self):
-        # the twelve oscillatory integrals of `hankel-verify` take one
-        # 15-node panel per block as the rule they replaced did
+        # the twelve oscillatory integrals of `hankel-verify` take one or
+        # two 15-node panels per block, over whole batches of 8 blocks: each
+        # stops within its second batch and evaluates all 16 blocks
         total = sum(
             hankel_oscillatory(lambda t: 1.0 / np.asarray(t), order, p,
                                tol=1e-9).evaluations
             for p in (0.5, 1.0, 2.0, 5.0) for order in (0, 1, 2))
-        assert total == 4830
+        assert total == 5700
 
 
 def _wynn_epsilon(s: np.ndarray) -> float:
@@ -384,7 +385,8 @@ def _count_bessel_calls(monkeypatch) -> list:
 
 class TestOscillatoryLockstep:
     """A 1-D array of p runs every integral in lockstep, one bessel_j call
-    per block, and gives each p the bits of a call on that p alone."""
+    per batch of 8 blocks, and gives each p the bits of a call on that p
+    alone."""
 
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_hankel_verify_batch_is_the_scalar_calls(self, order):
@@ -402,10 +404,10 @@ class TestOscillatoryLockstep:
         assert batch.evaluations == sum(r.evaluations for r in alone)
 
     @pytest.mark.parametrize("order", [0, 1, 2])
-    def test_one_bessel_call_per_block(self, monkeypatch, order):
-        # each scalar call makes one bessel_j call per block; the batch
-        # makes one per block of its longest-running p, on every running
-        # p's nodes together
+    def test_one_bessel_call_per_batch(self, monkeypatch, order):
+        # each scalar call makes one bessel_j call per batch of blocks; the
+        # lockstep call makes one per batch of its longest-running p, on
+        # every running p's nodes together
         calls = _count_bessel_calls(monkeypatch)
         blocks = []
         for p in _VERIFY_P.tolist():
@@ -418,25 +420,46 @@ class TestOscillatoryLockstep:
         assert sum(calls) == batch.evaluations
 
     def test_each_p_stops_at_its_own_block(self, monkeypatch):
-        # 14, 13 and 12 blocks: a p that has stopped leaves the later
-        # blocks, and the others keep their own values
+        # 14, 13 and 12 blocks, all in the second batch: each p feeds its
+        # epsilon table up to its own stop block, alone and in lockstep,
+        # and keeps its own value
         g = lambda x: 1.0 / np.sqrt(1.0 + np.asarray(x))
         ps = np.array([0.7, 3.0, 11.0])
-        calls = _count_bessel_calls(monkeypatch)
-        blocks, alone = [], []
-        for p in ps.tolist():
-            calls.clear()
-            alone.append(integrate_oscillatory_bessel(g, 1, p))
-            blocks.append(len(calls))
-        assert blocks == [14, 13, 12]
-        calls.clear()
+        tables = []
+
+        class Counting(_EpsilonTable):
+            def __init__(self):
+                super().__init__()
+                tables.append(self)
+
+        monkeypatch.setattr(numerics, "_EpsilonTable", Counting)
+        alone = [integrate_oscillatory_bessel(g, 1, p) for p in ps.tolist()]
+        assert [t.count for t in tables] == [14, 13, 12]
+        tables.clear()
         batch = integrate_oscillatory_bessel(g, 1, ps)
-        assert len(calls) == 14
+        assert [t.count for t in tables] == [14, 13, 12]
         assert batch.value.tobytes() == np.array(
             [r.value for r in alone]).tobytes()
         assert batch.error_estimate.tobytes() == np.array(
             [r.error_estimate for r in alone]).tobytes()
         assert batch.evaluations == sum(r.evaluations for r in alone)
+
+    def test_blocks_past_the_stop_are_dropped(self):
+        # p = 11 stops at block 12 of the batch of blocks 9 to 16; a g that
+        # is NaN from block 13 on is evaluated there, and leaves the value,
+        # the error estimate and the evaluation count as they are
+        g = lambda x: 1.0 / np.sqrt(1.0 + np.asarray(x))
+        cut = bessel_j_zero(1, 12) / 11.0
+        reached = []
+
+        def nan_past_cut(x):
+            reached.append(np.max(x))
+            return np.where(x > cut, np.nan, g(x))
+
+        clean = integrate_oscillatory_bessel(g, 1, 11.0)
+        got = integrate_oscillatory_bessel(nan_past_cut, 1, 11.0)
+        assert max(reached) > cut
+        assert got == clean
 
     def test_growing_integrand_at_one_p_raises(self):
         # g grows past x = 20, which p = 5 never reaches before it stops;
